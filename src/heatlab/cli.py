@@ -3,10 +3,11 @@
 Each command reads an optional flat ``key = value`` config file, applies flag
 overrides, runs one scenario into its output directory and writes CSV
 artifacts, a ``manifest.txt`` echoing the effective config and versions, and a
-one-line ``verdict.txt`` with PASS/FAIL and the maximal violation.  Exit code
-0 means every verdict passed, 1 means a verification failed, 2 means the
-configuration could not be parsed.  Reruns with identical config produce
-byte-identical CSV output.
+one-line ``verdict.txt`` with PASS/FAIL and the maximal violation (NaN
+included).  Floating-point overflow and invalid operations raise.  Exit code
+0 means every verdict passed, 1 means a verification or the arithmetic failed,
+2 means the configuration could not be parsed.  Reruns with identical config
+produce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from . import __version__
 from .errors import CertificationError, ConfigError, ResidualError, TailViolation
 from .grid import SpaceGrid, gaussian_field, gaussian_potential, zero_potential
 from .heat import evolve, pde_residual
-from .kernels import current_backend
 from .svgplot import write_line_plot
 from . import functionals as fn
 from . import weights as wt
@@ -173,12 +173,16 @@ def _fmt(value) -> str:
 def write_manifest(directory: Path, command: str, cfg: ScenarioConfig, extra: dict | None = None) -> None:
     lines = [f"command = {command}", f"heatlab_version = {__version__}"]
     lines.append(f"numpy_version = {np.__version__}")
-    lines.append(f"kernel_backend = {current_backend()}")
     for f in dataclass_fields(cfg):
         lines.append(f"{f.name} = {_fmt(getattr(cfg, f.name))}")
     for key, value in (extra or {}).items():
         lines.append(f"{key} = {_fmt(value)}")
     (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
+
+
+def max_violation(*values: float) -> float:
+    """The largest violation, at least 0; unlike builtin ``max``, NaN propagates."""
+    return float(np.max([0.0, *values]))
 
 
 def write_verdict(directory: Path, passed: bool, violation: float, note: str = "") -> None:
@@ -211,12 +215,9 @@ def run_construct_weights(cfg: ScenarioConfig) -> bool:
     (out / "residuals.csv").write_text("\n".join(lines) + "\n")
     cert = wt.curvature_certificate(family.a, family.A, cfg.residual_tol)
     scale = max(1.0, abs(cert.min_identity))
-    violation = max(gap, sup_r1, sup_r2)
-    passed = (
-        gap <= cfg.residual_tol * scale
-        and sup_r1 <= cfg.residual_tol * scale
-        and sup_r2 <= cfg.residual_tol * scale
-        and cert.verdict == "positive"
+    violation = max_violation(gap, sup_r1, sup_r2)
+    passed = cert.verdict == "positive" and all(
+        v <= cfg.residual_tol * scale for v in (gap, sup_r1, sup_r2)
     )
     if cfg.plot:
         write_line_plot(
@@ -248,8 +249,6 @@ def run_iterate(cfg: ScenarioConfig) -> bool:
         trace = wt.run_refinement(
             cfg.delta, cfg.K, tol=cfg.tol, m=cfg.grid_M, store_every=store_every
         )
-        invariants_ok = True
-        note = ""
     except CertificationError as exc:
         write_manifest(out, "iterate", cfg, {"error": str(exc)})
         write_verdict(out, False, float("nan"), "invariant-violation")
@@ -280,8 +279,8 @@ def run_iterate(cfg: ScenarioConfig) -> bool:
             "stabilizer": trace.stabilizer,
         },
     )
-    write_verdict(out, invariants_ok, trace.final_sup_cross, note)
-    return invariants_ok
+    write_verdict(out, True, trace.final_sup_cross)
+    return True
 
 
 def _aligned_steps(steps: int, n_frames: int) -> int:
@@ -305,27 +304,21 @@ def run_evolve(cfg: ScenarioConfig) -> bool:
         tail_tol=cfg.tail_tol,
     )
     traj.save(out / "frames")
-    checks = {}
-    violation = 0.0
-    passed = bool(np.all(traj.tail_flags))
-    checks["tails_ok"] = passed
-    resid = pde_residual(traj)
-    checks["pde_residual"] = resid
-    passed = passed and resid <= 1e-4
-    violation = max(violation, resid)
     norms = traj.norms()
-    energy_slack = float(
-        np.max(norms - np.exp(potential.sup_norm * traj.times) * norms[0])
-    )
-    checks["energy_slack"] = energy_slack
-    passed = passed and energy_slack <= 1e-6
-    violation = max(violation, energy_slack)
+    checks = {
+        "tails_ok": bool(np.all(traj.tail_flags)),
+        "pde_residual": pde_residual(traj),
+        "energy_slack": float(
+            np.max(norms - np.exp(potential.sup_norm * traj.times) * norms[0])
+        ),
+    }
+    bounds = {"pde_residual": 1e-4, "energy_slack": 1e-6}
     if potential.is_zero:
         exact = (1.0 + 4.0) ** -0.5 * np.exp(-grid.x**2 / 5.0)
-        gap = grid.norm(traj.frames[-1] - exact)
-        checks["closed_form_gap"] = gap
-        passed = passed and gap <= 1e-6
-        violation = max(violation, gap)
+        checks["closed_form_gap"] = grid.norm(traj.frames[-1] - exact)
+        bounds["closed_form_gap"] = 1e-6
+    passed = checks["tails_ok"] and all(checks[k] <= bound for k, bound in bounds.items())
+    violation = max_violation(*(checks[k] for k in bounds))
     if cfg.plot:
         write_line_plot(
             out / "norms.svg",
@@ -363,7 +356,7 @@ def run_verify_convexity(cfg: ScenarioConfig) -> bool:
         return False
     report.to_csv(out / "convexity.csv")
     passed = report.passes(cfg.slack_tol) and report.curvature_verdict == "positive"
-    violation = max(0.0, -report.min_slack / report.h_scale)
+    violation = max_violation(-report.min_slack / report.h_scale)
     if cfg.plot:
         write_line_plot(
             out / "slack.svg",
@@ -540,10 +533,14 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        passed = RUNNERS[args.command](cfg)
+        with np.errstate(over="raise", invalid="raise"):
+            passed = RUNNERS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except FloatingPointError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 1
     print(f"{args.command}: {'PASS' if passed else 'FAIL'} (outputs in {cfg.out})")
     return 0 if passed else 1
 

@@ -82,7 +82,7 @@ class Field:
 
     def require_tail(self, tol: float = DEFAULT_TAIL_TOL) -> "Field":
         frac = self.tail_fraction()
-        if frac > tol:
+        if not frac <= tol:  # a NaN fraction fails too
             raise TailViolation(
                 f"tail mass fraction {frac:.3e} exceeds {tol:.1e} at t={self.time:g}: "
                 "domain too small for this field"

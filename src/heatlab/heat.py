@@ -15,6 +15,9 @@ and a skew-symmetric part A = -2(2ax + b xi) d_x - 2na (n = 1 here); both are
 realized spectrally.  Their commutator identity collapses onto the multiplier
 (e^{8A} a)'' (x + xi)^2, which :func:`commutator_identity` checks against the
 assembled operator sum.
+
+Coefficients are rows of :attr:`WeightFamily.derivatives`; stored frames are
+differentiated in time by :func:`~heatlab.timecurve.fd_derivative`.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .grid import DEFAULT_TAIL_TOL, Field, PotentialSpec, SpaceGrid, zero_potential
-from .timecurve import fd_derivative, stencil_weights
-from .weights import WeightFamily, growth_identity
+from .timecurve import fd_derivative
+from .weights import WeightFamily
 
 DIMENSION = 1  # all coefficient formulas carry n symbolically; the lab runs n = 1
 
@@ -198,28 +201,6 @@ def evolve(
     )
 
 
-def frame_time_derivative(frames: np.ndarray, dt: float) -> np.ndarray:
-    """Fourth-order time differences across equispaced stored frames.
-
-    Same stencils as the scalar curve machinery, applied along the frame axis
-    of a complex (n_frames, n) array.
-    """
-    frames = np.asarray(frames)
-    m = frames.shape[0] - 1
-    if m + 1 < 5:
-        raise ValueError("need at least 5 frames")
-    out = np.empty_like(frames)
-    w = np.asarray(stencil_weights((-2, -1, 0, 1, 2), 0.0, 1))
-    out[2 : m - 1] = np.tensordot(
-        w, np.stack([frames[i : i + m - 3] for i in range(5)]), axes=(0, 0)
-    )
-    for i in (0, 1, m - 1, m):
-        start = min(max(i - 2, 0), m - 4)
-        w_edge = np.asarray(stencil_weights((0, 1, 2, 3, 4), float(i - start), 1))
-        out[i] = np.tensordot(w_edge, frames[start : start + 5], axes=(0, 0))
-    return out / dt
-
-
 def pde_residual(traj: Trajectory, potential: PotentialSpec | None = None) -> float:
     """Worst relative residual of d_t u - Lap u - V u over interior frames."""
     if potential is None:
@@ -228,30 +209,22 @@ def pde_residual(traj: Trajectory, potential: PotentialSpec | None = None) -> fl
     if np.max(np.abs(dts - dts[0])) > 1e-10:
         raise ValueError("pde_residual needs equispaced frames")
     xi2 = traj.grid.wavenumbers**2
-    dudt = frame_time_derivative(traj.frames, float(dts[0]))
-    worst = 0.0
+    dudt = fd_derivative(traj.frames, float(dts[0]))
+    rel = np.empty(traj.n_frames)
     for i in range(traj.n_frames):
         u = traj.frames[i]
         lap = np.fft.ifft(-xi2 * np.fft.fft(u))
         vu = potential(traj.grid.x, float(traj.times[i])) * u
         resid = traj.grid.norm(dudt[i] - lap - vu)
         scale = traj.grid.norm(lap) + traj.grid.norm(vu) + 1e-300
-        worst = max(worst, resid / scale)
-    return worst
+        rel[i] = resid / scale
+    return float(np.max(rel))  # a NaN frame propagates
 
 
 def _coefficients_at(family: WeightFamily, t: float) -> dict[str, float]:
-    """Family curves and their time derivatives evaluated at a grid node."""
+    """Row of the family's derivative table at the grid node ``t``."""
     i = family.a.node_index(t)
-    h = family.a.h
-    out: dict[str, float] = {}
-    for name, curve in (("a", family.a), ("b", family.b), ("T", family.T)):
-        out[name] = float(curve.values[i])
-        out[name + "p"] = float(fd_derivative(curve.values, h, 1)[i])
-        out[name + "pp"] = float(fd_derivative(curve.values, h, 2)[i])
-    out["w8"] = float(np.exp(8.0 * family.A.values[i]))
-    out["ident"] = float(growth_identity(family.a, family.A)[i])
-    return out
+    return {name: float(col[i]) for name, col in family.derivatives.items()}
 
 
 def apply_symmetric(f: Field, family: WeightFamily, t: float, xi: float) -> Field:

@@ -1,86 +1,15 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Band-limited resampling of periodic frames at off-grid points.
 
-The only loop-bound kernel in this package is band-limited resampling of
-periodic frames at off-grid points (an O(N*M) mode sum per frame, used heavily
-by the Appell change of variables).  Everything else is FFT- or BLAS-shaped
-and stays plain numpy.
-
-Backend selection:
-    HEATLAB_NUMBA=0   force the numpy path (e.g. for debugging or timing)
-    HEATLAB_NUMBA=1   require numba; raise if it cannot be imported
-    unset             use numba when available
-
-``set_backend``/``current_backend`` override and report at runtime.
-``benchmarks/bench_resample.py`` times the two paths against each other.
+The only loop-bound kernel in this package: the Appell change of variables
+evaluates the trigonometric interpolant of each stored frame at mapped
+points, an O(N*M) mode sum per frame done here as one complex exponential
+table times the Fourier coefficients.  Everything else is FFT- or BLAS-shaped
+and lives with the code that uses it.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit, prange
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def decorator(fn):
-            return fn
-
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return decorator
-
-    def prange(*args):
-        return range(*args)
-
-
-_env = os.environ.get("HEATLAB_NUMBA", "").strip().lower()
-if _env in ("0", "false", "no"):
-    _BACKEND = "numpy"
-elif _env in ("1", "true", "yes"):
-    if not NUMBA_AVAILABLE:
-        raise ImportError("HEATLAB_NUMBA=1 but numba is not importable")
-    _BACKEND = "numba"
-else:
-    _BACKEND = "numba" if NUMBA_AVAILABLE else "numpy"
-
-
-def set_backend(name: str) -> None:
-    global _BACKEND
-    if name not in ("numba", "numpy"):
-        raise ValueError("backend must be 'numba' or 'numpy'")
-    if name == "numba" and not NUMBA_AVAILABLE:
-        raise ValueError("numba backend requested but numba is not importable")
-    _BACKEND = name
-
-
-def current_backend() -> str:
-    return _BACKEND
-
-
-@njit(cache=True, parallel=True)
-def _mode_sum_numba(coeffs, freqs, phases, nyquist_coeff, nyquist_freq):
-    out = np.empty(phases.size, dtype=np.complex128)
-    for i in prange(phases.size):
-        p = phases[i]
-        acc = 0.0 + 0.0j
-        for m in range(coeffs.size):
-            acc += coeffs[m] * (np.cos(freqs[m] * p) + 1j * np.sin(freqs[m] * p))
-        acc += nyquist_coeff * np.cos(nyquist_freq * p)
-        out[i] = acc
-    return out
-
-
-def _mode_sum_numpy(coeffs, freqs, phases, nyquist_coeff, nyquist_freq):
-    table = np.exp(1j * np.outer(phases, freqs))
-    out = table @ coeffs
-    out += nyquist_coeff * np.cos(nyquist_freq * phases)
-    return out
 
 
 def resample_periodic(
@@ -103,13 +32,7 @@ def resample_periodic(
     freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * half_width / n)
     nyq = n // 2
     phases = targets + half_width
-    keep = np.ones(n, dtype=bool)
-    keep[nyq] = False
-    fn = _mode_sum_numba if _BACKEND == "numba" else _mode_sum_numpy
-    return fn(
-        np.ascontiguousarray(coeffs[keep]),
-        np.ascontiguousarray(freqs[keep]),
-        np.ascontiguousarray(phases),
-        coeffs[nyq],
-        abs(freqs[nyq]),
-    )
+    keep = np.arange(n) != nyq
+    out = np.exp(1j * np.outer(phases, freqs[keep])) @ coeffs[keep]
+    out += coeffs[nyq] * np.cos(abs(freqs[nyq]) * phases)
+    return out

@@ -15,6 +15,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import GridError
 
@@ -57,29 +58,39 @@ def _window(i: int, m: int, width: int) -> int:
     return min(max(i - width // 2, 0), m + 1 - width)
 
 
-def fd_derivative(values: np.ndarray, h: float, deriv: int = 1) -> np.ndarray:
-    """Differentiate uniform samples with stencils of accuracy order >= 4.
+@lru_cache(maxsize=None)
+def _stencil_rows(deriv: int) -> tuple[np.ndarray, np.ndarray]:
+    """Centered five-point weights, and the rows of nodes 0, 1, m-1, m on the
+    end windows: six points for second derivatives, to keep fourth order."""
+    ends = tuple(range(5 if deriv == 1 else 6))
+    centered = np.array(stencil_weights((-2, -1, 0, 1, 2), 0.0, deriv))
+    edges = np.array([stencil_weights(ends, float(p), deriv) for p in (0, 1, *ends[-2:])])
+    return centered, edges
 
-    First derivatives use five-point windows; second derivatives use six-point
-    windows near the edges so the one-sided rows keep fourth order.
+
+def fd_derivative(values: np.ndarray, h: float, deriv: int = 1) -> np.ndarray:
+    """Differentiate uniform samples along the first axis with stencils of
+    accuracy order >= 4.
+
+    ``values`` is a real curve of shape ``(m + 1,)`` or a stack such as the
+    complex ``(frames, n)`` array of a stored trajectory, differentiated in
+    time column by column.
     """
-    values = np.asarray(values, dtype=float)
-    m = values.size - 1
-    width = 5 if deriv == 1 else 6
+    values = np.asarray(values)
+    if values.dtype.kind != "c":
+        values = values.astype(float, copy=False)
+    centered, edges = _stencil_rows(deriv)
+    m, width = values.shape[0] - 1, edges.shape[1]
     if m + 1 < width:
         raise GridError(f"need at least {width} samples, got {m + 1}")
     out = np.empty_like(values)
-    # interior: centered five-point rows, vectorized
-    half = 2
-    centered = np.asarray(stencil_weights((-2, -1, 0, 1, 2), 0.0, deriv))
-    windows = np.lib.stride_tricks.sliding_window_view(values, 5)
-    out[half : m + 1 - half] = windows @ centered
-    # edges: one-sided / offset rows
-    for i in list(range(half)) + list(range(m + 1 - half, m + 1)):
-        start = _window(i, m, width)
-        offs = tuple(range(width))
-        w = np.asarray(stencil_weights(offs, float(i - start), deriv))
-        out[i] = values[start : start + width] @ w
+    # interior: centered rows on a read-only five-point window view
+    s = values.strides
+    windows = as_strided(values, (m - 3, *values.shape[1:], 5), (*s, s[0]), writeable=False)
+    out[2 : m - 1] = windows @ centered
+    head, tail = values[:width], values[m + 1 - width :]
+    out[0], out[1] = edges[0] @ head, edges[1] @ head
+    out[m - 1], out[m] = edges[2] @ tail, edges[3] @ tail
     return out / h**deriv
 
 

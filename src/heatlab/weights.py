@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
@@ -223,9 +224,25 @@ class WeightFamily:
     def R(self) -> float:
         return math.sqrt(self.delta**2 / 4.0 - 1.0)
 
+    @cached_property
+    def derivatives(self) -> dict[str, np.ndarray]:
+        """Read-only nodewise table, built once per family: a, b, T and their
+        first and second time derivatives (keys ``a, ap, app, b, bp, bpp, T,
+        Tp, Tpp``), the clock ``w8`` = e^{8A} and ``ident`` = (e^{8A} a)''."""
+        table = {}
+        for name, curve in (("a", self.a), ("b", self.b), ("T", self.T)):
+            table[name] = curve.values.view()
+            table[name + "p"] = fd_derivative(curve.values, curve.h, 1)
+            table[name + "pp"] = fd_derivative(curve.values, curve.h, 2)
+        table["w8"] = np.exp(8.0 * self.A.values)
+        table["ident"] = growth_identity(self.a, self.A)
+        for col in table.values():
+            col.flags.writeable = False
+        return table
+
     def clock(self) -> np.ndarray:
         """The reparametrizing factor e^{8A} at the nodes."""
-        return np.exp(8.0 * self.A.values)
+        return self.derivatives["w8"]
 
     def validate(self, tol: float = DEFAULT_RESIDUAL_TOL, strict_signs: bool = False) -> None:
         """Check the structural invariants; raise CertificationError on failure.
@@ -297,17 +314,11 @@ def quadratic_form_coefficients(
     derivative is a single stencil application: composing two stencil passes
     would degrade one order at the one-sided/centered row junctions.
     """
-    a, A, b, T = family.a, family.A, family.b, family.T
-    w = np.exp(8.0 * A.values)
-    h = a.h
-    c_xx = fd_derivative(w * a.values, h, 2)
-    c_xxi = fd_derivative(w * b.values, h, 2)
-    db = fd_derivative(b.values, h, 1)
-    dT = fd_derivative(T.values, h, 1)
-    ddT = fd_derivative(T.values, h, 2)
-    c_xixi = w * (
-        16.0 * a.values * b.values**2 + 4.0 * b.values * db - ddT - 8.0 * a.values * dT
-    )
+    d = family.derivatives
+    a, b, w, h = d["a"], d["b"], d["w8"], family.a.h
+    c_xx = fd_derivative(w * a, h, 2)
+    c_xxi = fd_derivative(w * b, h, 2)
+    c_xixi = w * (16.0 * a * b**2 + 4.0 * b * d["bp"] - d["Tpp"] - 8.0 * a * d["Tp"])
     return c_xx, c_xxi, c_xixi
 
 
@@ -320,7 +331,7 @@ def coefficient_residuals(family: WeightFamily) -> tuple[TimeCurve, TimeCurve]:
     genuine truncation error at the stencil order.
     """
     c_xx, c_xxi, c_xixi = quadratic_form_coefficients(family)
-    ident = growth_identity(family.a, family.A)
+    ident = family.derivatives["ident"]
     r1 = family.a.with_values(c_xxi - 2.0 * ident)
     r2 = family.a.with_values(c_xixi - ident)
     return r1, r2

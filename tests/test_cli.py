@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from heatlab import cli
 from heatlab.cli import ScenarioConfig, load_config_file, main
 
 
@@ -108,3 +110,24 @@ def test_verdict_file_contains_max_violation(tmp_path):
     assert head == "PASS"
     assert violation.startswith("max_violation=")
     float(violation.split("=")[1])
+
+
+def test_nan_residual_propagates_into_verdict(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "pde_residual", lambda traj: float("nan"))
+    out = tmp_path / "ev"
+    assert run(["evolve", "--potential", "none", "--steps", "500", "--out", str(out)]) == 1
+    verdict = (out / "evolve" / "verdict.txt").read_text().strip()
+    assert verdict == "FAIL max_violation=nan"
+
+
+def test_floating_point_error_is_reported_not_raised(tmp_path, monkeypatch, capsys):
+    def overflowing(cfg):
+        return bool(np.exp(np.array([1000.0]))[0] > 0.0)
+
+    monkeypatch.setitem(cli.RUNNERS, "sharpness", overflowing)
+    # the CLI must install the raising policy itself, whatever the caller's
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["sharpness", "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: overflow")

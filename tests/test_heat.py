@@ -21,7 +21,6 @@ from heatlab import (
     zero_potential,
 )
 from heatlab.errors import TailViolation
-from heatlab.heat import frame_time_derivative
 from heatlab.timecurve import uniform_grid
 from heatlab.weights import antiderivative, growth_identity
 
@@ -228,12 +227,12 @@ def test_pde_residual_small_for_solver_output(grid12, gauss12):
     assert pde_residual(traj) < 1e-4
 
 
-def test_frame_time_derivative_exact_on_cubics():
-    times = np.linspace(0.0, 1.0, 9)
-    frames = np.array([(t**3 - 2 * t + 1) * np.ones(4) + 1j * t**2 for t in times])
-    got = frame_time_derivative(frames, times[1] - times[0])
-    exact = np.array([(3 * t**2 - 2) * np.ones(4) + 2j * t for t in times])
-    assert np.max(np.abs(got - exact)) < 1e-12
+def test_nan_frame_is_never_hidden(grid12, gauss12):
+    traj = evolve(gauss12, zero_potential(), 0.0, 0.5, steps=64, n_frames=65)
+    traj.frames[40, 100] = np.nan
+    assert np.isnan(pde_residual(traj))
+    with pytest.raises(TailViolation):
+        traj.field(40).require_tail()
 
 
 def test_trajectory_save_load_round_trip(tmp_path, grid12, gauss12):

@@ -115,3 +115,30 @@ def test_general_interval_support():
 def test_fd_derivative_rejects_tiny_arrays():
     with pytest.raises(GridError):
         fd_derivative(np.ones(4), 0.1, 1)
+
+
+def test_fd_derivative_exact_on_cubic_frame_stacks():
+    times = np.linspace(0.0, 1.0, 9)
+    frames = np.array([(t**3 - 2 * t + 1) * np.ones(4) + 1j * t**2 for t in times])
+    got = fd_derivative(frames, times[1] - times[0])
+    exact = np.array([(3 * t**2 - 2) * np.ones(4) + 2j * t for t in times])
+    assert np.max(np.abs(got - exact)) < 1e-12
+
+
+@pytest.mark.parametrize("deriv", [1, 2])
+def test_fd_derivative_stack_matches_columnwise_curves(deriv):
+    # a complex (frames, n) stack is differentiated along the frame axis,
+    # column by column, as its real and imaginary curves would be; the two
+    # routes sum in different orders, so they agree to 1e-14 of the round-off
+    # scale max|values| / h^deriv of a stencil sum
+    t = uniform_grid(64)
+    freqs = np.linspace(0.5, 3.0, 6)
+    stack = np.cos(np.outer(t, freqs)) + 1j * np.exp(-np.outer(t, freqs))
+    h = t[1] - t[0]
+    got = fd_derivative(stack, h, deriv)
+    assert got.shape == stack.shape and np.iscomplexobj(got)
+    scale = np.max(np.abs(stack)) / h**deriv
+    for j in range(freqs.size):
+        col = stack[:, j]
+        expected = fd_derivative(col.real, h, deriv) + 1j * fd_derivative(col.imag, h, deriv)
+        assert np.max(np.abs(got[:, j] - expected)) <= 1e-14 * scale

@@ -24,7 +24,7 @@ from heatlab import (
     solve_freq,
 )
 from heatlab.errors import CertificationError
-from heatlab.timecurve import uniform_grid
+from heatlab.timecurve import fd_derivative, uniform_grid
 from heatlab.weights import growth_identity, limit_rate
 
 
@@ -47,6 +47,20 @@ def test_fixed_point_family_has_zero_cross_coefficient():
     assert np.max(np.abs(fam.b.values)) == 0.0
     relation = fam.a.values * fam.clock() - fam.a.nodes / 9.0
     assert np.max(np.abs(relation)) < 1e-12
+
+
+def test_derivative_table_matches_fresh_differences(family3):
+    table = family3.derivatives
+    assert table is family3.derivatives  # built once per family
+    h = family3.a.h
+    for name, curve in (("a", family3.a), ("b", family3.b), ("T", family3.T)):
+        assert np.array_equal(table[name], curve.values)
+        assert np.array_equal(table[name + "p"], fd_derivative(curve.values, h, 1))
+        assert np.array_equal(table[name + "pp"], fd_derivative(curve.values, h, 2))
+    assert np.array_equal(table["w8"], np.exp(8.0 * family3.A.values))
+    assert np.array_equal(table["ident"], growth_identity(family3.a, family3.A))
+    assert np.array_equal(family3.clock(), table["w8"])
+    assert not table["ap"].flags.writeable
 
 
 def test_cross_closed_form_value_against_quadrature(family3):
