@@ -3,16 +3,21 @@
 Each command reads an optional flat ``key = value`` config file, applies flag
 overrides, runs one scenario into its output directory and writes CSV
 artifacts, a ``manifest.txt`` echoing the effective config and versions, and a
-one-line ``verdict.txt`` with PASS/FAIL and the maximal violation (NaN
-included).  Floating-point overflow and invalid operations raise.  Exit code
-0 means every verdict passed, 1 means a verification or the arithmetic failed,
-2 means the configuration could not be parsed.  Reruns with identical config
-produce byte-identical CSV output.
+one-line ``verdict.txt``.  A scenario's verdict is a list of named checks, each
+passing when its value is at most its bound (NaN fails); ``verdict.txt`` gives
+PASS/FAIL and the largest check value as the maximal violation, or names the
+exception class that stopped the scenario.  Floating-point overflow and
+invalid operations raise.  Exit code 0 means every verdict passed, 1 means a
+verification or the arithmetic failed, 2 means the configuration could not be
+parsed or holds a non-finite number.  Reruns with identical config produce
+byte-identical CSV output.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
@@ -24,6 +29,7 @@ from .errors import CertificationError, ConfigError, ResidualError, TailViolatio
 from .grid import SpaceGrid, gaussian_field, gaussian_potential, zero_potential
 from .heat import evolve, pde_residual
 from .svgplot import write_line_plot
+from .timecurve import write_csv
 from . import functionals as fn
 from . import weights as wt
 
@@ -37,6 +43,11 @@ COMMANDS = (
     "all",
 )
 POTENTIALS = ("none", "gauss-real", "gauss-imag")
+# config fields settable by a flag, in --help order: --grid-M sets grid_M
+FLAGS = (
+    "delta", "R", "K", "tol", "grid_M", "box_L", "grid_N", "steps",
+    "potential", "amplitude", "gamma_factor", "out", "plot",
+)
 
 
 @dataclass(frozen=True)
@@ -63,6 +74,9 @@ class ScenarioConfig:
     plot: bool = False
 
     def validate(self) -> None:
+        for f in dataclass_fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         if self.delta <= 2.0:
             raise ConfigError("delta must exceed 2")
         if self.R <= 0.0:
@@ -131,26 +145,12 @@ def build_config(args: argparse.Namespace) -> ScenarioConfig:
     cfg = ScenarioConfig()
     if args.config:
         cfg = replace(cfg, **load_config_file(args.config))
-    overrides = {}
-    for flag, key in (
-        ("delta", "delta"),
-        ("R", "R"),
-        ("K", "K"),
-        ("tol", "tol"),
-        ("grid_M", "grid_M"),
-        ("box_L", "box_L"),
-        ("grid_N", "grid_N"),
-        ("steps", "steps"),
-        ("potential", "potential"),
-        ("amplitude", "amplitude"),
-        ("gamma_factor", "gamma_factor"),
-        ("out", "out"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "plot", False):
-        overrides["plot"] = True
+    # an unset flag is None, an unset --plot False; 0 is a value (0 == False)
+    overrides = {
+        key: value
+        for key, value in vars(args).items()
+        if key in _FIELD_TYPES and value is not None and value is not False
+    }
     cfg = replace(cfg, **overrides)
     cfg.validate()
     return cfg
@@ -191,14 +191,56 @@ def write_verdict(directory: Path, passed: bool, violation: float, note: str = "
     (directory / "verdict.txt").write_text(f"{tag} max_violation={violation:.6g}{suffix}\n")
 
 
-def _outdir(cfg: ScenarioConfig, name: str) -> Path:
-    directory = Path(cfg.out) / name
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
+@dataclass(frozen=True)
+class Check:
+    """One named condition of a verdict; a yes/no condition is a 0/1 value with bound 0."""
+
+    name: str
+    value: float
+    bound: float
+
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.bound  # NaN fails
 
 
-def run_construct_weights(cfg: ScenarioConfig) -> bool:
-    out = _outdir(cfg, "construct-weights")
+def indicator(name: str, ok: bool) -> Check:
+    return Check(name, 0.0 if ok else 1.0, 0.0)
+
+
+def scenario(name: str):
+    """Turn ``body(cfg, out) -> (checks, manifest_info[, note])`` into a runner
+    ``run(cfg) -> bool`` that writes into ``cfg.out/name``.
+
+    The runner writes ``manifest.txt`` (the config echo, then the info keys)
+    and ``verdict.txt``: PASS when every check passes, with the largest check
+    value as ``max_violation``.  A certification, residual or tail failure of
+    the body becomes an ``error`` manifest line and a FAIL naming its class.
+    """
+
+    def decorate(body):
+        @functools.wraps(body)
+        def run(cfg: ScenarioConfig) -> bool:
+            out = Path(cfg.out) / name
+            out.mkdir(parents=True, exist_ok=True)
+            try:
+                checks, info, *note = body(cfg, out)
+            except (CertificationError, ResidualError, TailViolation) as exc:
+                write_manifest(out, name, cfg, {"error": str(exc)})
+                write_verdict(out, False, float("nan"), type(exc).__name__)
+                return False
+            passed = all(check.passed for check in checks)
+            write_manifest(out, name, cfg, info)
+            write_verdict(out, passed, max_violation(*(check.value for check in checks)), *note)
+            return passed
+
+        return run
+
+    return decorate
+
+
+@scenario("construct-weights")
+def run_construct_weights(cfg: ScenarioConfig, out: Path):
     a = wt.first_family_rate(cfg.delta, cfg.grid_M)
     family = wt.family_from_rate(cfg.delta, a, residual_tol=cfg.residual_tol)
     family.validate(strict_signs=True)
@@ -209,16 +251,9 @@ def run_construct_weights(cfg: ScenarioConfig) -> bool:
     r1, r2 = wt.coefficient_residuals(family)
     sup_r1 = float(np.max(np.abs(r1.values)))
     sup_r2 = float(np.max(np.abs(r2.values)))
-    lines = ["t,r1,r2"]
-    for i, t in enumerate(r1.nodes):
-        lines.append(f"{t:.12g},{r1.values[i]:.12g},{r2.values[i]:.12g}")
-    (out / "residuals.csv").write_text("\n".join(lines) + "\n")
+    write_csv(out / "residuals.csv", "t,r1,r2", r1.nodes, r1.values, r2.values)
     cert = wt.curvature_certificate(family.a, family.A, cfg.residual_tol)
-    scale = max(1.0, abs(cert.min_identity))
-    violation = max_violation(gap, sup_r1, sup_r2)
-    passed = cert.verdict == "positive" and all(
-        v <= cfg.residual_tol * scale for v in (gap, sup_r1, sup_r2)
-    )
+    bound = cfg.residual_tol * max(1.0, abs(cert.min_identity))
     if cfg.plot:
         write_line_plot(
             out / "family.svg",
@@ -227,37 +262,22 @@ def run_construct_weights(cfg: ScenarioConfig) -> bool:
             title=f"weight family, delta={cfg.delta:g}",
             xlabel="t",
         )
-    write_manifest(
-        out,
-        "construct-weights",
-        cfg,
-        {
-            "bvp_gap": gap,
-            "sup_r1": sup_r1,
-            "sup_r2": sup_r2,
-            "curvature_verdict": cert.verdict,
-        },
-    )
-    write_verdict(out, passed, violation)
-    return passed
+    checks = [
+        Check("bvp_gap", gap, bound),
+        Check("sup_r1", sup_r1, bound),
+        Check("sup_r2", sup_r2, bound),
+        indicator("curvature", cert.verdict == "positive"),
+    ]
+    info = {"bvp_gap": gap, "sup_r1": sup_r1, "sup_r2": sup_r2, "curvature_verdict": cert.verdict}
+    return checks, info
 
 
-def run_iterate(cfg: ScenarioConfig) -> bool:
-    out = _outdir(cfg, "iterate")
+@scenario("iterate")
+def run_iterate(cfg: ScenarioConfig, out: Path):
     store_every = max(1, cfg.K // 8)
-    try:
-        trace = wt.run_refinement(
-            cfg.delta, cfg.K, tol=cfg.tol, m=cfg.grid_M, store_every=store_every
-        )
-    except CertificationError as exc:
-        write_manifest(out, "iterate", cfg, {"error": str(exc)})
-        write_verdict(out, False, float("nan"), "invariant-violation")
-        return False
+    trace = wt.run_refinement(cfg.delta, cfg.K, tol=cfg.tol, m=cfg.grid_M, store_every=store_every)
     ks = np.arange(1, trace.steps_run + 1)
-    lines = ["k,sup_b,gap_to_limit"]
-    for i in range(trace.steps_run):
-        lines.append(f"{ks[i]},{trace.sup_cross[i]:.12g},{trace.gap_to_limit[i]:.12g}")
-    (out / "trace.csv").write_text("\n".join(lines) + "\n")
+    write_csv(out / "trace.csv", "k,sup_b,gap_to_limit", ks, trace.sup_cross, trace.gap_to_limit)
     if cfg.plot:
         write_line_plot(
             out / "trace.svg",
@@ -267,20 +287,15 @@ def run_iterate(cfg: ScenarioConfig) -> bool:
             xlabel="k",
             logy=True,
         )
-    write_manifest(
-        out,
-        "iterate",
-        cfg,
-        {
-            "steps_run": trace.steps_run,
-            "converged": trace.converged,
-            "final_sup_b": trace.final_sup_cross,
-            "final_gap": trace.final_gap,
-            "stabilizer": trace.stabilizer,
-        },
-    )
-    write_verdict(out, True, trace.final_sup_cross)
-    return True
+    info = {
+        "steps_run": trace.steps_run,
+        "converged": trace.converged,
+        "final_sup_b": trace.final_sup_cross,
+        "final_gap": trace.final_gap,
+        "stabilizer": trace.stabilizer,
+    }
+    # the chain's invariants are certified inside run_refinement
+    return [Check("final_sup_b", trace.final_sup_cross, math.inf)], info
 
 
 def _aligned_steps(steps: int, n_frames: int) -> int:
@@ -288,37 +303,34 @@ def _aligned_steps(steps: int, n_frames: int) -> int:
     return ((steps + stride - 1) // stride) * stride
 
 
-def run_evolve(cfg: ScenarioConfig) -> bool:
-    out = _outdir(cfg, "evolve")
+@scenario("evolve")
+def run_evolve(cfg: ScenarioConfig, out: Path):
     grid = SpaceGrid(half_width=cfg.box_L, n=cfg.grid_N)
     potential = make_potential(cfg)
     n_frames = 251 if cfg.steps >= 250 else cfg.steps + 1
     steps = _aligned_steps(cfg.steps, n_frames)
     traj = evolve(
-        gaussian_field(grid),
-        potential,
-        0.0,
-        1.0,
-        steps=steps,
-        n_frames=n_frames,
-        tail_tol=cfg.tail_tol,
+        gaussian_field(grid), potential, 0.0, 1.0, steps=steps,
+        n_frames=n_frames, tail_tol=cfg.tail_tol,
     )
     traj.save(out / "frames")
     norms = traj.norms()
-    checks = {
+    info = {
         "tails_ok": bool(np.all(traj.tail_flags)),
         "pde_residual": pde_residual(traj),
         "energy_slack": float(
             np.max(norms - np.exp(potential.sup_norm * traj.times) * norms[0])
         ),
     }
-    bounds = {"pde_residual": 1e-4, "energy_slack": 1e-6}
+    checks = [
+        indicator("tails_ok", info["tails_ok"]),
+        Check("pde_residual", info["pde_residual"], 1e-4),
+        Check("energy_slack", info["energy_slack"], 1e-6),
+    ]
     if potential.is_zero:
         exact = (1.0 + 4.0) ** -0.5 * np.exp(-grid.x**2 / 5.0)
-        checks["closed_form_gap"] = grid.norm(traj.frames[-1] - exact)
-        bounds["closed_form_gap"] = 1e-6
-    passed = checks["tails_ok"] and all(checks[k] <= bound for k, bound in bounds.items())
-    violation = max_violation(*(checks[k] for k in bounds))
+        info["closed_form_gap"] = grid.norm(traj.frames[-1] - exact)
+        checks.append(Check("closed_form_gap", info["closed_form_gap"], 1e-6))
     if cfg.plot:
         write_line_plot(
             out / "norms.svg",
@@ -327,13 +339,11 @@ def run_evolve(cfg: ScenarioConfig) -> bool:
             title="evolution norm history",
             xlabel="t",
         )
-    write_manifest(out, "evolve", cfg, checks)
-    write_verdict(out, passed, violation)
-    return passed
+    return checks, info
 
 
-def run_verify_convexity(cfg: ScenarioConfig) -> bool:
-    out = _outdir(cfg, "verify-convexity")
+@scenario("verify-convexity")
+def run_verify_convexity(cfg: ScenarioConfig, out: Path):
     grid = SpaceGrid(half_width=cfg.box_L, n=cfg.grid_N)
     potential = make_potential(cfg)
     n_frames = 257
@@ -345,18 +355,14 @@ def run_verify_convexity(cfg: ScenarioConfig) -> bool:
         n_frames=n_frames, tail_tol=cfg.tail_tol,
     )
     family = wt.family_from_rate(cfg.delta, wt.first_family_rate(cfg.delta, cfg.grid_M))
-    try:
-        report = fn.check_log_convexity(
-            traj, family, xi=cfg.xi, potential=potential,
-            epsilon=cfg.epsilon, tail_tol=cfg.tail_tol,
-        )
-    except (ResidualError, TailViolation) as exc:
-        write_manifest(out, "verify-convexity", cfg, {"error": str(exc)})
-        write_verdict(out, False, float("nan"), "engine-failure")
-        return False
-    report.to_csv(out / "convexity.csv")
-    passed = report.passes(cfg.slack_tol) and report.curvature_verdict == "positive"
-    violation = max_violation(-report.min_slack / report.h_scale)
+    report = fn.check_log_convexity(
+        traj, family, xi=cfg.xi, potential=potential,
+        epsilon=cfg.epsilon, tail_tol=cfg.tail_tol,
+    )
+    write_csv(
+        out / "convexity.csv", "t,H,theta,M,slack",
+        report.times, report.H, report.theta, report.M, report.slack,
+    )
     if cfg.plot:
         write_line_plot(
             out / "slack.svg",
@@ -365,25 +371,22 @@ def run_verify_convexity(cfg: ScenarioConfig) -> bool:
             title=f"log-convexity slack, V={cfg.potential}",
             xlabel="t",
         )
-    write_manifest(
-        out,
-        "verify-convexity",
-        cfg,
-        {
-            "min_slack": report.min_slack,
-            "h_scale": report.h_scale,
-            "Nval": report.Nval,
-            "conjugation_residual": report.conjugation_residual,
-            "curvature_verdict": report.curvature_verdict,
-        },
-    )
-    write_verdict(out, passed, violation)
-    return passed
+    checks = [
+        Check("slack", -report.min_slack / report.h_scale, cfg.slack_tol),
+        indicator("curvature", report.curvature_verdict == "positive"),
+    ]
+    info = {
+        "min_slack": report.min_slack,
+        "h_scale": report.h_scale,
+        "Nval": report.Nval,
+        "conjugation_residual": report.conjugation_residual,
+        "curvature_verdict": report.curvature_verdict,
+    }
+    return checks, info
 
 
-def run_verify_bound(cfg: ScenarioConfig) -> bool:
-    out = _outdir(cfg, "verify-bound")
-
+@scenario("verify-bound")
+def run_verify_bound(cfg: ScenarioConfig, out: Path):
     def one(scale: int) -> fn.BoundReport:
         grid = SpaceGrid(half_width=cfg.box_L * scale, n=cfg.grid_N * scale)
         n_frames = 101
@@ -394,16 +397,10 @@ def run_verify_bound(cfg: ScenarioConfig) -> bool:
         )
         return fn.verify_interior_bound(traj, cfg.R, tail_tol=cfg.tail_tol)
 
-    try:
-        base = one(1)
-        fine = one(2)
-    except TailViolation as exc:
-        write_manifest(out, "verify-bound", cfg, {"error": str(exc)})
-        write_verdict(out, False, float("nan"), "precondition-failure")
-        return False
-    base.to_csv(out / "bound.csv")
+    base = one(1)
+    fine = one(2)
+    write_csv(out / "bound.csv", "t,weighted_norm", base.times, base.weighted_norms)
     drift = abs(fine.ratio - base.ratio) / base.ratio
-    passed = base.finite and fine.finite and drift < 0.01
     if cfg.plot:
         write_line_plot(
             out / "bound.svg",
@@ -412,28 +409,22 @@ def run_verify_bound(cfg: ScenarioConfig) -> bool:
             title=f"interior weighted norms, R={cfg.R:g}",
             xlabel="t",
         )
-    write_manifest(
-        out,
-        "verify-bound",
-        cfg,
-        {
-            "ratio": base.ratio,
-            "ratio_refined": fine.ratio,
-            "ratio_drift": drift,
-            "lhs_sup": base.lhs_sup,
-            "rhs_data": base.rhs_data,
-        },
-    )
-    write_verdict(out, passed, drift)
-    return passed
+    checks = [indicator("finite", base.finite and fine.finite), Check("ratio_drift", drift, 0.01)]
+    info = {
+        "ratio": base.ratio,
+        "ratio_refined": fine.ratio,
+        "ratio_drift": drift,
+        "lhs_sup": base.lhs_sup,
+        "rhs_data": base.rhs_data,
+    }
+    return checks, info
 
 
-def run_sharpness(cfg: ScenarioConfig) -> bool:
-    out = _outdir(cfg, "sharpness")
+@scenario("sharpness")
+def run_sharpness(cfg: ScenarioConfig, out: Path):
     report = fn.sharpness_probe(cfg.R, 0.5, cfg.gamma_factor)
-    report.to_csv(out / "norms.csv")
+    write_csv(out / "norms.csv", "L,norm", report.box_widths, report.norms)
     expected = "convergent" if cfg.gamma_factor < 1.0 else "divergent"
-    passed = report.verdict == expected
     if cfg.plot:
         write_line_plot(
             out / "growth.svg",
@@ -443,18 +434,8 @@ def run_sharpness(cfg: ScenarioConfig) -> bool:
             xlabel="L",
             logy=True,
         )
-    write_manifest(
-        out,
-        "sharpness",
-        cfg,
-        {
-            "verdict": report.verdict,
-            "expected": expected,
-            "growth_exponent": report.growth_exponent,
-        },
-    )
-    write_verdict(out, passed, 0.0 if passed else 1.0, report.verdict)
-    return passed
+    info = {"verdict": report.verdict, "expected": expected, "growth_exponent": report.growth_exponent}
+    return [indicator("expected_verdict", report.verdict == expected)], info, report.verdict
 
 
 def run_all(cfg: ScenarioConfig) -> bool:
@@ -506,22 +487,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    special = {
+        "potential": {"choices": POTENTIALS},
+        "out": {"metavar": "DIR"},
+        "plot": {"action": "store_true"},
+    }
     for name in COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} scenario")
         p.add_argument("--config", metavar="FILE", help="flat key = value config file")
-        p.add_argument("--delta", type=float)
-        p.add_argument("--R", type=float)
-        p.add_argument("--K", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--grid-M", dest="grid_M", type=int)
-        p.add_argument("--box-L", dest="box_L", type=float)
-        p.add_argument("--grid-N", dest="grid_N", type=int)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--potential", choices=POTENTIALS)
-        p.add_argument("--amplitude", type=float)
-        p.add_argument("--gamma-factor", dest="gamma_factor", type=float)
-        p.add_argument("--out", metavar="DIR")
-        p.add_argument("--plot", action="store_true")
+        for key in FLAGS:
+            kind = {"type": int if _FIELD_TYPES[key] == "int" else float}
+            p.add_argument("--" + key.replace("_", "-"), **special.get(key, kind))
     return parser
 
 
@@ -529,10 +505,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = build_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         with np.errstate(over="raise", invalid="raise"):
             passed = RUNNERS[args.command](cfg)
     except ConfigError as exc:

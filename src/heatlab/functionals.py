@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -139,18 +138,6 @@ class ConvexityReport:
     @property
     def min_slack(self) -> float:
         return float(np.min(self.slack))
-
-    def passes(self, tol: float = 1e-4) -> bool:
-        return self.min_slack >= -tol * self.h_scale
-
-    def to_csv(self, path) -> None:
-        lines = ["t,H,theta,M,slack"]
-        for i, t in enumerate(self.times):
-            lines.append(
-                f"{t:.12g},{self.H[i]:.12g},{self.theta[i]:.12g},"
-                f"{self.M[i]:.12g},{self.slack[i]:.12g}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
 
 
 def weight_slices_at(family: WeightFamily, times: np.ndarray, xi: float) -> list[WeightSlice]:
@@ -384,12 +371,6 @@ class BoundReport:
     def argmax_time(self) -> float:
         return float(self.times[int(np.argmax(self.weighted_norms))])
 
-    def to_csv(self, path) -> None:
-        lines = ["t,weighted_norm"]
-        for t, v in zip(self.times, self.weighted_norms):
-            lines.append(f"{t:.12g},{v:.12g}")
-        Path(path).write_text("\n".join(lines) + "\n")
-
 
 def verify_interior_bound(
     traj: Trajectory,
@@ -449,12 +430,6 @@ class SharpnessReport:
     norms: np.ndarray
     verdict: str  # "convergent" | "divergent"
     growth_exponent: float
-
-    def to_csv(self, path) -> None:
-        lines = ["L,norm"]
-        for l, v in zip(self.box_widths, self.norms):
-            lines.append(f"{l:.12g},{v:.12g}")
-        Path(path).write_text("\n".join(lines) + "\n")
 
 
 def sharpness_probe(

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, replace
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .errors import TailViolation
+from .timecurve import read_csv, write_csv
 
 DEFAULT_HALF_WIDTH = 12.0
 DEFAULT_POINTS = 1024
@@ -93,24 +93,12 @@ class Field:
         return replace(self, values=values, time=self.time if time is None else time)
 
     def to_csv(self, path) -> None:
-        lines = ["x,re,im"]
-        for x, v in zip(self.grid.x, self.values):
-            lines.append(f"{x:.12g},{v.real:.12g},{v.imag:.12g}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_csv(path, "x,re,im", self.grid.x, self.values.real, self.values.imag)
 
     @classmethod
     def from_csv(cls, path, time: float = 0.0) -> "Field":
-        rows = Path(path).read_text().strip().splitlines()
-        if rows[0] != "x,re,im":
-            raise ValueError("expected header 'x,re,im'")
-        data = np.array([[float(c) for c in row.split(",")] for row in rows[1:]])
-        n = data.shape[0]
-        half_width = -data[0, 0]
-        return cls(
-            grid=SpaceGrid(half_width=half_width, n=n),
-            values=data[:, 1] + 1j * data[:, 2],
-            time=time,
-        )
+        x, re, im = read_csv(path, "x,re,im")
+        return cls(grid=SpaceGrid(half_width=-x[0], n=x.size), values=re + 1j * im, time=time)
 
 
 def gaussian_field(grid: SpaceGrid, rate: float = 1.0, time: float = 0.0) -> Field:

@@ -149,6 +149,22 @@ def lagrange_sample(values: np.ndarray, t0: float, h: float, times) -> np.ndarra
     return float(out[0]) if scalar else out
 
 
+def write_csv(path, header: str, *columns) -> None:
+    """Write equal-length columns under ``header``, each value as ``%.12g``."""
+    row = ",".join(["%.12g"] * len(columns))
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    lines = [header, *(row % values for values in rows)]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_csv(path, header: str) -> np.ndarray:
+    """The columns of a :func:`write_csv` file, one row of the result each."""
+    rows = Path(path).read_text().strip().splitlines()
+    if rows[0] != header:
+        raise ValueError(f"expected header {header!r}")
+    return np.array([[float(x) for x in row.split(",")] for row in rows[1:]]).T
+
+
 @dataclass(frozen=True)
 class TimeCurve:
     """Real samples of a smooth function on a uniform grid over ``[t0, t1]``."""
@@ -210,18 +226,12 @@ class TimeCurve:
         return i
 
     def to_csv(self, path) -> None:
-        lines = ["t,value"]
-        for t, v in zip(self.nodes, self.values):
-            lines.append(f"{t:.12g},{v:.12g}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_csv(path, "t,value", self.nodes, self.values)
 
     @classmethod
     def from_csv(cls, path) -> "TimeCurve":
-        rows = Path(path).read_text().strip().splitlines()
-        if rows[0] != "t,value":
-            raise ValueError("expected header 't,value'")
-        data = np.array([[float(x) for x in row.split(",")] for row in rows[1:]])
-        return cls(values=data[:, 1], t0=float(data[0, 0]), t1=float(data[-1, 0]))
+        t, values = read_csv(path, "t,value")
+        return cls(values=values, t0=float(t[0]), t1=float(t[-1]))
 
 
 def uniform_grid(m: int, t0: float = 0.0, t1: float = 1.0) -> np.ndarray:

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from heatlab import cli
-from heatlab.cli import ScenarioConfig, load_config_file, main
+from heatlab import cli, weights as wt
+from heatlab.cli import Check, ScenarioConfig, load_config_file, main
+from heatlab.errors import CertificationError
 
 
 def run(args):
@@ -102,6 +105,19 @@ def test_scenario_config_validation():
     ScenarioConfig().validate()
 
 
+@pytest.mark.parametrize("flag, value", [("--gamma-factor", "nan"), ("--delta", "inf")])
+def test_non_finite_flag_is_exit_2(tmp_path, flag, value):
+    out = tmp_path / "o"
+    assert run(["sharpness", flag, value, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_check_passes_only_within_bound():
+    assert Check("x", 1.0, 1.0).passed
+    assert not Check("x", 1.5, 1.0).passed
+    assert not Check("x", float("nan"), float("inf")).passed
+
+
 def test_verdict_file_contains_max_violation(tmp_path):
     out = tmp_path / "cw"
     run(["construct-weights", "--out", str(out)])
@@ -112,12 +128,46 @@ def test_verdict_file_contains_max_violation(tmp_path):
     float(violation.split("=")[1])
 
 
-def test_nan_residual_propagates_into_verdict(tmp_path, monkeypatch):
+def nan_pde_residual(monkeypatch):
     monkeypatch.setattr(cli, "pde_residual", lambda traj: float("nan"))
-    out = tmp_path / "ev"
-    assert run(["evolve", "--potential", "none", "--steps", "500", "--out", str(out)]) == 1
-    verdict = (out / "evolve" / "verdict.txt").read_text().strip()
+
+
+def nan_sup_cross(monkeypatch):
+    refine = wt.run_refinement
+
+    def patched(*args, **kwargs):
+        trace = refine(*args, **kwargs)
+        return replace(trace, sup_cross=np.full_like(trace.sup_cross, np.nan))
+
+    monkeypatch.setattr(wt, "run_refinement", patched)
+
+
+@pytest.mark.parametrize(
+    "command, flags, patch",
+    [
+        ("evolve", ["--potential", "none", "--steps", "500"], nan_pde_residual),
+        ("iterate", ["--K", "10"], nan_sup_cross),
+    ],
+    ids=["evolve", "iterate"],
+)
+def test_nan_residual_propagates_into_verdict(tmp_path, monkeypatch, command, flags, patch):
+    patch(monkeypatch)
+    out = tmp_path / "o"
+    assert run([command, *flags, "--out", str(out)]) == 1
+    verdict = (out / command / "verdict.txt").read_text().strip()
     assert verdict == "FAIL max_violation=nan"
+
+
+def test_certification_error_is_a_named_fail(tmp_path, monkeypatch):
+    def failing(self, *args, **kwargs):
+        raise CertificationError("b changes sign")
+
+    monkeypatch.setattr(wt.WeightFamily, "validate", failing)
+    out = tmp_path / "cw"
+    assert run(["construct-weights", "--out", str(out)]) == 1
+    scenario = out / "construct-weights"
+    assert (scenario / "verdict.txt").read_text().strip() == "FAIL max_violation=nan CertificationError"
+    assert "error = b changes sign" in (scenario / "manifest.txt").read_text().splitlines()
 
 
 def test_floating_point_error_is_reported_not_raised(tmp_path, monkeypatch, capsys):

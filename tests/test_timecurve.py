@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from heatlab import TimeCurve, curve_from_callable
 from heatlab.errors import GridError
-from heatlab.timecurve import cumulative_integral, fd_derivative, uniform_grid
+from heatlab.timecurve import cumulative_integral, fd_derivative, uniform_grid, write_csv
 
 
 def poly_curve(coeffs, m=128):
@@ -101,6 +101,15 @@ def test_csv_round_trip(tmp_path):
     back = TimeCurve.from_csv(path)
     assert np.max(np.abs(back.values - c.values)) < 1e-11
     assert back.m == c.m
+
+
+def test_write_csv_bytes_match_format_spec_rows(tmp_path):
+    awkward = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e12, -1.0 / 3.0, 2.5e-300, 123456.0])
+    ks = np.arange(1, awkward.size + 1) * 9973  # an integer column, as in trace.csv
+    path = tmp_path / "rows.csv"
+    write_csv(path, "k,v,w", ks, awkward, awkward[::-1])
+    rows = [f"{k},{v:.12g},{w:.12g}" for k, v, w in zip(ks, awkward, awkward[::-1])]
+    assert path.read_bytes() == "\n".join(["k,v,w", *rows]).encode() + b"\n"
 
 
 def test_general_interval_support():
