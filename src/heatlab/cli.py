@@ -7,10 +7,11 @@ one-line ``verdict.txt``.  A scenario's verdict is a list of named checks, each
 passing when its value is at most its bound (NaN fails); ``verdict.txt`` gives
 PASS/FAIL and the largest check value as the maximal violation, or names the
 exception class that stopped the scenario.  Floating-point overflow and
-invalid operations raise.  Exit code 0 means every verdict passed, 1 means a
-verification or the arithmetic failed, 2 means the configuration could not be
-parsed or holds a non-finite number.  Reruns with identical config produce
-byte-identical CSV output.
+invalid operations raise, and stop their scenario with such a FAIL.  Exit code
+0 means every verdict passed, 1 means a verification or the arithmetic failed,
+2 means the configuration could not be parsed, holds a non-finite number or
+does not fit the command; nothing is written then.  Reruns with identical
+config produce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ FLAGS = (
     "delta", "R", "K", "tol", "grid_M", "box_L", "grid_N", "steps",
     "potential", "amplitude", "gamma_factor", "out", "plot",
 )
+CONVEXITY_FRAMES = 257  # frames per convexity run, one per 256th of [0, 1]
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,8 @@ class ScenarioConfig:
     out: str = "out"
     plot: bool = False
 
-    def validate(self) -> None:
+    def validate(self, command: str = "all") -> None:
+        """Refuse a config the ``command`` scenario cannot run; ``all`` covers every one."""
         for f in dataclass_fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite")
@@ -100,6 +103,8 @@ class ScenarioConfig:
             raise ConfigError("amplitude must be nonnegative")
         if self.gamma_factor <= 0.0:
             raise ConfigError("gamma_factor must be positive")
+        if command in ("verify-convexity", "all") and self.grid_M % (CONVEXITY_FRAMES - 1) != 0:
+            raise ConfigError("grid_M must be a multiple of 256 for convexity runs")
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclass_fields(ScenarioConfig)}
@@ -152,7 +157,7 @@ def build_config(args: argparse.Namespace) -> ScenarioConfig:
         if key in _FIELD_TYPES and value is not None and value is not False
     }
     cfg = replace(cfg, **overrides)
-    cfg.validate()
+    cfg.validate(args.command)
     return cfg
 
 
@@ -214,8 +219,9 @@ def scenario(name: str):
 
     The runner writes ``manifest.txt`` (the config echo, then the info keys)
     and ``verdict.txt``: PASS when every check passes, with the largest check
-    value as ``max_violation``.  A certification, residual or tail failure of
-    the body becomes an ``error`` manifest line and a FAIL naming its class.
+    value as ``max_violation``.  A certification, residual, tail or
+    floating-point failure of the body becomes an ``error`` manifest line and
+    a FAIL naming its class.
     """
 
     def decorate(body):
@@ -225,7 +231,7 @@ def scenario(name: str):
             out.mkdir(parents=True, exist_ok=True)
             try:
                 checks, info, *note = body(cfg, out)
-            except (CertificationError, ResidualError, TailViolation) as exc:
+            except (CertificationError, ResidualError, TailViolation, FloatingPointError) as exc:
                 write_manifest(out, name, cfg, {"error": str(exc)})
                 write_verdict(out, False, float("nan"), type(exc).__name__)
                 return False
@@ -346,13 +352,10 @@ def run_evolve(cfg: ScenarioConfig, out: Path):
 def run_verify_convexity(cfg: ScenarioConfig, out: Path):
     grid = SpaceGrid(half_width=cfg.box_L, n=cfg.grid_N)
     potential = make_potential(cfg)
-    n_frames = 257
-    if cfg.grid_M % (n_frames - 1) != 0:
-        raise ConfigError("grid_M must be a multiple of 256 for convexity runs")
-    steps = _aligned_steps(cfg.steps, n_frames)
+    steps = _aligned_steps(cfg.steps, CONVEXITY_FRAMES)
     traj = evolve(
         gaussian_field(grid), potential, 0.0, 1.0, steps=steps,
-        n_frames=n_frames, tail_tol=cfg.tail_tol,
+        n_frames=CONVEXITY_FRAMES, tail_tol=cfg.tail_tol,
     )
     family = wt.family_from_rate(cfg.delta, wt.first_family_rate(cfg.delta, cfg.grid_M))
     report = fn.check_log_convexity(

@@ -297,17 +297,15 @@ def appell_transform(
             j = int(np.argmin(gaps))
             if gaps[j] < 1e-11:
                 return resample_periodic(source.frames[j], y, src_l)
-            # local quartic in time through the five nearest frames
+            # local quartic in time through the five nearest frames; resampling
+            # is linear, so interpolate the frames first and resample once
             lo = min(max(j - 2, 0), source.times.size - 5)
-            vals = np.stack(
-                [resample_periodic(source.frames[lo + k], y, src_l) for k in range(5)]
-            )
             ts = source.times[lo : lo + 5]
-            out = np.zeros_like(vals[0])
-            for k in range(5):
-                lk = np.prod([(s - ts[r]) / (ts[k] - ts[r]) for r in range(5) if r != k])
-                out += lk * vals[k]
-            return out
+            lk = [
+                np.prod([(s - ts[r]) / (ts[k] - ts[r]) for r in range(5) if r != k])
+                for k in range(5)
+            ]
+            return resample_periodic(np.dot(lk, source.frames[lo : lo + 5]), y, src_l)
 
     elif callable(source):
         if source_half_width is not None:

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from heatlab import cli, weights as wt
+from heatlab import cli, functionals as fn, weights as wt
 from heatlab.cli import Check, ScenarioConfig, load_config_file, main
 from heatlab.errors import CertificationError
 
@@ -181,3 +181,29 @@ def test_floating_point_error_is_reported_not_raised(tmp_path, monkeypatch, caps
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("numerical error: overflow")
+
+
+@pytest.mark.parametrize("command", ["verify-convexity", "all"])
+def test_convexity_grid_is_validated_before_any_scenario_runs(tmp_path, command, capsys):
+    out = tmp_path / "o"
+    assert run([command, "--grid-M", "320", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "grid_M must be a multiple of 256" in capsys.readouterr().err
+    ScenarioConfig(grid_M=320).validate("iterate")  # the other scenarios take any grid_M >= 64
+
+
+def test_floating_point_error_in_a_scenario_is_a_named_fail(tmp_path, monkeypatch):
+    def overflowing(*args, **kwargs):
+        return np.exp(np.array([1000.0]))
+
+    monkeypatch.setattr(fn, "sharpness_probe", overflowing)
+    out = tmp_path / "o"
+    small = ["--grid-M", "256", "--K", "5", "--grid-N", "256", "--steps", "256"]
+    assert run(["all", *small, "--out", str(out)]) == 1
+    summary = dict(line.split(" = ") for line in (out / "summary.txt").read_text().splitlines())
+    failed = {"sharpness-0.5", "sharpness-1", "sharpness-1.1"}
+    assert {name for name, tag in summary.items() if tag == "FAIL"} == failed
+    assert len(summary) == 9
+    scenario = out / "sharpness-1" / "sharpness"
+    assert (scenario / "verdict.txt").read_text().strip() == "FAIL max_violation=nan FloatingPointError"
+    assert "error = overflow encountered in exp" in (scenario / "manifest.txt").read_text().splitlines()

@@ -9,6 +9,7 @@ from heatlab import (
     Field,
     SpaceGrid,
     TimeCurve,
+    Trajectory,
     WeightFamily,
     WeightSlice,
     appell_mid_exponent,
@@ -27,7 +28,9 @@ from heatlab import (
     weighted_norm,
     zero_potential,
 )
+from heatlab import functionals
 from heatlab.errors import TailViolation
+from heatlab.kernels import resample_periodic
 from heatlab.timecurve import uniform_grid
 from heatlab.weights import antiderivative
 
@@ -262,6 +265,61 @@ def test_appell_round_trip():
         exact = free_heat_gaussian(back.grid.x, t)
         worst = max(worst, np.max(np.abs(back.frames[i] - exact)))
     assert worst < 1e-4
+
+
+def stored_free_heat(n_frames=37):
+    """Closed-form free heat frames on a uniform time grid, as a stored Trajectory."""
+    grid = SpaceGrid(half_width=16.0, n=512)
+    times = np.linspace(0.0, 1.0, n_frames)
+    frames = np.array([free_heat_gaussian(grid.x, t) for t in times])
+    return Trajectory(
+        grid=grid, times=times, frames=frames,
+        tail_flags=np.ones(n_frames, dtype=bool), potential=zero_potential(),
+    )
+
+
+def resample_then_combine(traj, alpha, beta, grid, times):
+    """Appell frames with each of the five nearest frames resampled before the
+    quartic time interpolation combines them."""
+    root = math.sqrt(alpha * beta)
+    out = []
+    for t in times:
+        denom = alpha * (1.0 - t) + beta * t
+        s = beta * t / denom
+        y = root * grid.x / denom
+        lo = min(max(int(np.argmin(np.abs(traj.times - s))) - 2, 0), traj.times.size - 5)
+        ts = traj.times[lo : lo + 5]
+        vals = 0.0
+        for k in range(5):
+            lk = np.prod([(s - ts[r]) / (ts[k] - ts[r]) for r in range(5) if r != k])
+            vals = vals + lk * resample_periodic(traj.frames[lo + k], y, traj.grid.half_width)
+        mult = (root / denom) ** 0.5 * np.exp((alpha - beta) * grid.x**2 / (4.0 * denom))
+        out.append(mult * vals)
+    return np.array(out)
+
+
+def test_appell_interpolates_frames_before_resampling():
+    traj = stored_free_heat()
+    alpha, beta = 1.0, 5.0 / 3.0  # alpha < beta: the Gaussian multiplier damps round-off
+    grid = SpaceGrid(half_width=9.0, n=512)
+    times = np.linspace(0.05, 0.95, 17)  # every mapped time falls between stored frames
+    assert np.min(np.abs(appell_time_map(alpha, beta, times)[:, None] - traj.times)) > 1e-3
+    got = appell_transform(traj, alpha, beta, grid, times)
+    expected = resample_then_combine(traj, alpha, beta, grid, times)
+    assert np.max(np.abs(got.frames - expected)) < 1e-12
+
+
+def test_appell_resamples_once_per_output_time(monkeypatch):
+    calls = []
+
+    def counting(values, targets, half_width):
+        calls.append(np.shape(values))
+        return resample_periodic(values, targets, half_width)
+
+    monkeypatch.setattr(functionals, "resample_periodic", counting)
+    times = np.linspace(0.0, 1.0, 17)  # the ends hit stored frames, the rest fall between
+    appell_transform(stored_free_heat(), 1.0, 5.0 / 3.0, SpaceGrid(half_width=9.0, n=512), times)
+    assert calls == [(512,)] * times.size
 
 
 def test_appell_transformed_potential_bound(grid12):
