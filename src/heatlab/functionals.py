@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResidualError, TailViolation
-from .grid import DEFAULT_TAIL_TOL, TAIL_START, Field, PotentialSpec, SpaceGrid, zero_potential
-from .heat import Trajectory, apply_skew, apply_symmetric
+from .grid import DEFAULT_TAIL_TOL, Field, PotentialSpec, SpaceGrid, require_tail, zero_potential
+from .heat import Trajectory, conjugated_parts
 from .kernels import resample_periodic
 from .timecurve import TimeCurve, cumulative_integral, fd_derivative
 from .weights import WeightFamily, curvature_certificate
@@ -33,7 +33,8 @@ from .weights import WeightFamily, curvature_certificate
 
 @dataclass(frozen=True)
 class WeightSlice:
-    """Gaussian weight exp(a x^2 + b x xi - T xi^2) frozen at one time."""
+    """Gaussian weight exp(a x^2 + b x xi - T xi^2) frozen at one time; column
+    arrays of ``a, b, T`` give one exponent row per time."""
 
     a: float
     b: float = 0.0
@@ -56,28 +57,26 @@ def weighted_norm(
     meaningless, so integrands with more than ``tail_tol`` of their mass in
     the outer band are rejected rather than silently truncated.
     """
-    x = field.grid.x
-    integrand = np.exp(2.0 * spec.exponent(x)) * np.abs(field.values) ** 2
-    total = float(np.sum(integrand))
-    if check_tail and total > 0.0:
-        outer = float(np.sum(integrand[np.abs(x) > TAIL_START * field.grid.half_width]))
-        if outer > tail_tol * total:
-            raise TailViolation(
-                f"weighted integrand has tail fraction {outer / total:.3e} at "
-                f"t={field.time:g}: the norm is not finite at this truncation"
-            )
-    return math.sqrt(field.grid.dx * total)
+    grid = field.grid
+    integrand = np.exp(2.0 * spec.exponent(grid.x)) * np.abs(field.values) ** 2
+    if check_tail:
+        cause = "the weighted norm is not finite at this truncation"
+        require_tail(grid.tail_fraction(integrand), field.time, tail_tol, cause)
+    return math.sqrt(grid.dx * float(np.sum(integrand)))
 
 
-def interpolation_exponent(t: float, c: float, d: float, gamma: TimeCurve) -> float:
-    """The exponent theta(t) = int_t^d ds/gamma / int_c^d ds/gamma."""
-    if not c <= t <= d:
+def interpolation_exponent(t, c: float, d: float, gamma: TimeCurve):
+    """The exponent theta(t) = int_t^d ds/gamma / int_c^d ds/gamma, a float
+    for a scalar ``t`` and an array for an array of times."""
+    points = np.append([c, d], t)
+    if not np.all((c <= points[2:]) & (points[2:] <= d)):
         raise ValueError("need c <= t <= d")
-    if float(np.min(gamma.values)) <= 0.0:
+    if not np.min(gamma.values) > 0.0:
         raise ValueError("gamma must be positive")
     acc = gamma.with_values(cumulative_integral(1.0 / gamma.values, gamma.h))
-    fc, ft, fd = acc.sample_at(np.array([c, t, d]))
-    return float((fd - ft) / (fd - fc))
+    at = acc.sample_at(points)
+    theta = (at[1] - at[2:]) / (at[1] - at[0])
+    return float(theta[0]) if np.ndim(t) == 0 else theta
 
 
 def solve_convexity_correction(
@@ -89,9 +88,9 @@ def solve_convexity_correction(
     boundary value.  A nonnegative source makes M concave in the gamma clock,
     hence nonnegative; that sign is checked along with the equation residual.
     """
-    if float(np.min(gamma.values)) <= 0.0:
+    if not np.min(gamma.values) > 0.0:
         raise ValueError("gamma must be positive")
-    if float(np.min(source.values)) < 0.0:
+    if not np.min(source.values) >= 0.0:
         raise ValueError("source must be nonnegative")
     h = gamma.h
     accumulated = cumulative_integral(source.values, h)
@@ -108,11 +107,11 @@ def solve_convexity_correction(
             fd_derivative(gamma.values * fd_derivative(mvals, h, 1), h, 1) + source.values
         )[3:-3]
         scale = max(1.0, float(np.max(np.abs(source.values))))
-        if float(np.max(np.abs(resid))) > residual_tol * scale:
+        if not float(np.max(np.abs(resid))) <= residual_tol * scale:
             raise ResidualError(
                 f"correction-term residual {np.max(np.abs(resid)):.3e} exceeds tolerance"
             )
-        if float(np.min(mvals)) < -residual_tol * max(1.0, float(np.max(np.abs(mvals)))):
+        if not float(np.min(mvals)) >= -residual_tol * max(1.0, float(np.max(np.abs(mvals)))):
             raise ResidualError("correction term went negative")
     return m
 
@@ -138,13 +137,6 @@ class ConvexityReport:
     @property
     def min_slack(self) -> float:
         return float(np.min(self.slack))
-
-
-def weight_slices_at(family: WeightFamily, times: np.ndarray, xi: float) -> list[WeightSlice]:
-    a = family.a.sample_at(times)
-    b = family.b.sample_at(times)
-    T = family.T.sample_at(times)
-    return [WeightSlice(a=a[i], b=b[i], T=T[i], xi=xi) for i in range(times.size)]
 
 
 def check_log_convexity(
@@ -184,43 +176,38 @@ def check_log_convexity(
 
     grid = traj.grid
     x = grid.x
-    slices = weight_slices_at(family, times, xi)
-    f_frames = np.empty((times.size, grid.n), dtype=complex)
-    for i, idx in enumerate(sel):
-        f_frames[i] = np.exp(slices[i].exponent(x)) * traj.frames[idx]
-        Field(grid=grid, values=f_frames[i], time=float(times[i])).require_tail(tail_tol)
+    rows = family.derivatives_at(times)
+    weight = WeightSlice(a=rows["a"][:, None], b=rows["b"][:, None], T=rows["T"][:, None], xi=xi)
+    f = np.exp(weight.exponent(x)) * traj.frames[sel]
+    mass = np.abs(f) ** 2
+    require_tail(grid.tail_fraction(mass), times, tail_tol)
+    H = grid.dx * np.sum(mass, axis=1)
+    del mass  # keeps the peak at three frame stacks inside fd_derivative
 
-    H = grid.dx * np.sum(np.abs(f_frames) ** 2, axis=1)
-
-    # d_t f - S f - A f, frame by frame
-    dfdt = fd_derivative(f_frames, dt)
-    defect = np.empty_like(f_frames)
+    # d_t f, turned into the defect (d_t f - S f) - A f in place, in that rounding order
+    defect = fd_derivative(f, dt)
     conj_gaps = np.empty(times.size)
-    vnorm_scale = 0.0
     for i, t in enumerate(times):
-        f_i = Field(grid=grid, values=f_frames[i], time=float(t))
-        sf = apply_symmetric(f_i, family, float(t), xi).values
-        af = apply_skew(f_i, family, float(t), xi).values
-        defect[i] = dfdt[i] - sf - af
-        vf = potential(x, float(t)) * f_frames[i]
-        vnorm_scale = max(vnorm_scale, grid.norm(f_frames[i]) * (1.0 + potential.sup_norm))
-        conj_gaps[i] = grid.norm(defect[i] - vf)
+        sf, af = conjugated_parts(f[i], grid, family.derivatives_at(t), xi)
+        defect[i] -= sf
+        defect[i] -= af
+        conj_gaps[i] = grid.norm(defect[i] - potential(x, float(t)) * f[i])
+    vnorm_scale = math.sqrt(np.max(H)) * (1.0 + potential.sup_norm)
     conj_rel = float(np.max(conj_gaps)) / max(vnorm_scale, 1e-300)
     if not conj_rel <= conjugation_tol:
         raise ResidualError(
             f"conjugation identity residual {conj_rel:.3e} exceeds {conjugation_tol:.1e}"
         )
 
-    gamma = TimeCurve(np.exp(8.0 * family.A.sample_at(times)), t0=float(times[0]), t1=float(times[-1]))
+    gamma = TimeCurve(rows["w8"], t0=float(times[0]), t1=float(times[-1]))
     defect_sq = grid.dx * np.sum(np.abs(defect) ** 2, axis=1)
     source = gamma.with_values(gamma.values * defect_sq / (H + epsilon))
     M = solve_convexity_correction(gamma, source, residual_tol=None)
 
-    pairing = grid.dx * np.abs(np.real(np.sum(defect * np.conj(f_frames), axis=1)))
+    pairing = grid.dx * np.abs(np.real(np.sum(defect * np.conj(f), axis=1)))
     Nval = float(cumulative_integral(pairing / (H + epsilon), dt)[-1])
 
-    inv_acc = cumulative_integral(1.0 / gamma.values, dt)
-    theta = (inv_acc[-1] - inv_acc) / inv_acc[-1]
+    theta = interpolation_exponent(times, gamma.t0, gamma.t1, gamma)
     rhs = (
         (H[0] + epsilon) ** theta
         * (H[-1] + epsilon) ** (1.0 - theta)
@@ -282,7 +269,6 @@ def appell_transform(
     times = np.asarray(times, dtype=float)
     x = grid.x
     frames = np.empty((times.size, grid.n), dtype=complex)
-    flags = np.empty(times.size, dtype=bool)
 
     if isinstance(source, Trajectory):
         src_l = source.grid.half_width
@@ -331,7 +317,6 @@ def appell_transform(
         y = root * x / denom
         mult = (root / denom) ** 0.5 * np.exp((alpha - beta) * x**2 / (4.0 * denom))
         frames[i] = mult * eval_source(y, float(s))
-        flags[i] = Field(grid=grid, values=frames[i], time=float(t)).tail_ok(tail_tol)
 
     if potential is not None and not potential.is_zero:
 
@@ -348,6 +333,7 @@ def appell_transform(
     else:
         new_potential = zero_potential()
 
+    flags = grid.tail_fraction(np.abs(frames) ** 2) <= tail_tol
     return Trajectory(
         grid=grid, times=times, frames=frames, tail_flags=flags, potential=new_potential
     )

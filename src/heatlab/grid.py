@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import TailViolation
-from .timecurve import read_csv, write_csv
+from .timecurve import write_csv
 
 DEFAULT_HALF_WIDTH = 12.0
 DEFAULT_POINTS = 1024
@@ -49,6 +49,32 @@ class SpaceGrid:
     def norm(self, f: np.ndarray) -> float:
         return float(np.sqrt(self.dx * np.sum(np.abs(f) ** 2)))
 
+    def tail_fraction(self, mass: np.ndarray) -> np.ndarray:
+        """Fraction of a mass density such as |u|^2 that lies beyond
+        ``TAIL_START`` of the half-width, reduced along the last axis, so a
+        ``(frames, n)`` stack gives one fraction per frame.  Zero mass has
+        fraction 0; a NaN in a row makes its fraction NaN."""
+        total = np.sum(mass, axis=-1)
+        # compress keeps each row's band contiguous, so every row sums pairwise
+        band = np.compress(np.abs(self.x) > TAIL_START * self.half_width, mass, axis=-1)
+        outer = np.sum(band, axis=-1)
+        return np.divide(outer, total, out=np.zeros_like(total), where=total != 0.0)
+
+
+def require_tail(
+    fraction, time, tol: float = DEFAULT_TAIL_TOL, cause: str = "domain too small for this field"
+) -> None:
+    """Raise TailViolation at the first tail fraction that is not <= ``tol``
+    (NaN included); ``time`` holds the matching frame times."""
+    fraction = np.ravel(fraction)
+    bad = ~(fraction <= tol)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise TailViolation(
+            f"tail mass fraction {fraction[i]:.3e} exceeds {tol:.1e} at "
+            f"t={np.ravel(time)[i]:g}: {cause}"
+        )
+
 
 @dataclass(frozen=True)
 class Field:
@@ -69,24 +95,13 @@ class Field:
 
     def tail_fraction(self) -> float:
         """Mass fraction beyond 0.9 of the half-width."""
-        x = self.grid.x
-        mass = np.abs(self.values) ** 2
-        total = float(np.sum(mass))
-        if total == 0.0:
-            return 0.0
-        outer = float(np.sum(mass[np.abs(x) > TAIL_START * self.grid.half_width]))
-        return outer / total
+        return float(self.grid.tail_fraction(np.abs(self.values) ** 2))
 
     def tail_ok(self, tol: float = DEFAULT_TAIL_TOL) -> bool:
         return self.tail_fraction() <= tol
 
     def require_tail(self, tol: float = DEFAULT_TAIL_TOL) -> "Field":
-        frac = self.tail_fraction()
-        if not frac <= tol:  # a NaN fraction fails too
-            raise TailViolation(
-                f"tail mass fraction {frac:.3e} exceeds {tol:.1e} at t={self.time:g}: "
-                "domain too small for this field"
-            )
+        require_tail(self.tail_fraction(), self.time, tol)
         return self
 
     def with_values(self, values: np.ndarray, time: float | None = None) -> "Field":
@@ -94,11 +109,6 @@ class Field:
 
     def to_csv(self, path) -> None:
         write_csv(path, "x,re,im", self.grid.x, self.values.real, self.values.imag)
-
-    @classmethod
-    def from_csv(cls, path, time: float = 0.0) -> "Field":
-        x, re, im = read_csv(path, "x,re,im")
-        return cls(grid=SpaceGrid(half_width=-x[0], n=x.size), values=re + 1j * im, time=time)
 
 
 def gaussian_field(grid: SpaceGrid, rate: float = 1.0, time: float = 0.0) -> Field:

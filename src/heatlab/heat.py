@@ -16,8 +16,10 @@ realized spectrally.  Their commutator identity collapses onto the multiplier
 (e^{8A} a)'' (x + xi)^2, which :func:`commutator_identity` checks against the
 assembled operator sum.
 
-Coefficients are rows of :attr:`WeightFamily.derivatives`; stored frames are
-differentiated in time by :func:`~heatlab.timecurve.fd_derivative`.
+Coefficients are rows of :attr:`WeightFamily.derivatives`, read by
+:meth:`WeightFamily.derivatives_at`; all four operator routines share one
+spectral Laplacian, and stored frames are differentiated in time by
+:func:`~heatlab.timecurve.fd_derivative`.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import DEFAULT_TAIL_TOL, Field, PotentialSpec, SpaceGrid, zero_potential
-from .timecurve import fd_derivative
+from .grid import DEFAULT_TAIL_TOL, Field, PotentialSpec, SpaceGrid, require_tail, zero_potential
+from .timecurve import fd_derivative, read_csv
 from .weights import WeightFamily
 
 DIMENSION = 1  # all coefficient formulas carry n symbolically; the lab runs n = 1
@@ -101,20 +103,19 @@ class Trajectory:
     ) -> "Trajectory":
         directory = Path(directory)
         rows = (directory / "frames.csv").read_text().strip().splitlines()[1:]
-        times, frames, flags = [], [], []
-        grid = None
+        times, frames = [], []
         for row in rows:
             _, t, name = row.split(",")
-            f = Field.from_csv(directory / name, time=float(t))
-            grid = f.grid
+            x, re, im = read_csv(directory / name, "x,re,im")
             times.append(float(t))
-            frames.append(f.values)
-            flags.append(f.tail_ok(tail_tol))
+            frames.append(re + 1j * im)
+        grid = SpaceGrid(half_width=-x[0], n=x.size)
+        frames = np.array(frames)
         return cls(
             grid=grid,
             times=np.array(times),
-            frames=np.array(frames),
-            tail_flags=np.array(flags),
+            frames=frames,
+            tail_flags=grid.tail_fraction(np.abs(frames) ** 2) <= tail_tol,
             potential=potential or zero_potential(),
         )
 
@@ -165,38 +166,33 @@ def evolve(
     grid = u0.grid
     x = grid.x
     xi2 = grid.wavenumbers**2
-    u = u0.values.astype(complex)
-    flags = [u0.tail_ok(tail_tol)]
-    if strict_tail:
-        u0.require_tail(tail_tol)
-
-    frames = [u.copy()]
+    frames = np.empty((frame_times.size, grid.n), dtype=complex)
+    frames[0] = u = u0.values
     t = float(frame_times[0])
-    for target in frame_times[1:]:
+    for j, target in enumerate(frame_times[1:], start=1):
         span = target - t
         nsub = max(1, int(np.ceil(span / dt_target - 1e-12)))
         dt = span / nsub
+        diffusion = np.exp(-dt * xi2)
         for _ in range(nsub):
             if potential.is_zero:
-                u = np.fft.ifft(np.exp(-dt * xi2) * np.fft.fft(u))
+                u = np.fft.ifft(diffusion * np.fft.fft(u))
             else:
                 u = u * np.exp(0.5 * dt * potential(x, t + 0.25 * dt))
-                u = np.fft.ifft(np.exp(-dt * xi2) * np.fft.fft(u))
+                u = np.fft.ifft(diffusion * np.fft.fft(u))
                 u = u * np.exp(0.5 * dt * potential(x, t + 0.75 * dt))
             t += dt
         t = float(target)
-        frames.append(u.copy())
-        f = Field(grid=grid, values=u, time=t)
-        ok = f.tail_ok(tail_tol)
-        if strict_tail and not ok:
-            f.require_tail(tail_tol)
-        flags.append(ok)
+        frames[j] = u
 
+    fractions = grid.tail_fraction(np.abs(frames) ** 2)
+    if strict_tail:
+        require_tail(fractions, frame_times, tail_tol)
     return Trajectory(
         grid=grid,
         times=frame_times,
-        frames=np.array(frames),
-        tail_flags=np.array(flags),
+        frames=frames,
+        tail_flags=fractions <= tail_tol,
         potential=potential,
     )
 
@@ -208,12 +204,11 @@ def pde_residual(traj: Trajectory, potential: PotentialSpec | None = None) -> fl
     dts = np.diff(traj.times)
     if np.max(np.abs(dts - dts[0])) > 1e-10:
         raise ValueError("pde_residual needs equispaced frames")
-    xi2 = traj.grid.wavenumbers**2
     dudt = fd_derivative(traj.frames, float(dts[0]))
     rel = np.empty(traj.n_frames)
     for i in range(traj.n_frames):
         u = traj.frames[i]
-        lap = np.fft.ifft(-xi2 * np.fft.fft(u))
+        lap = _laplacian(traj.grid, u)
         vu = potential(traj.grid.x, float(traj.times[i])) * u
         resid = traj.grid.norm(dudt[i] - lap - vu)
         scale = traj.grid.norm(lap) + traj.grid.norm(vu) + 1e-300
@@ -221,32 +216,34 @@ def pde_residual(traj: Trajectory, potential: PotentialSpec | None = None) -> fl
     return float(np.max(rel))  # a NaN frame propagates
 
 
-def _coefficients_at(family: WeightFamily, t: float) -> dict[str, float]:
-    """Row of the family's derivative table at the grid node ``t``."""
-    i = family.a.node_index(t)
-    return {name: float(col[i]) for name, col in family.derivatives.items()}
+def _laplacian(grid: SpaceGrid, u: np.ndarray) -> np.ndarray:
+    return np.fft.ifft(-grid.wavenumbers**2 * np.fft.fft(u))
 
 
-def apply_symmetric(f: Field, family: WeightFamily, t: float, xi: float) -> Field:
-    """The symmetric conjugated operator S at time ``t`` and frequency ``xi``."""
-    c = _coefficients_at(family, t)
-    x = f.grid.x
-    lap = np.fft.ifft(-f.grid.wavenumbers**2 * np.fft.fft(f.values))
+def conjugated_parts(
+    u: np.ndarray, grid: SpaceGrid, c: dict, xi: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(S u, A u) for one frame ``u`` and the coefficient row
+    ``c = family.derivatives_at(t)``; S and A as in the module docstring."""
+    x = grid.x
     mult = (
         (c["ap"] + 4.0 * c["a"] ** 2) * x**2
         + (c["bp"] + 4.0 * c["a"] * c["b"]) * x * xi
         + (c["b"] ** 2 - c["Tp"]) * xi**2
     )
-    return f.with_values(lap + mult * f.values)
+    du = np.fft.ifft(1j * grid.wavenumbers * np.fft.fft(u))
+    skew = -2.0 * (2.0 * c["a"] * x + c["b"] * xi) * du - 2.0 * DIMENSION * c["a"] * u
+    return _laplacian(grid, u) + mult * u, skew
+
+
+def apply_symmetric(f: Field, family: WeightFamily, t: float, xi: float) -> Field:
+    """The symmetric conjugated operator S at time ``t`` and frequency ``xi``."""
+    return f.with_values(conjugated_parts(f.values, f.grid, family.derivatives_at(t), xi)[0])
 
 
 def apply_skew(f: Field, family: WeightFamily, t: float, xi: float) -> Field:
     """The skew-symmetric conjugated operator A = -2(2ax + b xi) d_x - 2na."""
-    c = _coefficients_at(family, t)
-    x = f.grid.x
-    df = np.fft.ifft(1j * f.grid.wavenumbers * np.fft.fft(f.values))
-    vals = -2.0 * (2.0 * c["a"] * x + c["b"] * xi) * df - 2.0 * DIMENSION * c["a"] * f.values
-    return f.with_values(vals)
+    return f.with_values(conjugated_parts(f.values, f.grid, family.derivatives_at(t), xi)[1])
 
 
 def commutator_identity(
@@ -261,10 +258,9 @@ def commutator_identity(
     rhs = int (e^{8A} a)'' (x + xi)^2 |f|^2 dx.  The contract is
     lhs = rhs >= 0 for certified families.
     """
-    c = _coefficients_at(family, t)
+    c = family.derivatives_at(t)
     x = f.grid.x
     u = f.values
-    lap = np.fft.ifft(-f.grid.wavenumbers**2 * np.fft.fft(u))
     comm_mult = (
         (c["app"] + 16.0 * c["a"] * c["ap"] + 32.0 * c["a"] ** 3) * x**2
         + (
@@ -277,8 +273,8 @@ def commutator_identity(
         * xi
         + (8.0 * c["a"] * c["b"] ** 2 + 4.0 * c["b"] * c["bp"] - c["Tpp"]) * xi**2
     )
-    comm = -8.0 * c["a"] * lap + comm_mult * u
-    s_part = apply_symmetric(f, family, t, xi).values
+    comm = -8.0 * c["a"] * _laplacian(f.grid, u) + comm_mult * u
+    s_part = conjugated_parts(u, f.grid, c, xi)[0]
     op = c["w8"] * comm + 8.0 * c["a"] * c["w8"] * s_part
     lhs = f.grid.inner(op, u).real
     rhs = float(c["ident"] * f.grid.dx * np.sum((x + xi) ** 2 * np.abs(u) ** 2))

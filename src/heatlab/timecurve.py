@@ -211,19 +211,18 @@ class TimeCurve:
     def antiderivative(self, start_value: float = 0.0) -> "TimeCurve":
         return self.with_values(start_value + cumulative_integral(self.values, self.h))
 
-    def definite_integral(self) -> float:
-        return float(cumulative_integral(self.values, self.h)[-1])
-
     def sample_at(self, times) -> np.ndarray:
         return lagrange_sample(self.values, self.t0, self.h, times)
 
-    def node_index(self, t: float) -> int:
-        """Index of the node at time ``t``; raises if ``t`` is off the grid."""
-        pos = (t - self.t0) / self.h
-        i = int(round(pos))
-        if not 0 <= i <= self.m or abs(pos - i) > 1e-9:
-            raise ValueError(f"t={t} is not a grid node")
-        return i
+    def node_index(self, t):
+        """Index of the node at time ``t``, or an index array for an array of
+        times; raises if any time is off the grid."""
+        pos = (np.asarray(t, dtype=float) - self.t0) / self.h
+        near = np.rint(pos)
+        on_grid = (np.abs(pos - near) <= 1e-9) & (near >= 0) & (near <= self.m)
+        if not np.all(on_grid):  # a NaN time is off the grid too
+            raise ValueError(f"t={np.ravel(t)[np.argmin(on_grid)]} is not a grid node")
+        return int(near) if near.ndim == 0 else near.astype(int)
 
     def to_csv(self, path) -> None:
         write_csv(path, "t,value", self.nodes, self.values)

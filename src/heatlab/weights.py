@@ -121,7 +121,7 @@ def solve_cross(
     compared terms.
     """
     t = a.nodes
-    if abs(a.values[0]) > 1e-12 or abs(a.values[-1] - 1.0 / delta**2) > 1e-9:
+    if not (abs(a.values[0]) <= 1e-12 and abs(a.values[-1] - 1.0 / delta**2) <= 1e-9):
         raise ValueError(
             "boundary data violated: need a(0) = 0 and a(1) = 1/delta^2, got "
             f"a(0)={a.values[0]:g}, a(1)={a.values[-1]:g}"
@@ -132,7 +132,7 @@ def solve_cross(
         direct = fd_derivative(np.exp(8.0 * A.values) * b.values, a.h, 2)
         resid = direct - 2.0 * ident
         scale = max(1.0, float(np.max(np.abs(direct))), 2.0 * float(np.max(np.abs(ident))))
-        if float(np.max(np.abs(resid))) > grid_tol(residual_tol, a.m) * scale:
+        if not float(np.max(np.abs(resid))) <= grid_tol(residual_tol, a.m) * scale:
             raise ResidualError(
                 f"cross-coefficient residual {np.max(np.abs(resid)):.3e} exceeds tolerance"
             )
@@ -196,12 +196,12 @@ def solve_freq(
             float(np.max(np.abs(pump))),
             float(np.max(np.abs(ident))),
         )
-        if float(np.max(np.abs(resid))) > grid_tol(residual_tol, a.m) * scale:
+        if not float(np.max(np.abs(resid))) <= grid_tol(residual_tol, a.m) * scale:
             raise ResidualError(
                 f"frequency-coefficient residual {np.max(np.abs(resid)):.3e} exceeds tolerance"
             )
         tscale = max(1.0, float(np.max(np.abs(tvals))))
-        if float(np.min(tvals[1:-1])) < -residual_tol * tscale:
+        if not float(np.min(tvals[1:-1])) >= -residual_tol * tscale:
             raise CertificationError(
                 f"sign failure: interior minimum {np.min(tvals[1:-1]):.3e} < 0 "
                 "signals inconsistent inputs"
@@ -235,10 +235,18 @@ class WeightFamily:
             table[name + "p"] = fd_derivative(curve.values, curve.h, 1)
             table[name + "pp"] = fd_derivative(curve.values, curve.h, 2)
         table["w8"] = np.exp(8.0 * self.A.values)
-        table["ident"] = growth_identity(self.a, self.A)
+        # growth_identity(a, A), from the columns already in the table
+        a, ap = table["a"], table["ap"]
+        table["ident"] = table["w8"] * (table["app"] + 24.0 * a * ap + 64.0 * a**3)
         for col in table.values():
             col.flags.writeable = False
         return table
+
+    def derivatives_at(self, t) -> dict:
+        """Rows of :attr:`derivatives` at the node time ``t``: scalars for a
+        scalar ``t``, columns for an array of node times; off-node times raise."""
+        i = self.a.node_index(t)
+        return {name: col[i] for name, col in self.derivatives.items()}
 
     def clock(self) -> np.ndarray:
         """The reparametrizing factor e^{8A} at the nodes."""
@@ -366,7 +374,7 @@ def refine_pair(
         A.values + (np.log(int_b2 + stabilizer) - math.log(int_b2[-1] + stabilizer)) / 8.0
     )
     drift = np.max(np.abs(fd_derivative(A_next.values, A.h, 1) - a_next.values))
-    if drift > max(consistency_tol, 100 * consistency_tol * np.max(np.abs(a_next.values))):
+    if not drift <= max(consistency_tol, 100 * consistency_tol * np.max(np.abs(a_next.values))):
         raise ValueError(f"consistency failure: |A_next' - a_next| = {drift:.3e}")
     return a_next, A_next
 

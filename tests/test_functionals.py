@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from heatlab import (
     zero_potential,
 )
 from heatlab import functionals
-from heatlab.errors import TailViolation
+from heatlab import weights as wt
+from heatlab.errors import ResidualError, TailViolation
 from heatlab.kernels import resample_periodic
 from heatlab.timecurve import uniform_grid
 from heatlab.weights import antiderivative
@@ -119,7 +121,70 @@ def test_correction_nonnegative_generic():
     assert abs(out.values[0]) < 1e-15 and abs(out.values[-1]) < 1e-15
 
 
+def with_nan(curve, node=100):
+    values = curve.values.copy()
+    values[node] = np.nan
+    return curve.with_values(values)
+
+
+def clock(fam):
+    return TimeCurve(fam.clock())
+
+
+# one NaN node in a, b, the correction source or the clock gamma
+NAN_GUARDS = {
+    "solve_cross residual": (
+        ResidualError, lambda fam: wt.solve_cross(with_nan(fam.a), fam.A, fam.delta)
+    ),
+    "solve_freq residual": (
+        ResidualError, lambda fam: wt.solve_freq(fam.a, fam.A, with_nan(fam.b), fam.delta)
+    ),
+    "refine_pair consistency": (
+        ValueError, lambda fam: wt.refine_pair(fam.a, fam.A, with_nan(fam.b), 1.0)
+    ),
+    "correction source sign": (
+        ValueError, lambda fam: solve_convexity_correction(clock(fam), with_nan(clock(fam)))
+    ),
+    "correction gamma sign": (
+        ValueError, lambda fam: solve_convexity_correction(with_nan(clock(fam)), clock(fam))
+    ),
+    "theta gamma sign": (
+        ValueError, lambda fam: interpolation_exponent(0.5, 0.0, 1.0, with_nan(clock(fam)))
+    ),
+}
+
+
+@pytest.mark.parametrize("guard", list(NAN_GUARDS))
+def test_nan_node_fails_the_guard(family3, guard):
+    # each guard is written "not (err <= bound)", so a NaN never passes it
+    error, call = NAN_GUARDS[guard]
+    with pytest.raises(error):
+        call(family3)
+
+
+def test_weighted_norm_rejects_a_nan_integrand(grid12):
+    values = np.exp(-grid12.x**2) + 0j
+    values[500] = np.nan
+    with pytest.raises(TailViolation):
+        weighted_norm(Field(grid=grid12, values=values), WeightSlice(a=0.0))
+
+
 # ------------------------------------------------------------- log-convexity
+
+
+def test_log_convexity_memory_stays_near_three_frame_stacks(gauss12, family3):
+    # the engine holds f and its defect and applies S and A frame by frame;
+    # batching the operators over the stack would push this past the bound
+    potential = gaussian_potential(0.5, imaginary=True)
+    traj = evolve(gauss12, potential, 0.0, 1.0, steps=1024, n_frames=257)
+    family3.derivatives_at(traj.times)  # builds the family's table outside the measurement
+    tracemalloc.start()
+    try:
+        check_log_convexity(traj, family3, xi=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * traj.frames.nbytes
 
 
 def test_log_convexity_free_heat(grid12, gauss12, family3):

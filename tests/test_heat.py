@@ -235,6 +235,19 @@ def test_nan_frame_is_never_hidden(grid12, gauss12):
         traj.field(40).require_tail()
 
 
+def test_grid_tail_fraction_of_a_stack_matches_fields(grid12, gauss12):
+    traj = evolve(gauss12, zero_potential(), 0.0, 0.5, steps=64, n_frames=5)
+    frames = np.vstack([traj.frames, np.zeros(grid12.n), np.exp(-((grid12.x - 11.0) ** 2))])
+    frames[2, 7] = np.nan
+    got = grid12.tail_fraction(np.abs(frames) ** 2)
+    assert got.shape == (frames.shape[0],)
+    for row, frac in zip(frames, got):
+        field = Field(grid=grid12, values=row)
+        assert np.array_equal(frac, field.tail_fraction(), equal_nan=True)
+    assert got[5] == 0.0 and got[6] > 0.5
+    assert np.isnan(got[2]) and not Field(grid=grid12, values=frames[2]).tail_ok()
+
+
 def test_trajectory_save_load_round_trip(tmp_path, grid12, gauss12):
     traj = evolve(gauss12, zero_potential(), 0.0, 0.5, steps=64, n_frames=5)
     traj.save(tmp_path / "run")

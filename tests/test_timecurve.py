@@ -89,6 +89,15 @@ def test_node_index_requires_grid_time():
         c.node_index(0.5001)
 
 
+def test_node_index_of_an_array_is_an_index_array():
+    c = curve_from_callable(np.sin, 128)
+    assert np.array_equal(c.node_index(c.nodes[::4]), np.arange(0, 129, 4))
+    with pytest.raises(ValueError, match="t=0.5001 is not a grid node"):
+        c.node_index(np.array([0.0, 0.5001, 1.0]))
+    with pytest.raises(ValueError):
+        c.node_index(np.array([0.0, 1.0 + c.h]))
+
+
 def test_csv_round_trip(tmp_path):
     c = curve_from_callable(lambda x: np.exp(-x) * np.sin(5 * x), 128)
     path = tmp_path / "curve.csv"

@@ -277,3 +277,18 @@ def test_quadratic_form_collapses_to_square(family3, x, xi, node):
     scale = max(1.0, abs(collapsed), abs(ident[node]) * (x**2 + xi**2))
     assert abs(assembled - collapsed) < 1e-6 * scale
     assert assembled > -1e-6 * scale
+
+
+def test_derivatives_at_array_matches_scalar_rows(family3):
+    times = family3.a.nodes[::3]
+    rows = family3.derivatives_at(times)
+    assert set(rows) == set(family3.derivatives)
+    for k, t in enumerate(times):
+        row = family3.derivatives_at(float(t))
+        for name, col in rows.items():
+            assert np.ndim(row[name]) == 0
+            assert col[k] == row[name] == family3.derivatives[name][3 * k]
+    with pytest.raises(ValueError, match="not a grid node"):
+        family3.derivatives_at(np.array([0.5, 0.5 + 1e-4]))
+    with pytest.raises(ValueError, match="not a grid node"):
+        family3.derivatives_at(np.nan)
