@@ -258,7 +258,7 @@ def run_construct_weights(cfg: ScenarioConfig, out: Path):
     sup_r1 = float(np.max(np.abs(r1.values)))
     sup_r2 = float(np.max(np.abs(r2.values)))
     write_csv(out / "residuals.csv", "t,r1,r2", r1.nodes, r1.values, r2.values)
-    cert = wt.curvature_certificate(family.a, family.A, cfg.residual_tol)
+    cert = family.certificate(cfg.residual_tol)
     bound = cfg.residual_tol * max(1.0, abs(cert.min_identity))
     if cfg.plot:
         write_line_plot(

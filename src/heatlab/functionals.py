@@ -28,7 +28,7 @@ from .grid import DEFAULT_TAIL_TOL, Field, PotentialSpec, SpaceGrid, require_tai
 from .heat import Trajectory, conjugated_parts
 from .kernels import resample_periodic
 from .timecurve import TimeCurve, cumulative_integral, fd_derivative
-from .weights import WeightFamily, curvature_certificate
+from .weights import WeightFamily
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,7 @@ def check_log_convexity(
     )
     slack = rhs - (H + epsilon)
 
-    cert = curvature_certificate(family.a, family.A)
+    cert = family.certificate()
     return ConvexityReport(
         times=times,
         H=H,
@@ -373,24 +373,19 @@ def verify_interior_bound(
     """
     if R <= 0.0:
         raise ValueError("need R > 0")
-    t_end = float(traj.times[-1])
-    final = weighted_norm(
-        traj.field(traj.n_frames - 1),
-        WeightSlice(a=t_end / (4.0 * (t_end**2 + R**2))),
-        tail_tol=tail_tol,
-        check_tail=check_tail,
-    )
-    norms = np.empty(traj.n_frames)
+    grid, t = traj.grid, traj.times
+    weight = WeightSlice(a=(t / (4.0 * (t**2 + R**2)))[:, None])
+    integrand = np.exp(2.0 * weight.exponent(grid.x)) * np.abs(traj.frames) ** 2
+    norms = np.sqrt(grid.dx * np.sum(integrand, axis=1))
+    rhs = grid.norm(traj.frames[0]) + float(norms[-1])
     finite = True
-    for i in range(traj.n_frames):
-        t = float(traj.times[i])
-        spec = WeightSlice(a=t / (4.0 * (t**2 + R**2)))
-        try:
-            norms[i] = weighted_norm(traj.field(i), spec, tail_tol=tail_tol, check_tail=check_tail)
-        except TailViolation:
-            norms[i] = np.inf
-            finite = False
-    rhs = traj.field(0).norm() + final
+    if check_tail:
+        fraction = grid.tail_fraction(integrand)
+        cause = "the weighted norm is not finite at this truncation"
+        require_tail(fraction[-1], t[-1], tail_tol, cause)
+        bad = ~(fraction <= tail_tol)
+        norms[bad] = np.inf
+        finite = not np.any(bad)
     lhs = float(np.max(norms))
     return BoundReport(
         times=traj.times.copy(),

@@ -20,7 +20,6 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import GridError
 
 MIN_INTERVALS = 64
-FD_ORDER = 4
 
 
 @lru_cache(maxsize=None)
@@ -53,19 +52,45 @@ def interval_quadrature_weights(offsets: tuple[int, ...], left: int) -> tuple[fl
     return tuple(np.linalg.solve(vander, moments))
 
 
-def _window(i: int, m: int, width: int) -> int:
-    """Start index of a ``width``-point window around node ``i`` on ``0..m``."""
-    return min(max(i - width // 2, 0), m + 1 - width)
-
-
 @lru_cache(maxsize=None)
-def _stencil_rows(deriv: int) -> tuple[np.ndarray, np.ndarray]:
-    """Centered five-point weights, and the rows of nodes 0, 1, m-1, m on the
-    end windows: six points for second derivatives, to keep fourth order."""
-    ends = tuple(range(5 if deriv == 1 else 6))
-    centered = np.array(stencil_weights((-2, -1, 0, 1, 2), 0.0, deriv))
-    edges = np.array([stencil_weights(ends, float(p), deriv) for p in (0, 1, *ends[-2:])])
-    return centered, edges
+def _rows(deriv: int) -> tuple[np.ndarray, np.ndarray]:
+    """Centred five-point row and the four end rows of the engine: for
+    ``deriv`` 1 or 2 the stencils of nodes 0, 1, m-1, m (six-point end
+    windows for second derivatives, to keep fourth order); for ``deriv = -1``
+    the integrals over the middle interval of the window and over intervals
+    0, 1, m-2, m-1 (quintic end windows, so that differentiating the result
+    twice keeps full stencil order across the window junctions)."""
+    if deriv < 0:
+        centered = interval_quadrature_weights((0, 1, 2, 3, 4), 2)
+        edges = [interval_quadrature_weights(tuple(range(6)), left) for left in (0, 1, 3, 4)]
+    else:
+        ends = tuple(range(5 if deriv == 1 else 6))
+        centered = stencil_weights((-2, -1, 0, 1, 2), 0.0, deriv)
+        edges = [stencil_weights(ends, float(p), deriv) for p in (0, 1, *ends[-2:])]
+    return np.array(centered), np.array(edges)
+
+
+def _apply_rows(values: np.ndarray, deriv: int) -> np.ndarray:
+    """The rows of ``_rows(deriv)`` applied along the first axis of a curve or
+    stack: one output per node for a derivative, one per interval for
+    ``deriv = -1``.  Real input is taken as float, complex input kept."""
+    values = np.asarray(values)
+    if values.dtype.kind != "c":
+        values = values.astype(float, copy=False)
+    centered, edges = _rows(deriv)
+    n, width = values.shape[0], edges.shape[1]
+    if n < width:
+        raise GridError(f"need at least {width} samples, got {n}")
+    n_out = n - 1 if deriv < 0 else n
+    out = np.empty((n_out, *values.shape[1:]), dtype=values.dtype)
+    # interior: centred rows on a read-only five-point window view
+    s = values.strides
+    windows = as_strided(values, (n_out - 4, *values.shape[1:], 5), (*s, s[0]), writeable=False)
+    out[2 : n_out - 2] = windows @ centered
+    head, tail = values[:width], values[n - width :]
+    out[0], out[1] = edges[0] @ head, edges[1] @ head
+    out[-2], out[-1] = edges[2] @ tail, edges[3] @ tail
+    return out
 
 
 def fd_derivative(values: np.ndarray, h: float, deriv: int = 1) -> np.ndarray:
@@ -76,48 +101,21 @@ def fd_derivative(values: np.ndarray, h: float, deriv: int = 1) -> np.ndarray:
     complex ``(frames, n)`` array of a stored trajectory, differentiated in
     time column by column.
     """
-    values = np.asarray(values)
-    if values.dtype.kind != "c":
-        values = values.astype(float, copy=False)
-    centered, edges = _stencil_rows(deriv)
-    m, width = values.shape[0] - 1, edges.shape[1]
-    if m + 1 < width:
-        raise GridError(f"need at least {width} samples, got {m + 1}")
-    out = np.empty_like(values)
-    # interior: centered rows on a read-only five-point window view
-    s = values.strides
-    windows = as_strided(values, (m - 3, *values.shape[1:], 5), (*s, s[0]), writeable=False)
-    out[2 : m - 1] = windows @ centered
-    head, tail = values[:width], values[m + 1 - width :]
-    out[0], out[1] = edges[0] @ head, edges[1] @ head
-    out[m - 1], out[m] = edges[2] @ tail, edges[3] @ tail
-    return out / h**deriv
+    return _apply_rows(values, deriv) / h**deriv
 
 
 def cumulative_integral(values: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative integral from the first node, exact for degree <= 4.
+    """Cumulative integral from the first node along the first axis, exact
+    for degree <= 4, of a curve or column by column of a stack.
 
     Interior intervals integrate the quartic through the five nearest nodes,
-    giving global accuracy O(h^5).  The four edge intervals use six-point
-    (quintic) windows: one order better there, so that differentiating the
-    result twice keeps full stencil order across the window junctions.
+    giving global accuracy O(h^5); the four edge intervals use quintic
+    windows (see ``_rows``).
     """
-    values = np.asarray(values, dtype=float)
-    m = values.size - 1
-    if m + 1 < 6:
-        raise GridError(f"need at least 6 samples, got {m + 1}")
-    increments = np.empty(m)
-    # interval i covers [i, i+1]; its interior window starts at i - 2
-    w_int = np.asarray(interval_quadrature_weights((0, 1, 2, 3, 4), 2))
-    windows = np.lib.stride_tricks.sliding_window_view(values, 5)
-    increments[2 : m - 1] = windows[: m - 3] @ w_int
-    for i in (0, 1, m - 2, m - 1):
-        start = 0 if i < 2 else m - 5
-        w = np.asarray(interval_quadrature_weights((0, 1, 2, 3, 4, 5), i - start))
-        increments[i] = values[start : start + 6] @ w
-    out = np.empty(m + 1)
+    increments = _apply_rows(values, -1)
+    out = np.empty((increments.shape[0] + 1, *increments.shape[1:]), dtype=increments.dtype)
     out[0] = 0.0
-    np.cumsum(increments, out=out[1:])
+    np.cumsum(increments, axis=0, out=out[1:])
     return out * h
 
 
@@ -131,21 +129,17 @@ def lagrange_sample(values: np.ndarray, t0: float, h: float, times) -> np.ndarra
     scalar = np.ndim(times) == 0
     times = np.atleast_1d(np.asarray(times, dtype=float))
     pos = (times - t0) / h
-    if np.any(pos < -1e-9) or np.any(pos > m + 1e-9):
+    if not np.all((pos >= -1e-9) & (pos <= m + 1e-9)):  # a NaN time fails too
         raise ValueError("sample time outside the curve interval")
     base = np.clip(np.rint(pos).astype(int), 0, m)
     out = np.empty(times.size)
     exact = np.abs(pos - base) < 1e-12
     out[exact] = values[base[exact]]
     for j in np.nonzero(~exact)[0]:
-        start = _window(base[j], m, 5)
-        xs = np.arange(start, start + 5, dtype=float)
-        ys = values[start : start + 5]
-        # barycentric form of the quartic through the window
-        wbar = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
-        diff = pos[j] - xs
-        terms = wbar / diff
-        out[j] = (terms @ ys) / terms.sum()
+        start = min(max(base[j] - 2, 0), m - 4)
+        # barycentric form of the quartic through the five-node window
+        terms = np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / (pos[j] - np.arange(start, start + 5))
+        out[j] = (terms @ values[start : start + 5]) / terms.sum()
     return float(out[0]) if scalar else out
 
 
@@ -172,8 +166,6 @@ class TimeCurve:
     values: np.ndarray
     t0: float = 0.0
     t1: float = 1.0
-
-    order = FD_ORDER
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)

@@ -54,18 +54,18 @@ def first_family_rate(delta: float, m: int = DEFAULT_M) -> TimeCurve:
     return TimeCurve(t / (delta + 2.0 - 2.0 * t) ** 2)
 
 
+def _product_rule(w8: np.ndarray, a: np.ndarray, ap: np.ndarray, app: np.ndarray) -> np.ndarray:
+    """(e^{8A} a)'' = e^{8A} (a'' + 24 a a' + 64 a^3) from the clock and a, a', a''."""
+    return w8 * (app + 24.0 * a * ap + 64.0 * a**3)
+
+
 def growth_identity(a: TimeCurve, A: TimeCurve) -> np.ndarray:
     """(e^{8A} a)'' evaluated through the product-rule identity
     e^{8A} (a'' + 24 a a' + 64 a^3), with finite-difference a', a''."""
     av = a.values
     da = fd_derivative(av, a.h, 1)
     dda = fd_derivative(av, a.h, 2)
-    return np.exp(8.0 * A.values) * (dda + 24.0 * av * da + 64.0 * av**3)
-
-
-def growth_direct(a: TimeCurve, A: TimeCurve) -> np.ndarray:
-    """(e^{8A} a)'' by direct second differences of the product samples."""
-    return fd_derivative(np.exp(8.0 * A.values) * a.values, a.h, 2)
+    return _product_rule(np.exp(8.0 * A.values), av, da, dda)
 
 
 @dataclass(frozen=True)
@@ -82,21 +82,17 @@ class CurvatureCertificate:
         return self.verdict != "failed"
 
 
-def curvature_certificate(
-    a: TimeCurve, A: TimeCurve, tol: float = DEFAULT_RESIDUAL_TOL
-) -> CurvatureCertificate:
-    """Certify convexity of e^{8A} a by cross-checked interior curvature.
+def _certify(ident: np.ndarray, direct: np.ndarray, tol: float) -> CurvatureCertificate:
+    """Verdict on the interior nodes of the two routes to (e^{8A} a)''.
 
-    The identity route and the direct second difference must agree within
-    ``tol`` times the curvature scale, otherwise the grid is too coarse and
-    the verdict is "failed".
+    The routes must agree within ``tol`` times the curvature scale, otherwise
+    the grid is too coarse and the verdict is "failed"; a NaN fails too.
     """
-    ident = growth_identity(a, A)[1:-1]
-    direct = growth_direct(a, A)[1:-1]
+    ident, direct = ident[1:-1], direct[1:-1]
     scale = max(1.0, float(np.max(np.abs(ident))))
     gap = float(np.max(np.abs(ident - direct)))
     min_ident = float(np.min(ident))
-    if gap > tol * scale:
+    if not gap <= tol * scale:
         verdict = "failed"
     elif min_ident > tol * scale:
         verdict = "positive"
@@ -105,6 +101,16 @@ def curvature_certificate(
     else:
         verdict = "failed"
     return CurvatureCertificate(min_ident, float(np.min(direct)), gap, verdict)
+
+
+def curvature_certificate(
+    a: TimeCurve, A: TimeCurve, tol: float = DEFAULT_RESIDUAL_TOL
+) -> CurvatureCertificate:
+    """Certify convexity of e^{8A} a by cross-checked interior curvature:
+    the product-rule identity against a direct second difference of e^{8A} a.
+    A family reads the same certificate from its table."""
+    direct = fd_derivative(np.exp(8.0 * A.values) * a.values, a.h, 2)
+    return _certify(growth_identity(a, A), direct, tol)
 
 
 def solve_cross(
@@ -228,16 +234,17 @@ class WeightFamily:
     def derivatives(self) -> dict[str, np.ndarray]:
         """Read-only nodewise table, built once per family: a, b, T and their
         first and second time derivatives (keys ``a, ap, app, b, bp, bpp, T,
-        Tp, Tpp``), the clock ``w8`` = e^{8A} and ``ident`` = (e^{8A} a)''."""
+        Tp, Tpp``), the clock ``w8`` = e^{8A}, and (e^{8A} a)'' along two
+        routes: ``ident`` by the product rule, ``direct`` by a second
+        difference of e^{8A} a."""
         table = {}
         for name, curve in (("a", self.a), ("b", self.b), ("T", self.T)):
             table[name] = curve.values.view()
             table[name + "p"] = fd_derivative(curve.values, curve.h, 1)
             table[name + "pp"] = fd_derivative(curve.values, curve.h, 2)
-        table["w8"] = np.exp(8.0 * self.A.values)
-        # growth_identity(a, A), from the columns already in the table
-        a, ap = table["a"], table["ap"]
-        table["ident"] = table["w8"] * (table["app"] + 24.0 * a * ap + 64.0 * a**3)
+        table["w8"] = w8 = np.exp(8.0 * self.A.values)
+        table["ident"] = _product_rule(w8, table["a"], table["ap"], table["app"])
+        table["direct"] = fd_derivative(w8 * table["a"], self.a.h, 2)
         for col in table.values():
             col.flags.writeable = False
         return table
@@ -252,6 +259,10 @@ class WeightFamily:
         """The reparametrizing factor e^{8A} at the nodes."""
         return self.derivatives["w8"]
 
+    def certificate(self, tol: float = DEFAULT_RESIDUAL_TOL) -> CurvatureCertificate:
+        """:func:`curvature_certificate` of (a, A), read from the table."""
+        return _certify(self.derivatives["ident"], self.derivatives["direct"], tol)
+
     def validate(self, tol: float = DEFAULT_RESIDUAL_TOL, strict_signs: bool = False) -> None:
         """Check the structural invariants; raise CertificationError on failure.
 
@@ -261,35 +272,36 @@ class WeightFamily:
         """
         a, A, b, T = self.a, self.A, self.b, self.T
         problems = []
-        if abs(A.values[-1]) > 1e-12:
+        # every check is written "not (value <= bound)", so a NaN fails it
+        if not abs(A.values[-1]) <= 1e-12:
             problems.append("A does not vanish at the final node")
         da = fd_derivative(A.values, A.h, 1)
-        if np.max(np.abs(da - a.values)) > max(tol, 100 * tol * np.max(np.abs(a.values))):
+        if not np.max(np.abs(da - a.values)) <= max(tol, 100 * tol * np.max(np.abs(a.values))):
             problems.append("A' differs from a beyond tolerance")
         if not self.singular:
-            if abs(a.values[0]) > 1e-12:
+            if not abs(a.values[0]) <= 1e-12:
                 problems.append("a(0) != 0")
-            if abs(a.values[-1] - 1.0 / self.delta**2) > 1e-9:
+            if not abs(a.values[-1] - 1.0 / self.delta**2) <= 1e-9:
                 problems.append("a(1) != 1/delta^2")
         for name, curve in (("b", b), ("T", T)):
-            if max(abs(curve.values[0]), abs(curve.values[-1])) > 1e-10:
+            if not np.max(np.abs(curve.values[[0, -1]])) <= 1e-10:
                 problems.append(f"{name} does not vanish at the endpoints")
-        cert = curvature_certificate(a, A, tol)
+        cert = self.certificate(tol)
         if not cert.ok:
             problems.append(f"curvature certificate failed (min {cert.min_identity:.3e})")
         interior_b = b.values[1:-1]
         interior_T = T.values[1:-1]
         if strict_signs:
-            if np.max(interior_b) >= 0.0:
+            if not np.max(interior_b) < 0.0:
                 problems.append("b is not strictly negative on the interior")
-            if np.min(interior_T) <= 0.0:
+            if not np.min(interior_T) > 0.0:
                 problems.append("T is not strictly positive on the interior")
         else:
             bscale = max(1.0, float(np.max(np.abs(b.values))))
-            if np.max(interior_b) > tol * bscale:
+            if not np.max(interior_b) <= tol * bscale:
                 problems.append("b has a positive interior excursion")
             tscale = max(1.0, float(np.max(np.abs(T.values))))
-            if np.min(interior_T) < -tol * tscale:
+            if not np.min(interior_T) >= -tol * tscale:
                 problems.append("T has a negative interior excursion")
         if problems:
             raise CertificationError("; ".join(problems))
@@ -323,9 +335,9 @@ def quadratic_form_coefficients(
     would degrade one order at the one-sided/centered row junctions.
     """
     d = family.derivatives
-    a, b, w, h = d["a"], d["b"], d["w8"], family.a.h
-    c_xx = fd_derivative(w * a, h, 2)
-    c_xxi = fd_derivative(w * b, h, 2)
+    a, b, w = d["a"], d["b"], d["w8"]
+    c_xx = d["direct"]
+    c_xxi = fd_derivative(w * b, family.a.h, 2)
     c_xixi = w * (16.0 * a * b**2 + 4.0 * b * d["bp"] - d["Tpp"] - 8.0 * a * d["Tp"])
     return c_xx, c_xxi, c_xixi
 
@@ -348,9 +360,8 @@ def coefficient_residuals(family: WeightFamily) -> tuple[TimeCurve, TimeCurve]:
 def minimal_stabilizer(b: TimeCurve, T: TimeCurve) -> float:
     """Smallest N >= 1 with N + b/2 >= 1 and T <= 2 (int_0^t b^2 + N) nodewise."""
     int_b2 = cumulative_integral(b.values**2, b.h)
-    n1 = float(np.max(1.0 - b.values / 2.0))
-    n2 = float(np.max(T.values / 2.0 - int_b2))
-    return max(1.0, n1, n2)
+    # np.max, unlike builtin max, propagates a NaN node
+    return float(np.max([1.0, np.max(1.0 - b.values / 2.0), np.max(T.values / 2.0 - int_b2)]))
 
 
 def refine_pair(
@@ -366,7 +377,7 @@ def refine_pair(
     A_next = A + (log(int_0^t b^2 + N) - log(int_0^1 b^2 + N)) / 8.
     That A_next' = a_next is asserted, not assumed.
     """
-    if stabilizer < 1.0:
+    if not stabilizer >= 1.0:
         raise ValueError("stabilizer must be >= 1")
     int_b2 = cumulative_integral(b.values**2, b.h)
     a_next = a.with_values(a.values + b.values**2 / (8.0 * (int_b2 + stabilizer)))
@@ -408,7 +419,7 @@ def limit_family(delta: float, m: int = DEFAULT_M, t_min: float = 1e-3) -> Weigh
     """
     a, A, singular = limit_rate(delta, m, t_min)
     relation = a.values * np.exp(8.0 * A.values) - a.nodes / delta**2
-    if np.max(np.abs(relation)) > 1e-12:
+    if not np.max(np.abs(relation)) <= 1e-12:
         raise CertificationError("closed-form limit violates a e^{8A} = t/delta^2")
     b = a.with_values(np.zeros(m + 1))
     T = solve_freq(a, A, b, delta, residual_tol=None if singular else DEFAULT_RESIDUAL_TOL)

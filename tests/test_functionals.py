@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from heatlab import (
 )
 from heatlab import functionals
 from heatlab import weights as wt
-from heatlab.errors import ResidualError, TailViolation
+from heatlab.errors import CertificationError, ResidualError, TailViolation
 from heatlab.kernels import resample_periodic
 from heatlab.timecurve import uniform_grid
 from heatlab.weights import antiderivative
@@ -131,34 +133,72 @@ def clock(fam):
     return TimeCurve(fam.clock())
 
 
-# one NaN node in a, b, the correction source or the clock gamma
+def limit_family_with_nan_rate(fam):
+    a, big_a, singular = wt.limit_rate(fam.delta)
+    with mock.patch.object(wt, "limit_rate", lambda *args: (with_nan(a), big_a, singular)):
+        wt.limit_family(fam.delta)
+
+
+def family_with_nan(fam, name, node=100):
+    return replace(fam, **{name: with_nan(getattr(fam, name), node)})
+
+
+def validate_with_nan(name, node, strict_signs):
+    return lambda fam: family_with_nan(fam, name, node).validate(strict_signs=strict_signs)
+
+
+def step_with_nan_stabilizer(name):
+    # minimal_stabilizer of a family with a NaN node is NaN, which refine_pair refuses
+    def call(fam):
+        bad = family_with_nan(fam, name)
+        wt.refine_pair(fam.a, fam.A, fam.b, wt.minimal_stabilizer(bad.b, bad.T))
+
+    return call
+
+
+# one NaN node in a, b, T, the correction source, the clock gamma or the
+# stabilizer: (error, message pattern, call)
 NAN_GUARDS = {
     "solve_cross residual": (
-        ResidualError, lambda fam: wt.solve_cross(with_nan(fam.a), fam.A, fam.delta)
+        ResidualError, "residual", lambda fam: wt.solve_cross(with_nan(fam.a), fam.A, fam.delta)
     ),
     "solve_freq residual": (
-        ResidualError, lambda fam: wt.solve_freq(fam.a, fam.A, with_nan(fam.b), fam.delta)
+        ResidualError, "residual", lambda fam: wt.solve_freq(fam.a, fam.A, with_nan(fam.b), fam.delta)
     ),
     "refine_pair consistency": (
-        ValueError, lambda fam: wt.refine_pair(fam.a, fam.A, with_nan(fam.b), 1.0)
+        ValueError, "consistency", lambda fam: wt.refine_pair(fam.a, fam.A, with_nan(fam.b), 1.0)
     ),
     "correction source sign": (
-        ValueError, lambda fam: solve_convexity_correction(clock(fam), with_nan(clock(fam)))
+        ValueError, "source", lambda fam: solve_convexity_correction(clock(fam), with_nan(clock(fam)))
     ),
     "correction gamma sign": (
-        ValueError, lambda fam: solve_convexity_correction(with_nan(clock(fam)), clock(fam))
+        ValueError, "gamma", lambda fam: solve_convexity_correction(with_nan(clock(fam)), clock(fam))
     ),
     "theta gamma sign": (
-        ValueError, lambda fam: interpolation_exponent(0.5, 0.0, 1.0, with_nan(clock(fam)))
+        ValueError, "gamma", lambda fam: interpolation_exponent(0.5, 0.0, 1.0, with_nan(clock(fam)))
     ),
+    "limit_family relation": (CertificationError, "limit", limit_family_with_nan_rate),
+    "refine_pair stabilizer": (
+        ValueError, "stabilizer", lambda fam: wt.refine_pair(fam.a, fam.A, fam.b, math.nan)
+    ),
+    "minimal_stabilizer b": (ValueError, "stabilizer", step_with_nan_stabilizer("b")),
+    "minimal_stabilizer T": (ValueError, "stabilizer", step_with_nan_stabilizer("T")),
+}
+NAN_GUARDS |= {
+    f"validate {name} {where}" + (" strict" if strict else ""): (
+        CertificationError, f"^{name} ", validate_with_nan(name, node, strict)
+    )
+    for name in ("b", "T")
+    for node, where in ((100, "interior"), (-1, "endpoint"))
+    for strict in (False, True)
 }
 
 
 @pytest.mark.parametrize("guard", list(NAN_GUARDS))
 def test_nan_node_fails_the_guard(family3, guard):
     # each guard is written "not (err <= bound)", so a NaN never passes it
-    error, call = NAN_GUARDS[guard]
-    with pytest.raises(error):
+    error, pattern, call = NAN_GUARDS[guard]
+    with pytest.raises(error, match=pattern):
         call(family3)
 
 
@@ -432,6 +472,25 @@ def test_interior_bound_on_critical_closed_form(grid12):
     tgrid = np.linspace(0.0, 1.0, 2001)
     coeff = tgrid / (4.0 * (tgrid**2 + r**2))
     assert abs(tgrid[int(np.argmax(coeff))] - r) < 1e-3
+
+
+def test_interior_bound_marks_one_failing_interior_frame(grid12, gauss12):
+    base = evolve(gauss12, zero_potential(), 0.0, 1.0, steps=500, n_frames=101)
+    frames = base.frames.copy()
+    frames[40, np.abs(grid12.x - 11.0) < 0.5] += 1e-3  # mass in frame 40's tail band
+    traj = Trajectory(
+        grid=grid12, times=base.times, frames=frames,
+        tail_flags=base.tail_flags, potential=base.potential,
+    )
+    r = 1.0
+    report = verify_interior_bound(traj, r)
+    assert np.isinf(report.weighted_norms[40])
+    assert np.count_nonzero(np.isinf(report.weighted_norms)) == 1
+    assert not report.finite
+    rates = traj.times / (4.0 * (traj.times**2 + r**2))
+    for i in np.delete(np.arange(traj.n_frames), 40):
+        frame_norm = weighted_norm(traj.field(i), WeightSlice(a=float(rates[i])))
+        assert np.array_equal(report.weighted_norms[i], frame_norm)
 
 
 def test_interior_bound_free_heat_stable_and_monotone_in_potential():

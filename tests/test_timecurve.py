@@ -6,7 +6,13 @@ from scipy.integrate import quad
 
 from heatlab import TimeCurve, curve_from_callable
 from heatlab.errors import GridError
-from heatlab.timecurve import cumulative_integral, fd_derivative, uniform_grid, write_csv
+from heatlab.timecurve import (
+    cumulative_integral,
+    fd_derivative,
+    interval_quadrature_weights,
+    uniform_grid,
+    write_csv,
+)
 
 
 def poly_curve(coeffs, m=128):
@@ -130,9 +136,75 @@ def test_general_interval_support():
     assert abs(acc[-1] - (np.exp(1.0) - np.exp(0.5))) < 1e-12
 
 
-def test_fd_derivative_rejects_tiny_arrays():
-    with pytest.raises(GridError):
-        fd_derivative(np.ones(4), 0.1, 1)
+@pytest.mark.parametrize(
+    "op, too_few",
+    [
+        (lambda v: fd_derivative(v, 0.1, 1), 4),
+        (lambda v: fd_derivative(v, 0.1, 2), 5),
+        (lambda v: cumulative_integral(v, 0.1), 5),
+        (lambda v: cumulative_integral(np.stack([v, v], axis=1), 0.1), 5),
+    ],
+    ids=["first-derivative", "second-derivative", "quadrature", "quadrature-stack"],
+)
+def test_fd_derivative_rejects_tiny_arrays(op, too_few):
+    with pytest.raises(GridError, match=f"got {too_few}"):
+        op(np.ones(too_few))
+    op(np.ones(too_few + 1))  # one more sample is enough
+
+
+def reference_cumulative_integral(values, h):
+    """The quadrature engine as it stood before it shared the stencil engine:
+    sliding windows for the interior intervals, a loop over the four edge
+    intervals.  Kept to pin the shared engine to its exact bytes."""
+    values = np.asarray(values, dtype=float)
+    m = values.size - 1
+    increments = np.empty(m)
+    w_int = np.asarray(interval_quadrature_weights((0, 1, 2, 3, 4), 2))
+    windows = np.lib.stride_tricks.sliding_window_view(values, 5)
+    increments[2 : m - 1] = windows[: m - 3] @ w_int
+    for i in (0, 1, m - 2, m - 1):
+        start = 0 if i < 2 else m - 5
+        w = np.asarray(interval_quadrature_weights((0, 1, 2, 3, 4, 5), i - start))
+        increments[i] = values[start : start + 6] @ w
+    out = np.empty(m + 1)
+    out[0] = 0.0
+    np.cumsum(increments, out=out[1:])
+    return out * h
+
+
+def test_cumulative_integral_matches_reference_bytes():
+    rng = np.random.default_rng(7)
+    sizes = [6, 7, 8, 9, 10, *rng.integers(6, 3001, size=95)]
+    for n in sizes:
+        values = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        h = rng.uniform(1e-4, 1.0)
+        assert np.array_equal(cumulative_integral(values, h), reference_cumulative_integral(values, h))
+
+
+def test_cumulative_integral_stack_matches_columnwise_curves():
+    # a real (m + 1, k) stack is integrated column by column; the edge rows
+    # sum in a different order on a stack, so the routes agree to 1e-14 of
+    # the round-off scale max|values| (t1 - t0) of a cumulative sum
+    t0, t1, m = 0.25, 1.5, 300
+    t = uniform_grid(m, t0, t1)
+    freqs = np.linspace(0.5, 7.0, 5)
+    stack = np.sin(np.outer(t, freqs)) + np.outer(t**2, freqs)
+    h = (t1 - t0) / m
+    got = cumulative_integral(stack, h)
+    assert got.shape == stack.shape
+    scale = np.max(np.abs(stack)) * (t1 - t0)
+    for j in range(freqs.size):
+        assert np.max(np.abs(got[:, j] - cumulative_integral(stack[:, j], h))) <= 1e-14 * scale
+
+
+def test_sample_at_refuses_a_nan_time():
+    c = curve_from_callable(np.sin, 128)
+    with pytest.raises(ValueError, match="outside the curve interval"):
+        c.sample_at(np.nan)
+    with pytest.raises(ValueError, match="outside the curve interval"):
+        c.sample_at(np.array([0.25, np.nan]))
+    with pytest.raises(ValueError, match="outside the curve interval"):
+        c.sample_at(1.5)
 
 
 def test_fd_derivative_exact_on_cubic_frame_stacks():

@@ -23,6 +23,7 @@ from heatlab import (
     solve_cross_bvp,
     solve_freq,
 )
+from heatlab import weights as wt
 from heatlab.errors import CertificationError
 from heatlab.timecurve import fd_derivative, uniform_grid
 from heatlab.weights import growth_identity, limit_rate
@@ -59,6 +60,7 @@ def test_derivative_table_matches_fresh_differences(family3):
         assert np.array_equal(table[name + "pp"], fd_derivative(curve.values, h, 2))
     assert np.array_equal(table["w8"], np.exp(8.0 * family3.A.values))
     assert np.array_equal(table["ident"], growth_identity(family3.a, family3.A))
+    assert np.array_equal(table["direct"], fd_derivative(table["w8"] * family3.a.values, h, 2))
     assert np.array_equal(family3.clock(), table["w8"])
     assert not table["ap"].flags.writeable
 
@@ -147,6 +149,31 @@ def test_curvature_certificate_limit_family_is_borderline():
     assert cert.verdict == "nonnegative"
     assert abs(cert.min_identity) < 1e-8
     assert abs(cert.min_direct) < 1e-8
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-4])
+@pytest.mark.parametrize("which", ["family3", "limit"])
+def test_family_certificate_reads_the_bare_rate_certificate(family3, which, tol):
+    fam = family3 if which == "family3" else limit_family(3.0)
+    assert fam.certificate(tol) == curvature_certificate(fam.a, fam.A, tol)
+
+
+def test_family_certificate_reuses_the_table(monkeypatch):
+    # validate, coefficient_residuals and the certificate of one fresh family
+    # difference a, b and T twice each through the table, plus A once, the
+    # direct route once and e^{8A} b once: nine stencil passes in all
+    fam = family_from_rate(3.0, first_family_rate(3.0, 512))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fd_derivative(*args, **kwargs)
+
+    monkeypatch.setattr(wt, "fd_derivative", counted)
+    fam.validate(strict_signs=True)
+    coefficient_residuals(fam)
+    fam.certificate()
+    assert len(calls) <= 9
 
 
 def test_coefficient_residuals_fixed_point(family3):
