@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .errors import CertificationError, ConfigError, ResidualError, TailViolation
 from .grid import SpaceGrid, gaussian_field, gaussian_potential, zero_potential
-from .heat import evolve, pde_residual
+from .heat import Trajectory, evolve, pde_residual
 from .svgplot import write_line_plot
 from .timecurve import write_csv
 from . import functionals as fn
@@ -304,21 +304,23 @@ def run_iterate(cfg: ScenarioConfig, out: Path):
     return [Check("final_sup_b", trace.final_sup_cross, math.inf)], info
 
 
-def _aligned_steps(steps: int, n_frames: int) -> int:
+def _evolve_gaussian(cfg: ScenarioConfig, n_frames: int, scale: int = 1) -> Trajectory:
+    """The Gaussian datum evolved over [0, 1] under the config's potential, on
+    the config's box and point count times ``scale``, with ``scale`` times the
+    config's steps rounded up to a whole number per frame interval."""
+    grid = SpaceGrid(half_width=cfg.box_L * scale, n=cfg.grid_N * scale)
     stride = n_frames - 1
-    return ((steps + stride - 1) // stride) * stride
+    steps = ((cfg.steps * scale + stride - 1) // stride) * stride
+    return evolve(
+        gaussian_field(grid), make_potential(cfg), 0.0, 1.0, steps=steps,
+        n_frames=n_frames, tail_tol=cfg.tail_tol,
+    )
 
 
 @scenario("evolve")
 def run_evolve(cfg: ScenarioConfig, out: Path):
-    grid = SpaceGrid(half_width=cfg.box_L, n=cfg.grid_N)
-    potential = make_potential(cfg)
-    n_frames = 251 if cfg.steps >= 250 else cfg.steps + 1
-    steps = _aligned_steps(cfg.steps, n_frames)
-    traj = evolve(
-        gaussian_field(grid), potential, 0.0, 1.0, steps=steps,
-        n_frames=n_frames, tail_tol=cfg.tail_tol,
-    )
+    traj = _evolve_gaussian(cfg, 251 if cfg.steps >= 250 else cfg.steps + 1)
+    grid, potential = traj.grid, traj.potential
     traj.save(out / "frames")
     norms = traj.norms()
     info = {
@@ -350,17 +352,10 @@ def run_evolve(cfg: ScenarioConfig, out: Path):
 
 @scenario("verify-convexity")
 def run_verify_convexity(cfg: ScenarioConfig, out: Path):
-    grid = SpaceGrid(half_width=cfg.box_L, n=cfg.grid_N)
-    potential = make_potential(cfg)
-    steps = _aligned_steps(cfg.steps, CONVEXITY_FRAMES)
-    traj = evolve(
-        gaussian_field(grid), potential, 0.0, 1.0, steps=steps,
-        n_frames=CONVEXITY_FRAMES, tail_tol=cfg.tail_tol,
-    )
+    traj = _evolve_gaussian(cfg, CONVEXITY_FRAMES)
     family = wt.family_from_rate(cfg.delta, wt.first_family_rate(cfg.delta, cfg.grid_M))
     report = fn.check_log_convexity(
-        traj, family, xi=cfg.xi, potential=potential,
-        epsilon=cfg.epsilon, tail_tol=cfg.tail_tol,
+        traj, family, xi=cfg.xi, epsilon=cfg.epsilon, tail_tol=cfg.tail_tol
     )
     write_csv(
         out / "convexity.csv", "t,H,theta,M,slack",
@@ -390,18 +385,10 @@ def run_verify_convexity(cfg: ScenarioConfig, out: Path):
 
 @scenario("verify-bound")
 def run_verify_bound(cfg: ScenarioConfig, out: Path):
-    def one(scale: int) -> fn.BoundReport:
-        grid = SpaceGrid(half_width=cfg.box_L * scale, n=cfg.grid_N * scale)
-        n_frames = 101
-        steps = _aligned_steps(cfg.steps * scale, n_frames)
-        traj = evolve(
-            gaussian_field(grid), make_potential(cfg), 0.0, 1.0,
-            steps=steps, n_frames=n_frames, tail_tol=cfg.tail_tol,
-        )
-        return fn.verify_interior_bound(traj, cfg.R, tail_tol=cfg.tail_tol)
-
-    base = one(1)
-    fine = one(2)
+    base, fine = (
+        fn.verify_interior_bound(_evolve_gaussian(cfg, 101, scale), cfg.R, tail_tol=cfg.tail_tol)
+        for scale in (1, 2)
+    )
     write_csv(out / "bound.csv", "t,weighted_norm", base.times, base.weighted_norms)
     drift = abs(fine.ratio - base.ratio) / base.ratio
     if cfg.plot:

@@ -170,7 +170,7 @@ def check_log_convexity(
     if times.size < 65:
         raise ValueError("need at least 65 stored frames in [c, d]")
     dts = np.diff(times)
-    if np.max(np.abs(dts - dts[0])) > 1e-10:
+    if not np.max(np.abs(dts - dts[0])) <= 1e-10:
         raise ValueError("frames must be equispaced in [c, d]")
     dt = float(dts[0])
 
@@ -249,7 +249,6 @@ def appell_transform(
     grid: SpaceGrid,
     times: np.ndarray,
     potential: PotentialSpec | None = None,
-    source_half_width: float | None = None,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> Trajectory:
     """Apply the parabolic change of variables
@@ -264,7 +263,7 @@ def appell_transform(
     heat solutions with the rescaled potential V~, whose sup norm is at most
     max(alpha/beta, beta/alpha) ||V||.
     """
-    if alpha <= 0.0 or beta <= 0.0:
+    if not (alpha > 0.0 and beta > 0.0):
         raise ValueError("need alpha, beta > 0")
     times = np.asarray(times, dtype=float)
     x = grid.x
@@ -294,18 +293,8 @@ def appell_transform(
             return resample_periodic(np.dot(lk, source.frames[lo : lo + 5]), y, src_l)
 
     elif callable(source):
-        if source_half_width is not None:
-            limit = source_half_width
-
-            def eval_source(y, s, _fn=source):
-                if np.max(np.abs(y)) > limit * (1.0 + 1e-12):
-                    raise ValueError("mapped points leave the declared source domain")
-                return np.asarray(_fn(y, s), dtype=complex)
-
-        else:
-
-            def eval_source(y, s, _fn=source):
-                return np.asarray(_fn(y, s), dtype=complex)
+        def eval_source(y: np.ndarray, s: float) -> np.ndarray:
+            return np.asarray(source(y, s), dtype=complex)
 
     else:
         raise TypeError("source must be a Trajectory or a callable u(x, s)")
@@ -428,7 +417,7 @@ def sharpness_probe(
     the relative increments stay below ``cauchy_tol``; the growth exponent is
     the log-log slope over the boxes.
     """
-    if gamma_factor <= 0.0:
+    if not gamma_factor > 0.0:
         raise ValueError("need gamma_factor > 0")
     boxes = np.asarray(box_widths, dtype=float)
     # |u_R|^2 = (t^2+R^2)^{-1/2} e^{-t x^2/2(t^2+R^2)}, so the weighted

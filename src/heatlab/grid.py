@@ -24,8 +24,8 @@ class SpaceGrid:
     n: int = DEFAULT_POINTS
 
     def __post_init__(self):
-        if self.half_width <= 0.0:
-            raise ValueError("half_width must be positive")
+        if not 0.0 < self.half_width < np.inf:
+            raise ValueError("half_width must be positive and finite")
         if self.n < 256 or self.n & (self.n - 1) != 0:
             raise ValueError("n must be a power of two >= 256")
 

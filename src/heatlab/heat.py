@@ -77,7 +77,7 @@ class Trajectory:
 
     def index_at(self, t: float) -> int:
         i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9:
+        if not abs(self.times[i] - t) <= 1e-9:
             raise ValueError(f"no stored frame at t={t}")
         return i
 
@@ -146,7 +146,7 @@ def evolve(
     if steps < 1:
         raise ValueError("need steps >= 1")
     dt_target = (t1 - t0) / steps
-    if max_dt is not None and dt_target > max_dt * (1.0 + 1e-12):
+    if max_dt is not None and not dt_target <= max_dt * (1.0 + 1e-12):
         raise ValueError(
             f"step count too small: dt = {dt_target:.3e} exceeds max_dt = {max_dt:.3e}"
         )
@@ -158,9 +158,9 @@ def evolve(
         frame_times = t0 + (t1 - t0) * np.arange(n_frames) / (n_frames - 1)
     else:
         frame_times = np.asarray(frame_times, dtype=float)
-        if abs(frame_times[0] - t0) > 1e-12 or abs(frame_times[-1] - t1) > 1e-12:
+        if not (abs(frame_times[0] - t0) <= 1e-12 and abs(frame_times[-1] - t1) <= 1e-12):
             raise ValueError("frame_times must start at t0 and end at t1")
-        if np.any(np.diff(frame_times) <= 0):
+        if not np.all(np.diff(frame_times) > 0):
             raise ValueError("frame_times must be strictly increasing")
 
     grid = u0.grid
@@ -202,7 +202,7 @@ def pde_residual(traj: Trajectory, potential: PotentialSpec | None = None) -> fl
     if potential is None:
         potential = traj.potential
     dts = np.diff(traj.times)
-    if np.max(np.abs(dts - dts[0])) > 1e-10:
+    if not np.max(np.abs(dts - dts[0])) <= 1e-10:
         raise ValueError("pde_residual needs equispaced frames")
     dudt = fd_derivative(traj.frames, float(dts[0]))
     rel = np.empty(traj.n_frames)

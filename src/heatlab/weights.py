@@ -11,7 +11,8 @@ defining two-point problems are
 
 and the usable families are exactly those with (e^{8A} a)'' >= 0.  Both
 problems reduce to quadratures, which is how they are solved here; the
-discrete equation residuals double as independent certificates.
+discrete equation residuals, read from each family's derivative table, double
+as independent certificates (:meth:`WeightFamily.certify_equations`).
 
 Starting from a(t) = t/(delta+2-2t)^2 the refinement step
 
@@ -54,18 +55,23 @@ def first_family_rate(delta: float, m: int = DEFAULT_M) -> TimeCurve:
     return TimeCurve(t / (delta + 2.0 - 2.0 * t) ** 2)
 
 
-def _product_rule(w8: np.ndarray, a: np.ndarray, ap: np.ndarray, app: np.ndarray) -> np.ndarray:
-    """(e^{8A} a)'' = e^{8A} (a'' + 24 a a' + 64 a^3) from the clock and a, a', a''."""
-    return w8 * (app + 24.0 * a * ap + 64.0 * a**3)
+def _growth_columns(a: TimeCurve, A: TimeCurve) -> dict[str, np.ndarray]:
+    """a', a'', the clock ``w8`` = e^{8A} and (e^{8A} a)'' along two routes:
+    ``ident`` by the product-rule identity e^{8A} (a'' + 24 a a' + 64 a^3),
+    ``direct`` by a second difference of e^{8A} a."""
+    av = a.values
+    ap = fd_derivative(av, a.h, 1)
+    app = fd_derivative(av, a.h, 2)
+    w8 = np.exp(8.0 * A.values)
+    ident = w8 * (app + 24.0 * av * ap + 64.0 * av**3)
+    direct = fd_derivative(w8 * av, a.h, 2)
+    return {"ap": ap, "app": app, "w8": w8, "ident": ident, "direct": direct}
 
 
 def growth_identity(a: TimeCurve, A: TimeCurve) -> np.ndarray:
-    """(e^{8A} a)'' evaluated through the product-rule identity
-    e^{8A} (a'' + 24 a a' + 64 a^3), with finite-difference a', a''."""
-    av = a.values
-    da = fd_derivative(av, a.h, 1)
-    dda = fd_derivative(av, a.h, 2)
-    return _product_rule(np.exp(8.0 * A.values), av, da, dda)
+    """(e^{8A} a)'' evaluated through the product-rule identity, with
+    finite-difference a', a''."""
+    return _growth_columns(a, A)["ident"]
 
 
 @dataclass(frozen=True)
@@ -109,40 +115,21 @@ def curvature_certificate(
     """Certify convexity of e^{8A} a by cross-checked interior curvature:
     the product-rule identity against a direct second difference of e^{8A} a.
     A family reads the same certificate from its table."""
-    direct = fd_derivative(np.exp(8.0 * A.values) * a.values, a.h, 2)
-    return _certify(growth_identity(a, A), direct, tol)
+    cols = _growth_columns(a, A)
+    return _certify(cols["ident"], cols["direct"], tol)
 
 
-def solve_cross(
-    a: TimeCurve,
-    A: TimeCurve,
-    delta: float,
-    residual_tol: float | None = DEFAULT_RESIDUAL_TOL,
-) -> TimeCurve:
-    """Cross coefficient b with b(0) = b(1) = 0.
-
-    Evaluates the closed form b = 2 (a - t e^{-8A} / delta^2) and certifies it
-    against the defining equation by the discrete residual
-    (e^{8A} b)'' - 2 (e^{8A} a)'', measured relative to the size of the two
-    compared terms.
-    """
+def solve_cross(a: TimeCurve, A: TimeCurve, delta: float) -> TimeCurve:
+    """Cross coefficient b with b(0) = b(1) = 0, by the closed form
+    b = 2 (a - t e^{-8A} / delta^2).  :meth:`WeightFamily.certify_equations`
+    checks it against the defining equation."""
     t = a.nodes
     if not (abs(a.values[0]) <= 1e-12 and abs(a.values[-1] - 1.0 / delta**2) <= 1e-9):
         raise ValueError(
             "boundary data violated: need a(0) = 0 and a(1) = 1/delta^2, got "
             f"a(0)={a.values[0]:g}, a(1)={a.values[-1]:g}"
         )
-    b = a.with_values(2.0 * (a.values - t * np.exp(-8.0 * A.values) / delta**2))
-    if residual_tol is not None:
-        ident = growth_identity(a, A)
-        direct = fd_derivative(np.exp(8.0 * A.values) * b.values, a.h, 2)
-        resid = direct - 2.0 * ident
-        scale = max(1.0, float(np.max(np.abs(direct))), 2.0 * float(np.max(np.abs(ident))))
-        if not float(np.max(np.abs(resid))) <= grid_tol(residual_tol, a.m) * scale:
-            raise ResidualError(
-                f"cross-coefficient residual {np.max(np.abs(resid)):.3e} exceeds tolerance"
-            )
-    return b
+    return a.with_values(2.0 * (a.values - t * np.exp(-8.0 * A.values) / delta**2))
 
 
 def solve_cross_bvp(a: TimeCurve, A: TimeCurve) -> TimeCurve:
@@ -160,20 +147,13 @@ def solve_cross_bvp(a: TimeCurve, A: TimeCurve) -> TimeCurve:
     return a.with_values((2.0 * g2 + c1 * tau) / w)
 
 
-def solve_freq(
-    a: TimeCurve,
-    A: TimeCurve,
-    b: TimeCurve,
-    delta: float,
-    residual_tol: float | None = DEFAULT_RESIDUAL_TOL,
-) -> TimeCurve:
+def solve_freq(a: TimeCurve, A: TimeCurve, b: TimeCurve, delta: float) -> TimeCurve:
     """Frequency coefficient T with T = 0 at both ends.
 
     First integral of the defining equation plus the boundary fit:
     T = 2 int b^2 - (a - a(t0)) - 8 int a^2 + C int e^{-8A}, with C chosen so
-    the final value vanishes.  The discrete residual
-    (e^{8A} T')' - 2 (e^{8A} b^2)' + (e^{8A} a)'' is certified, and a strictly
-    negative interior dip is rejected as inconsistent input.
+    the final value vanishes.  :meth:`WeightFamily.certify_equations` checks
+    it against the defining equation.
     """
     h = a.h
     int_b2 = cumulative_integral(b.values**2, h)
@@ -182,37 +162,7 @@ def solve_freq(
     c = (a.values[-1] - a.values[0] - 2.0 * int_b2[-1] + 8.0 * int_a2[-1]) / int_em[-1]
     tvals = 2.0 * int_b2 - (a.values - a.values[0]) - 8.0 * int_a2 + c * int_em
     tau = (a.nodes - a.t0) / (a.t1 - a.t0)
-    tvals = tvals - tvals[-1] * tau  # pin the endpoint exactly
-    T = a.with_values(tvals)
-
-    if residual_tol is not None:
-        w = np.exp(8.0 * A.values)
-        ident = growth_identity(a, A)
-        # product-rule expansion: single stencil application per derivative
-        flux = w * (
-            fd_derivative(tvals, h, 2) + 8.0 * a.values * fd_derivative(tvals, h, 1)
-        )
-        pump = w * (
-            16.0 * a.values * b.values**2 + 4.0 * b.values * fd_derivative(b.values, h, 1)
-        )
-        resid = flux - pump + ident
-        scale = max(
-            1.0,
-            float(np.max(np.abs(flux))),
-            float(np.max(np.abs(pump))),
-            float(np.max(np.abs(ident))),
-        )
-        if not float(np.max(np.abs(resid))) <= grid_tol(residual_tol, a.m) * scale:
-            raise ResidualError(
-                f"frequency-coefficient residual {np.max(np.abs(resid)):.3e} exceeds tolerance"
-            )
-        tscale = max(1.0, float(np.max(np.abs(tvals))))
-        if not float(np.min(tvals[1:-1])) >= -residual_tol * tscale:
-            raise CertificationError(
-                f"sign failure: interior minimum {np.min(tvals[1:-1]):.3e} < 0 "
-                "signals inconsistent inputs"
-            )
-    return T
+    return a.with_values(tvals - tvals[-1] * tau)  # pin the endpoint exactly
 
 
 @dataclass(frozen=True)
@@ -234,17 +184,15 @@ class WeightFamily:
     def derivatives(self) -> dict[str, np.ndarray]:
         """Read-only nodewise table, built once per family: a, b, T and their
         first and second time derivatives (keys ``a, ap, app, b, bp, bpp, T,
-        Tp, Tpp``), the clock ``w8`` = e^{8A}, and (e^{8A} a)'' along two
-        routes: ``ident`` by the product rule, ``direct`` by a second
-        difference of e^{8A} a."""
-        table = {}
-        for name, curve in (("a", self.a), ("b", self.b), ("T", self.T)):
+        Tp, Tpp``), the clock ``w8`` = e^{8A}, (e^{8A} a)'' along two routes
+        (``ident`` by the product rule, ``direct`` by a second difference of
+        e^{8A} a) and ``cross`` = (e^{8A} b)''."""
+        table = {"a": self.a.values.view(), **_growth_columns(self.a, self.A)}
+        for name, curve in (("b", self.b), ("T", self.T)):
             table[name] = curve.values.view()
             table[name + "p"] = fd_derivative(curve.values, curve.h, 1)
             table[name + "pp"] = fd_derivative(curve.values, curve.h, 2)
-        table["w8"] = w8 = np.exp(8.0 * self.A.values)
-        table["ident"] = _product_rule(w8, table["a"], table["ap"], table["app"])
-        table["direct"] = fd_derivative(w8 * table["a"], self.a.h, 2)
+        table["cross"] = fd_derivative(table["w8"] * table["b"], self.b.h, 2)
         for col in table.values():
             col.flags.writeable = False
         return table
@@ -262,6 +210,38 @@ class WeightFamily:
     def certificate(self, tol: float = DEFAULT_RESIDUAL_TOL) -> CurvatureCertificate:
         """:func:`curvature_certificate` of (a, A), read from the table."""
         return _certify(self.derivatives["ident"], self.derivatives["direct"], tol)
+
+    def certify_equations(self, tol: float = DEFAULT_RESIDUAL_TOL) -> None:
+        """Check b and T against their defining equations, read from the table.
+
+        The residuals r1 = (e^{8A} b)'' - 2 (e^{8A} a)'' and
+        r2 = (e^{8A} T')' - 2 (e^{8A} b^2)' + (e^{8A} a)'', each product-rule
+        expanded so every derivative is one stencil pass, must stay within
+        ``grid_tol(tol, m)`` times the size of their terms (ResidualError); a
+        strictly negative interior dip of T signals inconsistent inputs
+        (CertificationError).
+        """
+        d = self.derivatives
+        w, a, b, ident = d["w8"], d["a"], d["b"], d["ident"]
+        flux = w * (d["Tpp"] + 8.0 * a * d["Tp"])
+        pump = w * (16.0 * a * b**2 + 4.0 * b * d["bp"])
+        equations = (
+            ("cross", d["cross"] - 2.0 * ident, (d["cross"], 2.0 * ident)),
+            ("frequency", flux - pump + ident, (flux, pump, ident)),
+        )
+        for name, resid, terms in equations:
+            scale = max(1.0, *(float(np.max(np.abs(term))) for term in terms))
+            if not float(np.max(np.abs(resid))) <= grid_tol(tol, self.a.m) * scale:
+                raise ResidualError(
+                    f"{name}-coefficient residual {np.max(np.abs(resid)):.3e} exceeds tolerance"
+                )
+        tvals = self.T.values
+        tscale = max(1.0, float(np.max(np.abs(tvals))))
+        if not float(np.min(tvals[1:-1])) >= -tol * tscale:
+            raise CertificationError(
+                f"sign failure: interior minimum {np.min(tvals[1:-1]):.3e} < 0 "
+                "signals inconsistent inputs"
+            )
 
     def validate(self, tol: float = DEFAULT_RESIDUAL_TOL, strict_signs: bool = False) -> None:
         """Check the structural invariants; raise CertificationError on failure.
@@ -316,9 +296,10 @@ def family_from_rate(
     """Complete a rate curve into a full family by solving for b and T."""
     if A is None:
         A = antiderivative(a)
-    b = solve_cross(a, A, delta, residual_tol)
-    T = solve_freq(a, A, b, delta, residual_tol)
-    return WeightFamily(delta=delta, a=a, A=A, b=b, T=T)
+    b = solve_cross(a, A, delta)
+    family = WeightFamily(delta=delta, a=a, A=A, b=b, T=solve_freq(a, A, b, delta))
+    family.certify_equations(residual_tol)
+    return family
 
 
 def quadratic_form_coefficients(
@@ -337,7 +318,7 @@ def quadratic_form_coefficients(
     d = family.derivatives
     a, b, w = d["a"], d["b"], d["w8"]
     c_xx = d["direct"]
-    c_xxi = fd_derivative(w * b, family.a.h, 2)
+    c_xxi = d["cross"]
     c_xixi = w * (16.0 * a * b**2 + 4.0 * b * d["bp"] - d["Tpp"] - 8.0 * a * d["Tp"])
     return c_xx, c_xxi, c_xixi
 
@@ -415,15 +396,18 @@ def limit_family(delta: float, m: int = DEFAULT_M, t_min: float = 1e-3) -> Weigh
     The frequency coefficient degenerates to T = 0 here (its first integral is
     const/(t^2 + R^2) and the zero boundary values kill the constant).  For a
     singular delta = 2 family the rate 1/(4t) is unresolvable near t_min on a
-    uniform grid, so the residual certificate is skipped there.
+    uniform grid, so :meth:`WeightFamily.certify_equations` is skipped there.
     """
     a, A, singular = limit_rate(delta, m, t_min)
     relation = a.values * np.exp(8.0 * A.values) - a.nodes / delta**2
     if not np.max(np.abs(relation)) <= 1e-12:
         raise CertificationError("closed-form limit violates a e^{8A} = t/delta^2")
     b = a.with_values(np.zeros(m + 1))
-    T = solve_freq(a, A, b, delta, residual_tol=None if singular else DEFAULT_RESIDUAL_TOL)
-    return WeightFamily(delta=delta, a=a, A=A, b=b, T=T, singular=singular)
+    T = solve_freq(a, A, b, delta)
+    family = WeightFamily(delta=delta, a=a, A=A, b=b, T=T, singular=singular)
+    if not singular:
+        family.certify_equations()
+    return family
 
 
 @dataclass
@@ -488,17 +472,17 @@ def run_refinement(
     k = 0
     while k < max_steps:
         k += 1
-        b = solve_cross(a, A, delta, residual_tol=None)
-        T = solve_freq(a, A, b, delta, residual_tol=None)
+        b = solve_cross(a, A, delta)
+        T = solve_freq(a, A, b, delta)
         family = WeightFamily(delta=delta, a=a, A=A, b=b, T=T)
         if recertify:
-            cert = curvature_certificate(a, A, recert_tol)
+            cols = _growth_columns(a, A)
+            cert = _certify(cols["ident"], cols["direct"], recert_tol)
             if cert.verdict != "positive":
                 raise CertificationError(
                     f"convexity certificate failed at step {k}: {cert.verdict}"
                 )
-            da = fd_derivative(a.values, a.h, 1)
-            if np.min(da + 4.0 * a.values**2) < -recert_tol:
+            if np.min(cols["ap"] + 4.0 * a.values**2) < -recert_tol:
                 raise CertificationError(f"rate inequality a' + 4a^2 >= 0 failed at step {k}")
             if np.max(a.values) > ceiling + recert_tol:
                 raise CertificationError(f"chain ceiling exceeded at step {k}")

@@ -159,11 +159,15 @@ def step_with_nan_stabilizer(name):
 # one NaN node in a, b, T, the correction source, the clock gamma or the
 # stabilizer: (error, message pattern, call)
 NAN_GUARDS = {
-    "solve_cross residual": (
-        ResidualError, "residual", lambda fam: wt.solve_cross(with_nan(fam.a), fam.A, fam.delta)
+    "certify_equations cross": (
+        ResidualError,
+        "^cross-coefficient residual",
+        lambda fam: family_with_nan(fam, "a").certify_equations(),
     ),
-    "solve_freq residual": (
-        ResidualError, "residual", lambda fam: wt.solve_freq(fam.a, fam.A, with_nan(fam.b), fam.delta)
+    "certify_equations freq": (
+        ResidualError,
+        "^frequency-coefficient residual",
+        lambda fam: family_with_nan(fam, "T").certify_equations(),
     ),
     "refine_pair consistency": (
         ValueError, "consistency", lambda fam: wt.refine_pair(fam.a, fam.A, with_nan(fam.b), 1.0)
@@ -200,6 +204,66 @@ def test_nan_node_fails_the_guard(family3, guard):
     error, pattern, call = NAN_GUARDS[guard]
     with pytest.raises(error, match=pattern):
         call(family3)
+
+
+def with_nan_time(traj, i=64):
+    times = traj.times.copy()
+    times[i] = np.nan
+    return replace(traj, times=times)
+
+
+def evolve_free(traj, **kwargs):
+    return evolve(traj.field(0), zero_potential(), 0.0, 1.0, steps=8, **kwargs)
+
+
+def appell_with(alpha, beta):
+    return lambda tr, fam: appell_transform(free_heat_gaussian, alpha, beta, tr.grid, tr.times)
+
+
+# a NaN (or inf) argument next to a 129-frame free trajectory and the family:
+# (error, message pattern, call)
+NAN_ARGUMENTS = {
+    "SpaceGrid half_width nan": (
+        ValueError, "^half_width", lambda tr, fam: SpaceGrid(half_width=math.nan)
+    ),
+    "SpaceGrid half_width inf": (
+        ValueError, "^half_width", lambda tr, fam: SpaceGrid(half_width=math.inf)
+    ),
+    "evolve max_dt": (ValueError, "max_dt", lambda tr, fam: evolve_free(tr, max_dt=math.nan)),
+    "evolve frame_times interior": (
+        ValueError,
+        "strictly increasing",
+        lambda tr, fam: evolve_free(tr, frame_times=with_nan_time(tr).times),
+    ),
+    "evolve frame_times end": (
+        ValueError,
+        "start at t0",
+        lambda tr, fam: evolve_free(tr, frame_times=with_nan_time(tr, -1).times),
+    ),
+    "appell_transform alpha": (ValueError, "alpha, beta", appell_with(math.nan, 1.0)),
+    "appell_transform beta": (ValueError, "alpha, beta", appell_with(1.0, math.nan)),
+    "sharpness_probe gamma_factor": (
+        ValueError, "gamma_factor", lambda tr, fam: sharpness_probe(1.0, 0.5, math.nan)
+    ),
+    "Trajectory.index_at": (ValueError, "no stored frame", lambda tr, fam: tr.index_at(math.nan)),
+    "pde_residual times": (
+        ValueError, "equispaced", lambda tr, fam: pde_residual(with_nan_time(tr))
+    ),
+    "check_log_convexity times": (
+        ValueError,
+        "equispaced",
+        lambda tr, fam: check_log_convexity(with_nan_time(tr), fam, xi=1.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("guard", list(NAN_ARGUMENTS))
+def test_nan_argument_fails_the_guard(gauss12, family3, guard):
+    # each guard is written "not (value <= bound)", so a NaN never passes it
+    error, pattern, call = NAN_ARGUMENTS[guard]
+    traj = evolve(gauss12, zero_potential(), 0.0, 1.0, steps=128, n_frames=129)
+    with pytest.raises(error, match=pattern):
+        call(traj, family3)
 
 
 def test_weighted_norm_rejects_a_nan_integrand(grid12):

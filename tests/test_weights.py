@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from heatlab import (
     solve_freq,
 )
 from heatlab import weights as wt
-from heatlab.errors import CertificationError
+from heatlab.errors import CertificationError, ResidualError
 from heatlab.timecurve import fd_derivative, uniform_grid
 from heatlab.weights import growth_identity, limit_rate
 
@@ -61,6 +62,7 @@ def test_derivative_table_matches_fresh_differences(family3):
     assert np.array_equal(table["w8"], np.exp(8.0 * family3.A.values))
     assert np.array_equal(table["ident"], growth_identity(family3.a, family3.A))
     assert np.array_equal(table["direct"], fd_derivative(table["w8"] * family3.a.values, h, 2))
+    assert np.array_equal(table["cross"], fd_derivative(table["w8"] * family3.b.values, h, 2))
     assert np.array_equal(family3.clock(), table["w8"])
     assert not table["ap"].flags.writeable
 
@@ -88,7 +90,7 @@ def test_cross_residual_certificate(family3):
 def test_freq_zero_inputs_give_zero():
     m = 128
     zero = TimeCurve(np.zeros(m + 1))
-    T = solve_freq(zero, zero, zero, 3.0, residual_tol=None)
+    T = solve_freq(zero, zero, zero, 3.0)
     assert np.max(np.abs(T.values)) < 1e-15
 
 
@@ -158,11 +160,7 @@ def test_family_certificate_reads_the_bare_rate_certificate(family3, which, tol)
     assert fam.certificate(tol) == curvature_certificate(fam.a, fam.A, tol)
 
 
-def test_family_certificate_reuses_the_table(monkeypatch):
-    # validate, coefficient_residuals and the certificate of one fresh family
-    # difference a, b and T twice each through the table, plus A once, the
-    # direct route once and e^{8A} b once: nine stencil passes in all
-    fam = family_from_rate(3.0, first_family_rate(3.0, 512))
+def count_stencil_passes(monkeypatch) -> list:
     calls = []
 
     def counted(*args, **kwargs):
@@ -170,10 +168,57 @@ def test_family_certificate_reuses_the_table(monkeypatch):
         return fd_derivative(*args, **kwargs)
 
     monkeypatch.setattr(wt, "fd_derivative", counted)
+    return calls
+
+
+def test_family_certificate_reuses_the_table(monkeypatch):
+    # family_from_rate's equation check builds the table, so validate,
+    # coefficient_residuals and the certificate read it and add only A'
+    fam = family_from_rate(3.0, first_family_rate(3.0, 512))
+    calls = count_stencil_passes(monkeypatch)
+    fam.validate(strict_signs=True)
+    coefficient_residuals(fam)
+    fam.certificate()
+    assert len(calls) <= 1
+
+
+def test_fresh_family_differences_each_curve_once(monkeypatch):
+    # the solvers difference nothing: the table's eight stencil passes (a, b
+    # and T twice each, e^{8A} a and e^{8A} b once each) serve the equation
+    # check, validate, the residuals and the certificate, and validate adds A'
+    calls = count_stencil_passes(monkeypatch)
+    fam = family_from_rate(3.0, first_family_rate(3.0, 512))
     fam.validate(strict_signs=True)
     coefficient_residuals(fam)
     fam.certificate()
     assert len(calls) <= 9
+
+
+def test_chain_step_differences_a_once_for_both_certificates(monkeypatch):
+    # per step: a', a'' and the direct route for the curvature certificate and
+    # the rate inequality, one A_next' for refine_pair's consistency check
+    calls = count_stencil_passes(monkeypatch)
+    run_refinement(3.0, 5)
+    assert len(calls) <= 20
+
+
+@pytest.mark.parametrize(
+    "name, pattern",
+    [("b", "^cross-coefficient residual"), ("T", "^frequency-coefficient residual")],
+)
+def test_certify_equations_rejects_a_scaled_coefficient(family3, name, pattern):
+    family3.certify_equations()
+    curve = getattr(family3, name)
+    bad = replace(family3, **{name: curve.with_values(1.01 * curve.values)})
+    with pytest.raises(ResidualError, match=pattern):
+        bad.certify_equations()
+
+
+def test_near_critical_limit_family_fails_the_cross_equation():
+    # the limit curvature is unresolved at delta = 2.01 on 512 nodes; r1 is
+    # checked first, so it names the cross equation
+    with pytest.raises(ResidualError, match="^cross-coefficient residual"):
+        limit_family(2.01, m=512)
 
 
 def test_coefficient_residuals_fixed_point(family3):
