@@ -161,10 +161,16 @@ def check_log_convexity(
     if potential is None:
         potential = traj.potential
     times = traj.times
+    bad = ~np.isfinite(times)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(f"frame {i} has non-finite time {times[i]}")
     if c is None:
         c = float(times[0])
     if d is None:
         d = float(times[-1])
+    if not (math.isfinite(c) and math.isfinite(d)):
+        raise ValueError(f"window [c, d] = [{c}, {d}] must be finite")
     sel = np.nonzero((times >= c - 1e-12) & (times <= d + 1e-12))[0]
     times = times[sel]
     if times.size < 65:

@@ -118,11 +118,16 @@ def gaussian_field(grid: SpaceGrid, rate: float = 1.0, time: float = 0.0) -> Fie
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Bounded complex potential V(x, t) together with its declared sup norm."""
+    """Bounded complex potential V(x, t) together with its declared sup norm.
+
+    ``time_independent`` declares that ``fn`` ignores t, so one evaluation
+    serves a whole run; it belongs to the potential, not to a run's settings.
+    """
 
     fn: Callable[[np.ndarray, float], np.ndarray] = dataclass_field(repr=False, default=None)
     sup_norm: float = 0.0
     label: str = "none"
+    time_independent: bool = False
 
     def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
         if self.fn is None:
@@ -152,11 +157,11 @@ def gaussian_potential(amplitude: float, imaginary: bool = False) -> PotentialSp
         return factor * amplitude * np.exp(-(x**2))
 
     label = "gauss-imag" if imaginary else "gauss-real"
-    return PotentialSpec(fn=fn, sup_norm=abs(amplitude), label=label)
+    return PotentialSpec(fn=fn, sup_norm=abs(amplitude), label=label, time_independent=True)
 
 
 def constant_potential(value: complex) -> PotentialSpec:
     def fn(x, t):
         return np.full_like(x, value, dtype=complex)
 
-    return PotentialSpec(fn=fn, sup_norm=abs(value), label="constant")
+    return PotentialSpec(fn=fn, sup_norm=abs(value), label="constant", time_independent=True)

@@ -251,8 +251,18 @@ NAN_ARGUMENTS = {
     ),
     "check_log_convexity times": (
         ValueError,
-        "equispaced",
+        "^frame 64 has non-finite time nan$",
         lambda tr, fam: check_log_convexity(with_nan_time(tr), fam, xi=1.0),
+    ),
+    "check_log_convexity c": (
+        ValueError,
+        r"^window \[c, d\] = \[nan, ",
+        lambda tr, fam: check_log_convexity(tr, fam, xi=1.0, c=math.nan),
+    ),
+    "check_log_convexity d": (
+        ValueError,
+        r"^window \[c, d\] = \[0.0, inf\]",
+        lambda tr, fam: check_log_convexity(tr, fam, xi=1.0, d=math.inf),
     ),
 }
 

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from heatlab import (
     Field,
+    PotentialSpec,
     SpaceGrid,
     TimeCurve,
     Trajectory,
@@ -21,7 +24,7 @@ from heatlab import (
     zero_potential,
 )
 from heatlab.errors import TailViolation
-from heatlab.timecurve import uniform_grid
+from heatlab.timecurve import uniform_grid, write_csv
 from heatlab.weights import antiderivative, growth_identity
 
 
@@ -32,14 +35,36 @@ def zero_family(m=512):
 
 @pytest.mark.parametrize("rate", [0.5, 1.0, 2.0])
 def test_free_heat_matches_gaussian_kernel(grid12, rate):
-    # e^{-r x^2} evolves to (1+4rt)^{-1/2} e^{-r x^2/(1+4rt)}
+    # e^{-r x^2} evolves to (1+4rt)^{-1/2} e^{-r x^2/(1+4rt)}, at every stored frame
     u0 = Field(grid=grid12, values=np.exp(-rate * grid12.x**2) + 0j)
-    t1 = 0.25
-    traj = evolve(u0, zero_potential(), 0.0, t1, steps=256)
-    exact = (1.0 + 4.0 * rate * t1) ** -0.5 * np.exp(
-        -rate * grid12.x**2 / (1.0 + 4.0 * rate * t1)
-    )
-    assert grid12.norm(traj.frames[-1] - exact) < 1e-6
+    traj = evolve(u0, zero_potential(), 0.0, 0.25, steps=256)
+    assert traj.n_frames == 257
+    for t, frame in zip(traj.times, traj.frames):
+        spread = 1.0 + 4.0 * rate * t
+        exact = spread**-0.5 * np.exp(-rate * grid12.x**2 / spread)
+        assert grid12.norm(frame - exact) < 1e-6
+
+
+def test_free_heat_takes_one_fft_and_one_inverse_per_frame(grid12, gauss12, monkeypatch):
+    calls = {"fft": 0, "ifft": 0}
+    for name in calls:
+        original = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    traj = evolve(gauss12, zero_potential(), 0.0, 1.0, steps=2048, n_frames=17)
+    # the datum is frame 0; each later frame is one multiplier on its spectrum
+    assert calls == {"fft": 1, "ifft": traj.n_frames - 1}
+
+
+def test_free_heat_steps_only_validate(grid12, gauss12):
+    coarse = evolve(gauss12, zero_potential(), 0.0, 0.5, steps=4, n_frames=5)
+    fine = evolve(gauss12, zero_potential(), 0.0, 0.5, steps=4096, n_frames=5)
+    assert np.array_equal(coarse.frames, fine.frames)
+    assert np.array_equal(coarse.frames[0], gauss12.values)
 
 
 def test_constant_potential_is_a_gauge_factor(grid12, gauss12):
@@ -68,6 +93,68 @@ def test_strang_splitting_is_second_order(grid12, gauss12):
     assert 3.2 < errs[1] / errs[2] < 4.8
 
 
+def quarter_point_strang(u0, potential, t0, t1, steps, n_frames):
+    """The general Strang loop, V sampled at the quarter points of every step."""
+    grid = u0.grid
+    x, xi2 = grid.x, grid.wavenumbers**2
+    frame_times = t0 + (t1 - t0) * np.arange(n_frames) / (n_frames - 1)
+    dt = (t1 - t0) / steps
+    diffusion = np.exp(-dt * xi2)
+    u = u0.values
+    frames = [u]
+    t = t0
+    for target in frame_times[1:]:
+        for _ in range(steps // (n_frames - 1)):
+            u = u * np.exp(0.5 * dt * potential(x, t + 0.25 * dt))
+            u = np.fft.ifft(diffusion * np.fft.fft(u))
+            u = u * np.exp(0.5 * dt * potential(x, t + 0.75 * dt))
+            t += dt
+        t = float(target)
+        frames.append(u)
+    return np.array(frames)
+
+
+@pytest.mark.parametrize(
+    "potential",
+    [gaussian_potential(1.0), gaussian_potential(0.5, imaginary=True), constant_potential(0.7)],
+    ids=lambda p: p.label,
+)
+def test_static_strang_matches_quarter_point_scheme(grid12, gauss12, potential):
+    assert potential.time_independent
+    traj = evolve(gauss12, potential, 0.0, 1.0, steps=512, n_frames=9)
+    oracle = quarter_point_strang(gauss12, potential, 0.0, 1.0, 512, 9)
+    for got, want in zip(traj.frames, oracle):
+        assert grid12.norm(got - want) <= 1e-13 * grid12.norm(want)
+    general = replace(potential, time_independent=False)
+    general = evolve(gauss12, general, 0.0, 1.0, steps=512, n_frames=9)
+    assert np.array_equal(general.frames, oracle)
+
+
+def test_static_potential_is_evaluated_once(grid12, gauss12):
+    calls = []
+    base = gaussian_potential(0.5, imaginary=True)
+    counted = replace(base, fn=lambda x, t: calls.append(t) or base.fn(x, t))
+    traj = evolve(gauss12, counted, 0.0, 1.0, steps=1024, n_frames=257)
+    assert len(calls) == 1
+    assert pde_residual(traj) == pde_residual(traj, replace(base, time_independent=False))
+    assert len(calls) == 2
+
+
+def test_time_dependent_potential_stays_second_order(grid12, gauss12):
+    # (1 + t) e^{-x^2} on [0, 1] has sup norm 2 and runs the quarter-point path
+    potential = PotentialSpec(
+        fn=lambda x, t: (1.0 + t) * np.exp(-(x**2)), sup_norm=2.0, label="ramp"
+    )
+    assert not potential.time_independent
+    ref = evolve(gauss12, potential, 0.0, 1.0, steps=8192, n_frames=2).frames[-1]
+    errs = []
+    for steps in (64, 128, 256):
+        got = evolve(gauss12, potential, 0.0, 1.0, steps=steps, n_frames=2).frames[-1]
+        errs.append(grid12.norm(got - ref))
+    assert 3.2 < errs[0] / errs[1] < 4.8
+    assert 3.2 < errs[1] / errs[2] < 4.8
+
+
 def test_evolve_argument_guards(grid12, gauss12):
     with pytest.raises(ValueError, match="n_frames"):
         evolve(gauss12, zero_potential(), 0.0, 1.0, steps=100, n_frames=64)
@@ -83,6 +170,8 @@ def test_potential_sup_norm_is_enforced(grid12, gauss12):
     lying = PotentialSpec(fn=lambda x, t: 2.0 * np.exp(-(x**2)), sup_norm=1.0, label="liar")
     with pytest.raises(ValueError, match="sup norm"):
         evolve(gauss12, lying, 0.0, 0.1, steps=100)
+    with pytest.raises(ValueError, match="sup norm"):
+        evolve(gauss12, replace(lying, time_independent=True), 0.0, 0.1, steps=100)
 
 
 def test_complex_gaussian_modulus():
@@ -255,3 +344,23 @@ def test_trajectory_save_load_round_trip(tmp_path, grid12, gauss12):
     back = Trajectory.load(tmp_path / "run")
     assert np.max(np.abs(back.frames - traj.frames)) < 1e-11
     assert np.array_equal(back.times, traj.times)
+
+
+def assert_frames_are_write_csv_bytes(traj, directory, scratch):
+    traj.save(directory)
+    for i in range(traj.n_frames):
+        write_csv(scratch, "x,re,im", traj.grid.x, traj.frames[i].real, traj.frames[i].imag)
+        assert (directory / f"frame_{i:04d}.csv").read_bytes() == scratch.read_bytes()
+
+
+def test_saved_frames_are_write_csv_bytes(tmp_path, grid12):
+    # frame 0 is not localized, so the round trip must carry a False tail flag
+    u0 = complex_gaussian_field(grid12, 0.0, 1.0)
+    traj = evolve(u0, gaussian_potential(0.5, imaginary=True), 0.0, 0.5, steps=64, n_frames=5)
+    assert_frames_are_write_csv_bytes(traj, tmp_path / "run", tmp_path / "ref.csv")
+    back = Trajectory.load(tmp_path / "run")
+    assert not back.tail_flags[0]
+    assert np.array_equal(back.tail_flags, traj.tail_flags)
+    special = replace(traj, frames=traj.frames.copy())
+    special.frames[2, :3] = [-0.0 + 5e-324j, complex(np.inf, -np.inf), complex(np.nan, 1e12)]
+    assert_frames_are_write_csv_bytes(special, tmp_path / "special", tmp_path / "ref.csv")
