@@ -50,6 +50,7 @@ from .weights import (
     WeightFamily,
     antiderivative,
     coefficient_residuals,
+    cross_energy,
     curvature_certificate,
     family_from_rate,
     first_family_rate,

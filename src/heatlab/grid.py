@@ -53,12 +53,14 @@ class SpaceGrid:
         """Fraction of a mass density such as |u|^2 that lies beyond
         ``TAIL_START`` of the half-width, reduced along the last axis, so a
         ``(frames, n)`` stack gives one fraction per frame.  Zero mass has
-        fraction 0; a NaN in a row makes its fraction NaN."""
+        fraction 0; a NaN or inf in a row makes it NaN, which passes no tol."""
         total = np.sum(mass, axis=-1)
         # compress keeps each row's band contiguous, so every row sums pairwise
         band = np.compress(np.abs(self.x) > TAIL_START * self.half_width, mass, axis=-1)
         outer = np.sum(band, axis=-1)
-        return np.divide(outer, total, out=np.zeros_like(total), where=total != 0.0)
+        finite = np.isfinite(total)
+        fraction = np.where(finite, 0.0, np.nan)
+        return np.divide(outer, total, out=fraction, where=finite & (total != 0.0))
 
 
 def require_tail(

@@ -83,10 +83,14 @@ def _apply_rows(values: np.ndarray, deriv: int) -> np.ndarray:
         raise GridError(f"need at least {width} samples, got {n}")
     n_out = n - 1 if deriv < 0 else n
     out = np.empty((n_out, *values.shape[1:]), dtype=values.dtype)
-    # interior: centred rows on a read-only five-point window view
-    s = values.strides
-    windows = as_strided(values, (n_out - 4, *values.shape[1:], 5), (*s, s[0]), writeable=False)
-    out[2 : n_out - 2] = windows @ centered
+    if values.ndim == 1:  # a curve: np.correlate sums each window in the matmul's order
+        out.real[2 : n_out - 2] = np.correlate(values.real, centered, "valid")[: n_out - 4]
+        if values.dtype.kind == "c":  # part by part, as the complex matmul sums
+            out.imag[2 : n_out - 2] = np.correlate(values.imag, centered, "valid")[: n_out - 4]
+    else:  # a stack: centred rows on a read-only five-point window view
+        s = values.strides
+        windows = as_strided(values, (n_out - 4, *values.shape[1:], 5), (*s, s[0]), writeable=False)
+        out[2 : n_out - 2] = windows @ centered
     head, tail = values[:width], values[n - width :]
     out[0], out[1] = edges[0] @ head, edges[1] @ head
     out[-2], out[-1] = edges[2] @ tail, edges[3] @ tail

@@ -147,18 +147,21 @@ def solve_cross_bvp(a: TimeCurve, A: TimeCurve) -> TimeCurve:
     return a.with_values((2.0 * g2 + c1 * tau) / w)
 
 
-def solve_freq(a: TimeCurve, A: TimeCurve, b: TimeCurve, delta: float) -> TimeCurve:
-    """Frequency coefficient T with T = 0 at both ends.
+def cross_energy(b: TimeCurve) -> np.ndarray:
+    """int_0^t b^2 at the nodes, the one quadrature of b that T, N and a step read."""
+    return cumulative_integral(b.values**2, b.h)
+
+
+def solve_freq(a: TimeCurve, A: TimeCurve, int_b2: np.ndarray) -> TimeCurve:
+    """Frequency coefficient T with T = 0 at both ends; ``int_b2`` = cross_energy(b).
 
     First integral of the defining equation plus the boundary fit:
     T = 2 int b^2 - (a - a(t0)) - 8 int a^2 + C int e^{-8A}, with C chosen so
     the final value vanishes.  :meth:`WeightFamily.certify_equations` checks
     it against the defining equation.
     """
-    h = a.h
-    int_b2 = cumulative_integral(b.values**2, h)
-    int_a2 = cumulative_integral(a.values**2, h)
-    int_em = cumulative_integral(np.exp(-8.0 * A.values), h)
+    int_a2 = cumulative_integral(a.values**2, a.h)
+    int_em = cumulative_integral(np.exp(-8.0 * A.values), a.h)
     c = (a.values[-1] - a.values[0] - 2.0 * int_b2[-1] + 8.0 * int_a2[-1]) / int_em[-1]
     tvals = 2.0 * int_b2 - (a.values - a.values[0]) - 8.0 * int_a2 + c * int_em
     tau = (a.nodes - a.t0) / (a.t1 - a.t0)
@@ -297,7 +300,7 @@ def family_from_rate(
     if A is None:
         A = antiderivative(a)
     b = solve_cross(a, A, delta)
-    family = WeightFamily(delta=delta, a=a, A=A, b=b, T=solve_freq(a, A, b, delta))
+    family = WeightFamily(delta=delta, a=a, A=A, b=b, T=solve_freq(a, A, cross_energy(b)))
     family.certify_equations(residual_tol)
     return family
 
@@ -338,9 +341,8 @@ def coefficient_residuals(family: WeightFamily) -> tuple[TimeCurve, TimeCurve]:
     return r1, r2
 
 
-def minimal_stabilizer(b: TimeCurve, T: TimeCurve) -> float:
-    """Smallest N >= 1 with N + b/2 >= 1 and T <= 2 (int_0^t b^2 + N) nodewise."""
-    int_b2 = cumulative_integral(b.values**2, b.h)
+def minimal_stabilizer(b: TimeCurve, T: TimeCurve, int_b2: np.ndarray) -> float:
+    """Smallest N >= 1 with N + b/2 >= 1 and T <= 2 (int_b2 + N) nodewise."""
     # np.max, unlike builtin max, propagates a NaN node
     return float(np.max([1.0, np.max(1.0 - b.values / 2.0), np.max(T.values / 2.0 - int_b2)]))
 
@@ -349,10 +351,11 @@ def refine_pair(
     a: TimeCurve,
     A: TimeCurve,
     b: TimeCurve,
+    int_b2: np.ndarray,
     stabilizer: float,
     consistency_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> tuple[TimeCurve, TimeCurve]:
-    """One refinement step of (a, A) driven by the current cross coefficient.
+    """One refinement step of (a, A) driven by b and ``int_b2`` = cross_energy(b).
 
     a_next = a + b^2 / (8 (int_0^t b^2 + N)) and
     A_next = A + (log(int_0^t b^2 + N) - log(int_0^1 b^2 + N)) / 8.
@@ -360,7 +363,6 @@ def refine_pair(
     """
     if not stabilizer >= 1.0:
         raise ValueError("stabilizer must be >= 1")
-    int_b2 = cumulative_integral(b.values**2, b.h)
     a_next = a.with_values(a.values + b.values**2 / (8.0 * (int_b2 + stabilizer)))
     A_next = A.with_values(
         A.values + (np.log(int_b2 + stabilizer) - math.log(int_b2[-1] + stabilizer)) / 8.0
@@ -403,7 +405,7 @@ def limit_family(delta: float, m: int = DEFAULT_M, t_min: float = 1e-3) -> Weigh
     if not np.max(np.abs(relation)) <= 1e-12:
         raise CertificationError("closed-form limit violates a e^{8A} = t/delta^2")
     b = a.with_values(np.zeros(m + 1))
-    T = solve_freq(a, A, b, delta)
+    T = solve_freq(a, A, cross_energy(b))
     family = WeightFamily(delta=delta, a=a, A=A, b=b, T=T, singular=singular)
     if not singular:
         family.certify_equations()
@@ -473,7 +475,8 @@ def run_refinement(
     while k < max_steps:
         k += 1
         b = solve_cross(a, A, delta)
-        T = solve_freq(a, A, b, delta)
+        int_b2 = cross_energy(b)
+        T = solve_freq(a, A, int_b2)
         family = WeightFamily(delta=delta, a=a, A=A, b=b, T=T)
         if recertify:
             cols = _growth_columns(a, A)
@@ -496,9 +499,9 @@ def run_refinement(
         if sup_cross[-1] <= tol:
             converged = True
             break
-        stabilizer = max(stabilizer, minimal_stabilizer(b, T))
+        stabilizer = max(stabilizer, minimal_stabilizer(b, T, int_b2))
         prev_a = a.values
-        a, A = refine_pair(a, A, b, stabilizer)
+        a, A = refine_pair(a, A, b, int_b2, stabilizer)
 
     if stored and stored[-1] != k:
         families.append(family)

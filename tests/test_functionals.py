@@ -151,9 +151,16 @@ def step_with_nan_stabilizer(name):
     # minimal_stabilizer of a family with a NaN node is NaN, which refine_pair refuses
     def call(fam):
         bad = family_with_nan(fam, name)
-        wt.refine_pair(fam.a, fam.A, fam.b, wt.minimal_stabilizer(bad.b, bad.T))
+        stab = wt.minimal_stabilizer(bad.b, bad.T, wt.cross_energy(bad.b))
+        wt.refine_pair(fam.a, fam.A, fam.b, wt.cross_energy(fam.b), stab)
 
     return call
+
+
+def step_with_nan_cross(fam):
+    # a NaN node in b poisons int_0^t b^2 from there on, so A_next' drifts from a_next
+    bad = with_nan(fam.b)
+    wt.refine_pair(fam.a, fam.A, bad, wt.cross_energy(bad), 1.0)
 
 
 # one NaN node in a, b, T, the correction source, the clock gamma or the
@@ -169,9 +176,7 @@ NAN_GUARDS = {
         "^frequency-coefficient residual",
         lambda fam: family_with_nan(fam, "T").certify_equations(),
     ),
-    "refine_pair consistency": (
-        ValueError, "consistency", lambda fam: wt.refine_pair(fam.a, fam.A, with_nan(fam.b), 1.0)
-    ),
+    "refine_pair consistency": (ValueError, "consistency", step_with_nan_cross),
     "correction source sign": (
         ValueError, "source", lambda fam: solve_convexity_correction(clock(fam), with_nan(clock(fam)))
     ),
@@ -183,7 +188,9 @@ NAN_GUARDS = {
     ),
     "limit_family relation": (CertificationError, "limit", limit_family_with_nan_rate),
     "refine_pair stabilizer": (
-        ValueError, "stabilizer", lambda fam: wt.refine_pair(fam.a, fam.A, fam.b, math.nan)
+        ValueError,
+        "stabilizer",
+        lambda fam: wt.refine_pair(fam.a, fam.A, fam.b, wt.cross_energy(fam.b), math.nan),
     ),
     "minimal_stabilizer b": (ValueError, "stabilizer", step_with_nan_stabilizer("b")),
     "minimal_stabilizer T": (ValueError, "stabilizer", step_with_nan_stabilizer("T")),

@@ -337,6 +337,29 @@ def test_grid_tail_fraction_of_a_stack_matches_fields(grid12, gauss12):
     assert np.isnan(got[2]) and not Field(grid=grid12, values=frames[2]).tail_ok()
 
 
+def field_with_inf(x0):
+    # e^{-x^2} on L = 12, n = 256 with one infinite node at x = x0
+    u = gaussian_field(SpaceGrid(half_width=12.0, n=256))
+    values = u.values.copy()
+    values[np.argmin(np.abs(u.grid.x - x0))] = np.inf
+    return u.with_values(values)
+
+
+def test_inf_outside_the_tail_band_fails_the_tail_guard():
+    # an infinite total must not turn the band mass into a fraction of 0
+    field = field_with_inf(0.0)
+    assert np.isnan(field.tail_fraction()) and not field.tail_ok()
+    with pytest.raises(TailViolation):
+        field.require_tail()
+
+
+def test_inf_inside_the_tail_band_is_a_tail_violation():
+    # inf / inf must not escape the guard as a FloatingPointError
+    field = field_with_inf(-11.5)
+    with pytest.raises(TailViolation):
+        field.require_tail()
+
+
 def test_trajectory_save_load_round_trip(tmp_path, grid12, gauss12):
     traj = evolve(gauss12, zero_potential(), 0.0, 0.5, steps=64, n_frames=5)
     traj.save(tmp_path / "run")

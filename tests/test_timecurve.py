@@ -10,6 +10,7 @@ from heatlab.timecurve import (
     cumulative_integral,
     fd_derivative,
     interval_quadrature_weights,
+    stencil_weights,
     uniform_grid,
     write_csv,
 )
@@ -179,6 +180,35 @@ def test_cumulative_integral_matches_reference_bytes():
         values = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
         h = rng.uniform(1e-4, 1.0)
         assert np.array_equal(cumulative_integral(values, h), reference_cumulative_integral(values, h))
+
+
+def reference_fd_derivative(values, h, deriv):
+    """The curve derivative as the stencil engine took it before curves used
+    np.correlate: the centred row times a read-only five-point window view,
+    one dot per end row.  Kept to pin curves to its exact bytes."""
+    n, ends = values.size, tuple(range(5 if deriv == 1 else 6))
+    out = np.empty(n, dtype=values.dtype)
+    s = values.strides[0]
+    windows = np.lib.stride_tricks.as_strided(values, (n - 4, 5), (s, s), writeable=False)
+    out[2:-2] = windows @ np.array(stencil_weights((-2, -1, 0, 1, 2), 0.0, deriv))
+    for i, p in zip((0, 1, -2, -1), (0, 1, *ends[-2:])):
+        window = values[: len(ends)] if i >= 0 else values[n - len(ends) :]
+        out[i] = np.array(stencil_weights(ends, float(p), deriv)) @ window
+    return out / h**deriv
+
+
+@pytest.mark.parametrize("deriv", [1, 2])
+def test_fd_derivative_matches_reference_bytes(deriv):
+    rng = np.random.default_rng(10 + deriv)
+    sizes = [6, 7, 8, 9, 10, *rng.integers(6, 3001, size=95)]
+    for n in sizes:
+        values = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        h = rng.uniform(1e-4, 1.0)
+        got = fd_derivative(values, h, deriv)
+        assert got.tobytes() == reference_fd_derivative(values, h, deriv).tobytes()
+    curve = rng.standard_normal(1025) + 1j * rng.standard_normal(1025)
+    got = fd_derivative(curve, 1.0 / 1024, deriv)
+    assert got.tobytes() == reference_fd_derivative(curve, 1.0 / 1024, deriv).tobytes()
 
 
 def test_cumulative_integral_stack_matches_columnwise_curves():

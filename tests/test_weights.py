@@ -12,6 +12,7 @@ from heatlab import (
     WeightFamily,
     antiderivative,
     coefficient_residuals,
+    cross_energy,
     curvature_certificate,
     family_from_rate,
     first_family_rate,
@@ -90,7 +91,7 @@ def test_cross_residual_certificate(family3):
 def test_freq_zero_inputs_give_zero():
     m = 128
     zero = TimeCurve(np.zeros(m + 1))
-    T = solve_freq(zero, zero, zero, 3.0)
+    T = solve_freq(zero, zero, cross_energy(zero))
     assert np.max(np.abs(T.values)) < 1e-15
 
 
@@ -160,15 +161,24 @@ def test_family_certificate_reads_the_bare_rate_certificate(family3, which, tol)
     assert fam.certificate(tol) == curvature_certificate(fam.a, fam.A, tol)
 
 
-def count_stencil_passes(monkeypatch) -> list:
+def count_calls(monkeypatch, name: str) -> list:
     calls = []
+    original = getattr(wt, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return fd_derivative(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(wt, "fd_derivative", counted)
+    monkeypatch.setattr(wt, name, counted)
     return calls
+
+
+def count_stencil_passes(monkeypatch) -> list:
+    return count_calls(monkeypatch, "fd_derivative")
+
+
+def count_quadratures(monkeypatch) -> list:
+    return count_calls(monkeypatch, "cumulative_integral")
 
 
 def test_family_certificate_reuses_the_table(monkeypatch):
@@ -200,6 +210,15 @@ def test_chain_step_differences_a_once_for_both_certificates(monkeypatch):
     calls = count_stencil_passes(monkeypatch)
     run_refinement(3.0, 5)
     assert len(calls) <= 20
+
+
+def test_chain_step_integrates_b_squared_once(monkeypatch):
+    # per step: int b^2 once for T, the stabilizer and refine_pair, plus
+    # int a^2 and int e^{-8A} for T; before the chain, the seed's A
+    calls = count_quadratures(monkeypatch)
+    trace = run_refinement(3.0, 5)
+    assert trace.steps_run == 5 and not trace.converged
+    assert len(calls) == 3 * 5 + 1
 
 
 @pytest.mark.parametrize(
@@ -251,30 +270,31 @@ def test_corrupted_cross_coefficient_is_detected(family3):
 def test_minimal_stabilizer_trivial_cases():
     m = 128
     zero = TimeCurve(np.zeros(m + 1))
-    assert minimal_stabilizer(zero, zero) == 1.0
+    assert minimal_stabilizer(zero, zero, cross_energy(zero)) == 1.0
     minus_two = TimeCurve(np.full(m + 1, -2.0))
-    assert abs(minimal_stabilizer(minus_two, zero) - 2.0) < 1e-12
+    assert abs(minimal_stabilizer(minus_two, zero, cross_energy(minus_two)) - 2.0) < 1e-12
 
 
 def test_minimal_stabilizer_stable_under_refinement():
     vals = {}
     for m in (512, 1024):
         fam = family_from_rate(3.0, first_family_rate(3.0, m))
-        vals[m] = minimal_stabilizer(fam.b, fam.T)
+        vals[m] = minimal_stabilizer(fam.b, fam.T, cross_energy(fam.b))
     assert abs(vals[512] - vals[1024]) < 1e-3
 
 
 def test_refine_fixed_point_is_unchanged():
     fam = limit_family(3.0)
-    a_next, big_a_next = refine_pair(fam.a, fam.A, fam.b, 1.0)
+    a_next, big_a_next = refine_pair(fam.a, fam.A, fam.b, cross_energy(fam.b), 1.0)
     assert np.array_equal(a_next.values, fam.a.values)
     assert np.array_equal(big_a_next.values, fam.A.values)
 
 
 def test_refine_step_monotone_and_boundary_exact(family3):
     assert float(family3.a.sample_at(0.5)) == 0.5 / 16.0
-    stab = minimal_stabilizer(family3.b, family3.T)
-    a2, big_a2 = refine_pair(family3.a, family3.A, family3.b, stab)
+    int_b2 = cross_energy(family3.b)
+    stab = minimal_stabilizer(family3.b, family3.T, int_b2)
+    a2, big_a2 = refine_pair(family3.a, family3.A, family3.b, int_b2, stab)
     assert float(a2.sample_at(0.5)) > 0.03125
     assert a2.values[0] == 0.0
     assert a2.values[-1] == family3.a.values[-1] == 1.0 / 9.0
@@ -283,7 +303,7 @@ def test_refine_step_monotone_and_boundary_exact(family3):
 
 def test_refine_rejects_small_stabilizer(family3):
     with pytest.raises(ValueError):
-        refine_pair(family3.a, family3.A, family3.b, 0.5)
+        refine_pair(family3.a, family3.A, family3.b, cross_energy(family3.b), 0.5)
 
 
 def test_run_refinement_chain_certificates_delta3():
