@@ -1,17 +1,20 @@
 """Batch driver: every verification as a reproducible command.
 
 Each command reads an optional flat ``key = value`` config file, applies flag
-overrides, runs one scenario into its output directory and writes CSV
-artifacts, a ``manifest.txt`` echoing the effective config and versions, and a
-one-line ``verdict.txt``.  A scenario's verdict is a list of named checks, each
+overrides and runs one scenario into its output directory.  A scenario body
+computes and touches no file: it returns its checks, its manifest info and
+its files, and the :func:`scenario` wrapper writes them all, then a
+``manifest.txt`` echoing the effective config and versions, and a one-line
+``verdict.txt``.  A scenario's verdict is a list of named checks, each
 passing when its value is at most its bound (NaN fails); ``verdict.txt`` gives
 PASS/FAIL and the largest check value as the maximal violation, or names the
-exception class that stopped the scenario.  Floating-point overflow and
-invalid operations raise, and stop their scenario with such a FAIL.  Exit code
-0 means every verdict passed, 1 means a verification or the arithmetic failed,
-2 means the configuration could not be parsed, holds a non-finite number or
-does not fit the command; nothing is written then.  Reruns with identical
-config produce byte-identical CSV output.
+exception class that stopped the scenario, which then writes only its
+manifest and verdict.  Floating-point overflow and invalid operations raise,
+and stop their scenario with such a FAIL.  Exit code 0 means every verdict
+passed, 1 means a verification or the arithmetic failed, 2 means the
+configuration could not be parsed, holds a non-finite number or does not fit
+the command; nothing is written then.  Reruns with identical config produce
+byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -34,15 +37,6 @@ from .timecurve import write_csv
 from . import functionals as fn
 from . import weights as wt
 
-COMMANDS = (
-    "construct-weights",
-    "iterate",
-    "evolve",
-    "verify-convexity",
-    "verify-bound",
-    "sharpness",
-    "all",
-)
 POTENTIALS = ("none", "gauss-real", "gauss-imag")
 # config fields settable by a flag, in --help order: --grid-M sets grid_M
 FLAGS = (
@@ -214,14 +208,17 @@ def indicator(name: str, ok: bool) -> Check:
 
 
 def scenario(name: str):
-    """Turn ``body(cfg, out) -> (checks, manifest_info[, note])`` into a runner
-    ``run(cfg) -> bool`` that writes into ``cfg.out/name``.
+    """Turn ``body(cfg) -> (checks, manifest_info, files[, note])`` into a
+    runner ``run(cfg) -> bool`` that writes every file into ``cfg.out/name``.
 
-    The runner writes ``manifest.txt`` (the config echo, then the info keys)
-    and ``verdict.txt``: PASS when every check passes, with the largest check
+    ``files`` maps a file name to a ``(header, *columns)`` CSV table, a dict
+    of :func:`write_line_plot` arguments (written only under ``--plot``) or a
+    :class:`Trajectory`, which saves its frame directory.  Then come
+    ``manifest.txt`` (the config echo, then the info keys) and
+    ``verdict.txt``: PASS when every check passes, with the largest check
     value as ``max_violation``.  A certification, residual, tail or
     floating-point failure of the body becomes an ``error`` manifest line and
-    a FAIL naming its class.
+    a FAIL naming its class, and no other file is written.
     """
 
     def decorate(body):
@@ -230,11 +227,18 @@ def scenario(name: str):
             out = Path(cfg.out) / name
             out.mkdir(parents=True, exist_ok=True)
             try:
-                checks, info, *note = body(cfg, out)
+                checks, info, files, *note = body(cfg)
             except (CertificationError, ResidualError, TailViolation, FloatingPointError) as exc:
                 write_manifest(out, name, cfg, {"error": str(exc)})
                 write_verdict(out, False, float("nan"), type(exc).__name__)
                 return False
+            for file_name, entry in files.items():
+                if isinstance(entry, Trajectory):
+                    entry.save(out / file_name)
+                elif not isinstance(entry, dict):
+                    write_csv(out / file_name, *entry)
+                elif cfg.plot:
+                    write_line_plot(out / file_name, **entry)
             passed = all(check.passed for check in checks)
             write_manifest(out, name, cfg, info)
             write_verdict(out, passed, max_violation(*(check.value for check in checks)), *note)
@@ -246,28 +250,16 @@ def scenario(name: str):
 
 
 @scenario("construct-weights")
-def run_construct_weights(cfg: ScenarioConfig, out: Path):
+def run_construct_weights(cfg: ScenarioConfig):
     a = wt.first_family_rate(cfg.delta, cfg.grid_M)
     family = wt.family_from_rate(cfg.delta, a, residual_tol=cfg.residual_tol)
     family.validate(strict_signs=True)
-    for name, curve in (("a", family.a), ("A", family.A), ("b", family.b), ("T", family.T)):
-        curve.to_csv(out / f"{name}.csv")
     b_bvp = wt.solve_cross_bvp(family.a, family.A)
     gap = float(np.max(np.abs(b_bvp.values - family.b.values)))
     r1, r2 = wt.coefficient_residuals(family)
-    sup_r1 = float(np.max(np.abs(r1.values)))
-    sup_r2 = float(np.max(np.abs(r2.values)))
-    write_csv(out / "residuals.csv", "t,r1,r2", r1.nodes, r1.values, r2.values)
+    sup_r1, sup_r2 = (float(np.max(np.abs(r.values))) for r in (r1, r2))
     cert = family.certificate(cfg.residual_tol)
     bound = cfg.residual_tol * max(1.0, abs(cert.min_identity))
-    if cfg.plot:
-        write_line_plot(
-            out / "family.svg",
-            family.a.nodes,
-            [("a", family.a.values), ("b", family.b.values), ("T", family.T.values)],
-            title=f"weight family, delta={cfg.delta:g}",
-            xlabel="t",
-        )
     checks = [
         Check("bvp_gap", gap, bound),
         Check("sup_r1", sup_r1, bound),
@@ -275,24 +267,21 @@ def run_construct_weights(cfg: ScenarioConfig, out: Path):
         indicator("curvature", cert.verdict == "positive"),
     ]
     info = {"bvp_gap": gap, "sup_r1": sup_r1, "sup_r2": sup_r2, "curvature_verdict": cert.verdict}
-    return checks, info
+    curves = {"a": family.a, "A": family.A, "b": family.b, "T": family.T}
+    files = {f"{key}.csv": ("t,value", curve.nodes, curve.values) for key, curve in curves.items()}
+    files["residuals.csv"] = ("t,r1,r2", r1.nodes, r1.values, r2.values)
+    files["family.svg"] = dict(
+        x=family.a.nodes, series=[(key, curves[key].values) for key in "abT"],
+        title=f"weight family, delta={cfg.delta:g}", xlabel="t",
+    )
+    return checks, info, files
 
 
 @scenario("iterate")
-def run_iterate(cfg: ScenarioConfig, out: Path):
+def run_iterate(cfg: ScenarioConfig):
     store_every = max(1, cfg.K // 8)
     trace = wt.run_refinement(cfg.delta, cfg.K, tol=cfg.tol, m=cfg.grid_M, store_every=store_every)
     ks = np.arange(1, trace.steps_run + 1)
-    write_csv(out / "trace.csv", "k,sup_b,gap_to_limit", ks, trace.sup_cross, trace.gap_to_limit)
-    if cfg.plot:
-        write_line_plot(
-            out / "trace.svg",
-            ks,
-            [("sup|b_k|", trace.sup_cross), ("gap to limit", trace.gap_to_limit)],
-            title=f"refinement, delta={cfg.delta:g}",
-            xlabel="k",
-            logy=True,
-        )
     info = {
         "steps_run": trace.steps_run,
         "converged": trace.converged,
@@ -300,8 +289,15 @@ def run_iterate(cfg: ScenarioConfig, out: Path):
         "final_gap": trace.final_gap,
         "stabilizer": trace.stabilizer,
     }
+    files = {
+        "trace.csv": ("k,sup_b,gap_to_limit", ks, trace.sup_cross, trace.gap_to_limit),
+        "trace.svg": dict(
+            x=ks, series=[("sup|b_k|", trace.sup_cross), ("gap to limit", trace.gap_to_limit)],
+            title=f"refinement, delta={cfg.delta:g}", xlabel="k", logy=True,
+        ),
+    }
     # the chain's invariants are certified inside run_refinement
-    return [Check("final_sup_b", trace.final_sup_cross, math.inf)], info
+    return [Check("final_sup_b", trace.final_sup_cross, math.inf)], info, files
 
 
 def _evolve_gaussian(cfg: ScenarioConfig, n_frames: int, scale: int = 1) -> Trajectory:
@@ -318,17 +314,14 @@ def _evolve_gaussian(cfg: ScenarioConfig, n_frames: int, scale: int = 1) -> Traj
 
 
 @scenario("evolve")
-def run_evolve(cfg: ScenarioConfig, out: Path):
+def run_evolve(cfg: ScenarioConfig):
     traj = _evolve_gaussian(cfg, 251 if cfg.steps >= 250 else cfg.steps + 1)
     grid, potential = traj.grid, traj.potential
-    traj.save(out / "frames")
     norms = traj.norms()
     info = {
         "tails_ok": bool(np.all(traj.tail_flags)),
         "pde_residual": pde_residual(traj),
-        "energy_slack": float(
-            np.max(norms - np.exp(potential.sup_norm * traj.times) * norms[0])
-        ),
+        "energy_slack": float(np.max(norms - np.exp(potential.sup_norm * traj.times) * norms[0])),
     }
     checks = [
         indicator("tails_ok", info["tails_ok"]),
@@ -339,36 +332,22 @@ def run_evolve(cfg: ScenarioConfig, out: Path):
         exact = (1.0 + 4.0) ** -0.5 * np.exp(-grid.x**2 / 5.0)
         info["closed_form_gap"] = grid.norm(traj.frames[-1] - exact)
         checks.append(Check("closed_form_gap", info["closed_form_gap"], 1e-6))
-    if cfg.plot:
-        write_line_plot(
-            out / "norms.svg",
-            traj.times,
-            [("||u(t)||", norms)],
-            title="evolution norm history",
-            xlabel="t",
-        )
-    return checks, info
+    files = {
+        "frames": traj,
+        "norms.svg": dict(
+            x=traj.times, series=[("||u(t)||", norms)], title="evolution norm history", xlabel="t"
+        ),
+    }
+    return checks, info, files
 
 
 @scenario("verify-convexity")
-def run_verify_convexity(cfg: ScenarioConfig, out: Path):
+def run_verify_convexity(cfg: ScenarioConfig):
     traj = _evolve_gaussian(cfg, CONVEXITY_FRAMES)
     family = wt.family_from_rate(cfg.delta, wt.first_family_rate(cfg.delta, cfg.grid_M))
     report = fn.check_log_convexity(
         traj, family, xi=cfg.xi, epsilon=cfg.epsilon, tail_tol=cfg.tail_tol
     )
-    write_csv(
-        out / "convexity.csv", "t,H,theta,M,slack",
-        report.times, report.H, report.theta, report.M, report.slack,
-    )
-    if cfg.plot:
-        write_line_plot(
-            out / "slack.svg",
-            report.times,
-            [("H", report.H), ("slack", report.slack)],
-            title=f"log-convexity slack, V={cfg.potential}",
-            xlabel="t",
-        )
     checks = [
         Check("slack", -report.min_slack / report.h_scale, cfg.slack_tol),
         indicator("curvature", report.curvature_verdict == "positive"),
@@ -380,25 +359,25 @@ def run_verify_convexity(cfg: ScenarioConfig, out: Path):
         "conjugation_residual": report.conjugation_residual,
         "curvature_verdict": report.curvature_verdict,
     }
-    return checks, info
+    files = {
+        "convexity.csv": (
+            "t,H,theta,M,slack", report.times, report.H, report.theta, report.M, report.slack
+        ),
+        "slack.svg": dict(
+            x=report.times, series=[("H", report.H), ("slack", report.slack)],
+            title=f"log-convexity slack, V={cfg.potential}", xlabel="t",
+        ),
+    }
+    return checks, info, files
 
 
 @scenario("verify-bound")
-def run_verify_bound(cfg: ScenarioConfig, out: Path):
+def run_verify_bound(cfg: ScenarioConfig):
     base, fine = (
         fn.verify_interior_bound(_evolve_gaussian(cfg, 101, scale), cfg.R, tail_tol=cfg.tail_tol)
         for scale in (1, 2)
     )
-    write_csv(out / "bound.csv", "t,weighted_norm", base.times, base.weighted_norms)
     drift = abs(fine.ratio - base.ratio) / base.ratio
-    if cfg.plot:
-        write_line_plot(
-            out / "bound.svg",
-            base.times,
-            [("weighted norm", base.weighted_norms)],
-            title=f"interior weighted norms, R={cfg.R:g}",
-            xlabel="t",
-        )
     checks = [indicator("finite", base.finite and fine.finite), Check("ratio_drift", drift, 0.01)]
     info = {
         "ratio": base.ratio,
@@ -407,51 +386,51 @@ def run_verify_bound(cfg: ScenarioConfig, out: Path):
         "lhs_sup": base.lhs_sup,
         "rhs_data": base.rhs_data,
     }
-    return checks, info
+    files = {
+        "bound.csv": ("t,weighted_norm", base.times, base.weighted_norms),
+        "bound.svg": dict(
+            x=base.times, series=[("weighted norm", base.weighted_norms)],
+            title=f"interior weighted norms, R={cfg.R:g}", xlabel="t",
+        ),
+    }
+    return checks, info, files
 
 
 @scenario("sharpness")
-def run_sharpness(cfg: ScenarioConfig, out: Path):
+def run_sharpness(cfg: ScenarioConfig):
     report = fn.sharpness_probe(cfg.R, 0.5, cfg.gamma_factor)
-    write_csv(out / "norms.csv", "L,norm", report.box_widths, report.norms)
     expected = "convergent" if cfg.gamma_factor < 1.0 else "divergent"
-    if cfg.plot:
-        write_line_plot(
-            out / "growth.svg",
-            report.box_widths,
-            [("norm", report.norms)],
-            title=f"box growth, factor={cfg.gamma_factor:g}",
-            xlabel="L",
-            logy=True,
-        )
     info = {"verdict": report.verdict, "expected": expected, "growth_exponent": report.growth_exponent}
-    return [indicator("expected_verdict", report.verdict == expected)], info, report.verdict
+    files = {
+        "norms.csv": ("L,norm", report.box_widths, report.norms),
+        "growth.svg": dict(
+            x=report.box_widths, series=[("norm", report.norms)],
+            title=f"box growth, factor={cfg.gamma_factor:g}", xlabel="L", logy=True,
+        ),
+    }
+    return [indicator("expected_verdict", report.verdict == expected)], info, files, report.verdict
 
 
 def run_all(cfg: ScenarioConfig) -> bool:
     """Full suite; scenario outputs land in subdirectories of ``out``."""
-    results = {}
-    results["construct-weights"] = run_construct_weights(cfg)
-    results["iterate"] = run_iterate(cfg)
-    results["evolve"] = run_evolve(replace(cfg, potential="none"))
-    results["verify-convexity-free"] = run_verify_convexity(
-        replace(cfg, potential="none", out=str(Path(cfg.out) / "convexity-free"))
-    )
-    results["verify-convexity-imag"] = run_verify_convexity(
-        replace(
-            cfg,
-            potential="gauss-imag",
-            amplitude=0.5,
-            out=str(Path(cfg.out) / "convexity-imag"),
-        )
-    )
-    results["verify-bound"] = run_verify_bound(replace(cfg, R=2.5))
+    out = Path(cfg.out)
+    results = {
+        "construct-weights": run_construct_weights(cfg),
+        "iterate": run_iterate(cfg),
+        "evolve": run_evolve(replace(cfg, potential="none")),
+        "verify-convexity-free": run_verify_convexity(
+            replace(cfg, potential="none", out=str(out / "convexity-free"))
+        ),
+        "verify-convexity-imag": run_verify_convexity(
+            replace(cfg, potential="gauss-imag", amplitude=0.5, out=str(out / "convexity-imag"))
+        ),
+        "verify-bound": run_verify_bound(replace(cfg, R=2.5)),
+    }
     for factor in (0.5, 1.0, 1.1):
         results[f"sharpness-{factor:g}"] = run_sharpness(
-            replace(cfg, gamma_factor=factor, out=str(Path(cfg.out) / f"sharpness-{factor:g}"))
+            replace(cfg, gamma_factor=factor, out=str(out / f"sharpness-{factor:g}"))
         )
     passed = all(results.values())
-    out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = [f"{name} = {'PASS' if ok else 'FAIL'}" for name, ok in sorted(results.items())]
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
@@ -482,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
         "out": {"metavar": "DIR"},
         "plot": {"action": "store_true"},
     }
-    for name in COMMANDS:
+    for name in RUNNERS:
         p = sub.add_parser(name, help=f"run the {name} scenario")
         p.add_argument("--config", metavar="FILE", help="flat key = value config file")
         for key in FLAGS:

@@ -30,6 +30,8 @@ from .kernels import resample_periodic
 from .timecurve import TimeCurve, cumulative_integral, fd_derivative
 from .weights import WeightFamily
 
+CONJUGATION_TOL = 5e-3  # relative residual allowed in d_t f - S f - A f = V f
+
 
 @dataclass(frozen=True)
 class WeightSlice:
@@ -58,10 +60,12 @@ def weighted_norm(
     the outer band are rejected rather than silently truncated.
     """
     grid = field.grid
-    integrand = np.exp(2.0 * spec.exponent(grid.x)) * np.abs(field.values) ** 2
+    exponent = spec.exponent(grid.x)
     if check_tail:
         cause = "the weighted norm is not finite at this truncation"
-        require_tail(grid.tail_fraction(integrand), field.time, tail_tol, cause)
+        amplitude = np.exp(exponent) * np.abs(field.values)
+        require_tail(grid.tail_fraction(amplitude), field.time, tail_tol, cause)
+    integrand = np.exp(2.0 * exponent) * np.abs(field.values) ** 2
     return math.sqrt(grid.dx * float(np.sum(integrand)))
 
 
@@ -143,12 +147,10 @@ def check_log_convexity(
     traj: Trajectory,
     family: WeightFamily,
     xi: float,
-    potential: PotentialSpec | None = None,
     epsilon: float = 1e-6,
     c: float | None = None,
     d: float | None = None,
     tail_tol: float = DEFAULT_TAIL_TOL,
-    conjugation_tol: float = 5e-3,
 ) -> ConvexityReport:
     """Verify the interpolation inequality for one trajectory and weight family.
 
@@ -158,8 +160,7 @@ def check_log_convexity(
     the corrections M and N, and returns the slack of the bound at every
     frame.  Frames must be equispaced and aligned with the family grid.
     """
-    if potential is None:
-        potential = traj.potential
+    potential = traj.potential
     times = traj.times
     bad = ~np.isfinite(times)
     if np.any(bad):
@@ -185,10 +186,8 @@ def check_log_convexity(
     rows = family.derivatives_at(times)
     weight = WeightSlice(a=rows["a"][:, None], b=rows["b"][:, None], T=rows["T"][:, None], xi=xi)
     f = np.exp(weight.exponent(x)) * traj.frames[sel]
-    mass = np.abs(f) ** 2
-    require_tail(grid.tail_fraction(mass), times, tail_tol)
-    H = grid.dx * np.sum(mass, axis=1)
-    del mass  # keeps the peak at three frame stacks inside fd_derivative
+    require_tail(grid.tail_fraction(f), times, tail_tol)
+    H = grid.dx * np.sum(np.abs(f) ** 2, axis=1)
 
     # d_t f, turned into the defect (d_t f - S f) - A f in place, in that rounding order
     defect = fd_derivative(f, dt)
@@ -200,9 +199,9 @@ def check_log_convexity(
         conj_gaps[i] = grid.norm(defect[i] - potential(x, float(t)) * f[i])
     vnorm_scale = math.sqrt(np.max(H)) * (1.0 + potential.sup_norm)
     conj_rel = float(np.max(conj_gaps)) / max(vnorm_scale, 1e-300)
-    if not conj_rel <= conjugation_tol:
+    if not conj_rel <= CONJUGATION_TOL:
         raise ResidualError(
-            f"conjugation identity residual {conj_rel:.3e} exceeds {conjugation_tol:.1e}"
+            f"conjugation identity residual {conj_rel:.3e} exceeds {CONJUGATION_TOL:.1e}"
         )
 
     gamma = TimeCurve(rows["w8"], t0=float(times[0]), t1=float(times[-1]))
@@ -328,7 +327,7 @@ def appell_transform(
     else:
         new_potential = zero_potential()
 
-    flags = grid.tail_fraction(np.abs(frames) ** 2) <= tail_tol
+    flags = grid.tail_fraction(frames) <= tail_tol
     return Trajectory(
         grid=grid, times=times, frames=frames, tail_flags=flags, potential=new_potential
     )
@@ -345,10 +344,6 @@ class BoundReport:
     ratio: float
     finite: bool
     R: float
-
-    @property
-    def argmax_time(self) -> float:
-        return float(self.times[int(np.argmax(self.weighted_norms))])
 
 
 def verify_interior_bound(
@@ -369,13 +364,13 @@ def verify_interior_bound(
     if R <= 0.0:
         raise ValueError("need R > 0")
     grid, t = traj.grid, traj.times
-    weight = WeightSlice(a=(t / (4.0 * (t**2 + R**2)))[:, None])
-    integrand = np.exp(2.0 * weight.exponent(grid.x)) * np.abs(traj.frames) ** 2
+    exponent = WeightSlice(a=(t / (4.0 * (t**2 + R**2)))[:, None]).exponent(grid.x)
+    integrand = np.exp(2.0 * exponent) * np.abs(traj.frames) ** 2
     norms = np.sqrt(grid.dx * np.sum(integrand, axis=1))
     rhs = grid.norm(traj.frames[0]) + float(norms[-1])
     finite = True
     if check_tail:
-        fraction = grid.tail_fraction(integrand)
+        fraction = grid.tail_fraction(np.exp(exponent) * np.abs(traj.frames))
         cause = "the weighted norm is not finite at this truncation"
         require_tail(fraction[-1], t[-1], tail_tol, cause)
         bad = ~(fraction <= tail_tol)

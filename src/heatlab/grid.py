@@ -49,18 +49,25 @@ class SpaceGrid:
     def norm(self, f: np.ndarray) -> float:
         return float(np.sqrt(self.dx * np.sum(np.abs(f) ** 2)))
 
-    def tail_fraction(self, mass: np.ndarray) -> np.ndarray:
-        """Fraction of a mass density such as |u|^2 that lies beyond
-        ``TAIL_START`` of the half-width, reduced along the last axis, so a
-        ``(frames, n)`` stack gives one fraction per frame.  Zero mass has
-        fraction 0; a NaN or inf in a row makes it NaN, which passes no tol."""
+    def tail_fraction(self, values: np.ndarray) -> np.ndarray:
+        """Fraction of the mass |values|^2 that lies beyond ``TAIL_START`` of
+        the half-width, reduced along the last axis, so a ``(frames, n)``
+        stack gives one fraction per frame.  Each row is divided by its
+        largest modulus before squaring, so no finite value overflows.  A zero
+        row has fraction 0; a NaN or inf in a row makes it NaN, which passes
+        no tol."""
+        mass = np.abs(values)
+        peak = np.max(mass, axis=-1, keepdims=True)  # NaN when the row holds one
+        finite = np.isfinite(peak[..., 0])
+        np.divide(mass, peak, out=mass, where=finite[..., None] & (peak > 0.0))
+        mass[~finite] = 0.0
+        np.square(mass, out=mass)
         total = np.sum(mass, axis=-1)
         # compress keeps each row's band contiguous, so every row sums pairwise
         band = np.compress(np.abs(self.x) > TAIL_START * self.half_width, mass, axis=-1)
         outer = np.sum(band, axis=-1)
-        finite = np.isfinite(total)
         fraction = np.where(finite, 0.0, np.nan)
-        return np.divide(outer, total, out=fraction, where=finite & (total != 0.0))
+        return np.divide(outer, total, out=fraction, where=total != 0.0)
 
 
 def require_tail(
@@ -97,7 +104,7 @@ class Field:
 
     def tail_fraction(self) -> float:
         """Mass fraction beyond 0.9 of the half-width."""
-        return float(self.grid.tail_fraction(np.abs(self.values) ** 2))
+        return float(self.grid.tail_fraction(self.values))
 
     def tail_ok(self, tol: float = DEFAULT_TAIL_TOL) -> bool:
         return self.tail_fraction() <= tol

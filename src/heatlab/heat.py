@@ -126,7 +126,7 @@ class Trajectory:
             grid=grid,
             times=np.array(times),
             frames=frames,
-            tail_flags=grid.tail_fraction(np.abs(frames) ** 2) <= tail_tol,
+            tail_flags=grid.tail_fraction(frames) <= tail_tol,
             potential=potential or zero_potential(),
         )
 
@@ -212,7 +212,7 @@ def evolve(
             t = float(target)
             frames[j] = u
 
-    fractions = grid.tail_fraction(np.abs(frames) ** 2)
+    fractions = grid.tail_fraction(frames)
     if strict_tail:
         require_tail(fractions, frame_times, tail_tol)
     return Trajectory(

@@ -220,14 +220,6 @@ class TimeCurve:
             raise ValueError(f"t={np.ravel(t)[np.argmin(on_grid)]} is not a grid node")
         return int(near) if near.ndim == 0 else near.astype(int)
 
-    def to_csv(self, path) -> None:
-        write_csv(path, "t,value", self.nodes, self.values)
-
-    @classmethod
-    def from_csv(cls, path) -> "TimeCurve":
-        t, values = read_csv(path, "t,value")
-        return cls(values=values, t0=float(t[0]), t1=float(t[-1]))
-
 
 def uniform_grid(m: int, t0: float = 0.0, t1: float = 1.0) -> np.ndarray:
     return t0 + (t1 - t0) * np.arange(m + 1) / m

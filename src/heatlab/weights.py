@@ -441,7 +441,6 @@ def run_refinement(
     m: int = DEFAULT_M,
     recert_tol: float = 1e-4,
     store_every: int = 1,
-    recertify: bool = True,
 ) -> RefinementTrace:
     """Drive the refinement from the seed family until sup|b| <= tol.
 
@@ -478,19 +477,16 @@ def run_refinement(
         int_b2 = cross_energy(b)
         T = solve_freq(a, A, int_b2)
         family = WeightFamily(delta=delta, a=a, A=A, b=b, T=T)
-        if recertify:
-            cols = _growth_columns(a, A)
-            cert = _certify(cols["ident"], cols["direct"], recert_tol)
-            if cert.verdict != "positive":
-                raise CertificationError(
-                    f"convexity certificate failed at step {k}: {cert.verdict}"
-                )
-            if np.min(cols["ap"] + 4.0 * a.values**2) < -recert_tol:
-                raise CertificationError(f"rate inequality a' + 4a^2 >= 0 failed at step {k}")
-            if np.max(a.values) > ceiling + recert_tol:
-                raise CertificationError(f"chain ceiling exceeded at step {k}")
-            if prev_a is not None and np.min(a.values[1:-1] - prev_a[1:-1]) < 0.0:
-                raise CertificationError(f"chain violation: a_{k} < a_{k-1} somewhere")
+        cols = _growth_columns(a, A)
+        cert = _certify(cols["ident"], cols["direct"], recert_tol)
+        if cert.verdict != "positive":
+            raise CertificationError(f"convexity certificate failed at step {k}: {cert.verdict}")
+        if np.min(cols["ap"] + 4.0 * a.values**2) < -recert_tol:
+            raise CertificationError(f"rate inequality a' + 4a^2 >= 0 failed at step {k}")
+        if np.max(a.values) > ceiling + recert_tol:
+            raise CertificationError(f"chain ceiling exceeded at step {k}")
+        if prev_a is not None and np.min(a.values[1:-1] - prev_a[1:-1]) < 0.0:
+            raise CertificationError(f"chain violation: a_{k} < a_{k-1} somewhere")
         sup_cross.append(float(np.max(np.abs(b.values))))
         gaps.append(float(np.max(np.abs(a.values - a_lim.values))))
         if store_every > 0 and (k - 1) % store_every == 0:

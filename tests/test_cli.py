@@ -63,6 +63,50 @@ def test_verify_bound_command(tmp_path):
     assert (out / "verify-bound" / "bound.csv").exists()
 
 
+SMALL = ["--grid-M", "256", "--K", "5", "--grid-N", "256", "--steps", "256"]
+
+
+def suite_files(plot):
+    """Relative paths ``heatlab all`` writes, SVGs only with ``plot``."""
+    frames = [f"frames/frame_{i:04d}.csv" for i in range(251)]
+    scenarios = {
+        "construct-weights": ["a.csv", "A.csv", "b.csv", "T.csv", "residuals.csv", "family.svg"],
+        "iterate": ["trace.csv", "trace.svg"],
+        "evolve": ["frames/frames.csv", *frames, "norms.svg"],
+        "convexity-free/verify-convexity": ["convexity.csv", "slack.svg"],
+        "convexity-imag/verify-convexity": ["convexity.csv", "slack.svg"],
+        "verify-bound": ["bound.csv", "bound.svg"],
+        **{f"sharpness-{f}/sharpness": ["norms.csv", "growth.svg"] for f in ("0.5", "1", "1.1")},
+    }
+    paths = {"summary.txt", "verdict.txt"}
+    for directory, names in scenarios.items():
+        for name in [*names, "manifest.txt", "verdict.txt"]:
+            if plot or not name.endswith(".svg"):
+                paths.add(f"{directory}/{name}")
+    return paths
+
+
+@pytest.mark.parametrize("plot", [True, False], ids=["plot", "no-plot"])
+def test_suite_writes_exactly_its_artifacts(tmp_path, plot):
+    out = tmp_path / "o"
+    assert run(["all", *SMALL, *(["--plot"] if plot else []), "--out", str(out)]) == 0
+    written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    assert written == suite_files(plot)
+    assert sum(name.endswith(".svg") for name in written) == (9 if plot else 0)
+
+
+def test_failed_scenario_writes_only_manifest_and_verdict(tmp_path, monkeypatch):
+    def overflowing(traj):
+        raise FloatingPointError("overflow encountered in multiply")
+
+    monkeypatch.setattr(cli, "pde_residual", overflowing)
+    out = tmp_path / "o"
+    assert run(["evolve", "--potential", "none", "--steps", "500", "--plot", "--out", str(out)]) == 1
+    scenario = out / "evolve"
+    assert sorted(p.name for p in scenario.iterdir()) == ["manifest.txt", "verdict.txt"]
+    assert (scenario / "verdict.txt").read_text().strip() == "FAIL max_violation=nan FloatingPointError"
+
+
 def test_plot_flag_writes_svg(tmp_path):
     out = tmp_path / "pl"
     assert run(["sharpness", "--gamma-factor", "0.5", "--plot", "--out", str(out)]) == 0
@@ -198,8 +242,7 @@ def test_floating_point_error_in_a_scenario_is_a_named_fail(tmp_path, monkeypatc
 
     monkeypatch.setattr(fn, "sharpness_probe", overflowing)
     out = tmp_path / "o"
-    small = ["--grid-M", "256", "--K", "5", "--grid-N", "256", "--steps", "256"]
-    assert run(["all", *small, "--out", str(out)]) == 1
+    assert run(["all", *SMALL, "--out", str(out)]) == 1
     summary = dict(line.split(" = ") for line in (out / "summary.txt").read_text().splitlines())
     failed = {"sharpness-0.5", "sharpness-1", "sharpness-1.1"}
     assert {name for name, tag in summary.items() if tag == "FAIL"} == failed

@@ -328,7 +328,7 @@ def test_grid_tail_fraction_of_a_stack_matches_fields(grid12, gauss12):
     traj = evolve(gauss12, zero_potential(), 0.0, 0.5, steps=64, n_frames=5)
     frames = np.vstack([traj.frames, np.zeros(grid12.n), np.exp(-((grid12.x - 11.0) ** 2))])
     frames[2, 7] = np.nan
-    got = grid12.tail_fraction(np.abs(frames) ** 2)
+    got = grid12.tail_fraction(frames)
     assert got.shape == (frames.shape[0],)
     for row, frac in zip(frames, got):
         field = Field(grid=grid12, values=row)
@@ -337,17 +337,17 @@ def test_grid_tail_fraction_of_a_stack_matches_fields(grid12, gauss12):
     assert np.isnan(got[2]) and not Field(grid=grid12, values=frames[2]).tail_ok()
 
 
-def field_with_inf(x0):
-    # e^{-x^2} on L = 12, n = 256 with one infinite node at x = x0
+def field_with_spike(x0, value=np.inf):
+    # e^{-x^2} on L = 12, n = 256 with the node nearest x = x0 set to value
     u = gaussian_field(SpaceGrid(half_width=12.0, n=256))
     values = u.values.copy()
-    values[np.argmin(np.abs(u.grid.x - x0))] = np.inf
+    values[np.argmin(np.abs(u.grid.x - x0))] = value
     return u.with_values(values)
 
 
 def test_inf_outside_the_tail_band_fails_the_tail_guard():
     # an infinite total must not turn the band mass into a fraction of 0
-    field = field_with_inf(0.0)
+    field = field_with_spike(0.0)
     assert np.isnan(field.tail_fraction()) and not field.tail_ok()
     with pytest.raises(TailViolation):
         field.require_tail()
@@ -355,7 +355,21 @@ def test_inf_outside_the_tail_band_fails_the_tail_guard():
 
 def test_inf_inside_the_tail_band_is_a_tail_violation():
     # inf / inf must not escape the guard as a FloatingPointError
-    field = field_with_inf(-11.5)
+    field = field_with_spike(-11.5)
+    with pytest.raises(TailViolation):
+        field.require_tail()
+
+
+def test_huge_finite_value_outside_the_tail_band_passes_the_tail_guard():
+    # squaring 1e160 overflows; the guard scales each row by its peak first
+    field = field_with_spike(0.0, 1e160)
+    assert field.tail_ok()
+    field.require_tail()
+
+
+def test_huge_finite_value_inside_the_tail_band_is_a_tail_violation():
+    field = field_with_spike(-11.5, 1e160)
+    assert not field.tail_ok()
     with pytest.raises(TailViolation):
         field.require_tail()
 
