@@ -279,8 +279,7 @@ def run_construct_weights(cfg: ScenarioConfig):
 
 @scenario("iterate")
 def run_iterate(cfg: ScenarioConfig):
-    store_every = max(1, cfg.K // 8)
-    trace = wt.run_refinement(cfg.delta, cfg.K, tol=cfg.tol, m=cfg.grid_M, store_every=store_every)
+    trace = wt.run_refinement(cfg.delta, cfg.K, tol=cfg.tol, m=cfg.grid_M)
     ks = np.arange(1, trace.steps_run + 1)
     info = {
         "steps_run": trace.steps_run,

@@ -187,7 +187,8 @@ def check_log_convexity(
     weight = WeightSlice(a=rows["a"][:, None], b=rows["b"][:, None], T=rows["T"][:, None], xi=xi)
     f = np.exp(weight.exponent(x)) * traj.frames[sel]
     require_tail(grid.tail_fraction(f), times, tail_tol)
-    H = grid.dx * np.sum(np.abs(f) ** 2, axis=1)
+    mass, scale = grid.mass(f)
+    H = scale**2 * mass
 
     # d_t f, turned into the defect (d_t f - S f) - A f in place, in that rounding order
     defect = fd_derivative(f, dt)
@@ -429,9 +430,8 @@ def sharpness_probe(
     norms = np.empty(boxes.size)
     for i, l in enumerate(boxes):
         n = 1 << max(8, int(math.ceil(math.log2(points_per_unit * 2.0 * l))))
-        dx = 2.0 * l / n
-        x = -l + dx * np.arange(n)
-        norms[i] = math.sqrt(dx * amp * float(np.sum(np.exp(net * x**2))))
+        grid = SpaceGrid(half_width=l, n=n)
+        norms[i] = math.sqrt(grid.dx * amp * float(np.sum(np.exp(net * grid.x**2))))
     increments = np.abs(np.diff(norms)) / norms[1:]
     # Cauchy within tol = the tail increment has stabilized
     verdict = "convergent" if increments[-1] <= cauchy_tol else "divergent"

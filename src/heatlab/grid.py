@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import TailViolation
-from .timecurve import write_csv
+from .timecurve import _read_only, write_csv
 
 DEFAULT_HALF_WIDTH = 12.0
 DEFAULT_POINTS = 1024
 DEFAULT_TAIL_TOL = 1e-8
 TAIL_START = 0.9  # fraction of the half-width where the guard band begins
+HUGE_MODULUS = 1e150  # a row peaking above this is divided by its peak before squaring
 
 
 @dataclass(frozen=True)
@@ -33,21 +35,33 @@ class SpaceGrid:
     def dx(self) -> float:
         return 2.0 * self.half_width / self.n
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return -self.half_width + self.dx * np.arange(self.n)
+        """The nodes, built once per grid and read-only."""
+        return _read_only(-self.half_width + self.dx * np.arange(self.n))
 
-    @property
+    @cached_property
     def wavenumbers(self) -> np.ndarray:
-        """FFT-ordered wavenumbers xi_m = (pi/L) m."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
+        """FFT-ordered wavenumbers xi_m = (pi/L) m, built once per grid and read-only."""
+        return _read_only(2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx))
 
     def inner(self, f: np.ndarray, g: np.ndarray) -> complex:
         """L^2 pairing int f conj(g) by the periodic trapezoid rule."""
         return complex(self.dx * np.sum(f * np.conj(g)))
 
+    def mass(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(mass, scale)`` of each row along the last axis: dx sum |values / scale|^2,
+        with scale the row's peak modulus where that is finite and above
+        ``HUGE_MODULUS``, else 1, so the norm ``scale * sqrt(mass)`` cannot overflow."""
+        modulus = np.abs(values)
+        peak = modulus.max(axis=-1, keepdims=True)  # NaN when the row holds one
+        scale = np.where((peak > HUGE_MODULUS) & (peak < np.inf), peak, 1.0)
+        modulus /= scale
+        return self.dx * np.sum(np.square(modulus, out=modulus), axis=-1), scale[..., 0]
+
     def norm(self, f: np.ndarray) -> float:
-        return float(np.sqrt(self.dx * np.sum(np.abs(f) ** 2)))
+        mass, scale = self.mass(f)
+        return float(scale * np.sqrt(mass))
 
     def tail_fraction(self, values: np.ndarray) -> np.ndarray:
         """Fraction of the mass |values|^2 that lies beyond ``TAIL_START`` of

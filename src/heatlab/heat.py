@@ -87,7 +87,8 @@ class Trajectory:
         return i
 
     def norms(self) -> np.ndarray:
-        return np.sqrt(self.grid.dx * np.sum(np.abs(self.frames) ** 2, axis=1))
+        mass, scale = self.grid.mass(self.frames)
+        return scale * np.sqrt(mass)
 
     def save(self, directory) -> None:
         directory = Path(directory)

@@ -10,7 +10,7 @@ polynomials of degree <= 4 exactly at the nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -20,6 +20,11 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import GridError
 
 MIN_INTERVALS = 64
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @lru_cache(maxsize=None)
@@ -70,6 +75,12 @@ def _rows(deriv: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(centered), np.array(edges)
 
 
+@lru_cache(maxsize=64)
+def _end_index(n: int, width: int) -> np.ndarray:
+    """Gather index of a curve's ``[head | tail]`` end windows, shape ``(width, 2)``."""
+    return _read_only(np.stack([np.arange(width), np.arange(n - width, n)], axis=1))
+
+
 def _apply_rows(values: np.ndarray, deriv: int) -> np.ndarray:
     """The rows of ``_rows(deriv)`` applied along the first axis of a curve or
     stack: one output per node for a derivative, one per interval for
@@ -91,9 +102,13 @@ def _apply_rows(values: np.ndarray, deriv: int) -> np.ndarray:
         s = values.strides
         windows = as_strided(values, (n_out - 4, *values.shape[1:], 5), (*s, s[0]), writeable=False)
         out[2 : n_out - 2] = windows @ centered
-    head, tail = values[:width], values[n - width :]
-    out[0], out[1] = edges[0] @ head, edges[1] @ head
-    out[-2], out[-1] = edges[2] @ tail, edges[3] @ tail
+    if values.ndim == 1 and values.dtype.kind == "f":  # one product, each row summed as its dot
+        ends = edges @ values[_end_index(n, width)]
+        out[0], out[1], out[-2], out[-1] = ends[0, 0], ends[1, 0], ends[2, 1], ends[3, 1]
+    else:
+        head, tail = values[:width], values[n - width :]
+        out[0], out[1] = edges[0] @ head, edges[1] @ head
+        out[-2], out[-1] = edges[2] @ tail, edges[3] @ tail
     return out
 
 
@@ -105,7 +120,8 @@ def fd_derivative(values: np.ndarray, h: float, deriv: int = 1) -> np.ndarray:
     complex ``(frames, n)`` array of a stored trajectory, differentiated in
     time column by column.
     """
-    return _apply_rows(values, deriv) / h**deriv
+    out = _apply_rows(values, deriv)
+    return np.divide(out, h**deriv, out=out)
 
 
 def cumulative_integral(values: np.ndarray, h: float) -> np.ndarray:
@@ -119,8 +135,8 @@ def cumulative_integral(values: np.ndarray, h: float) -> np.ndarray:
     increments = _apply_rows(values, -1)
     out = np.empty((increments.shape[0] + 1, *increments.shape[1:]), dtype=increments.dtype)
     out[0] = 0.0
-    np.cumsum(increments, axis=0, out=out[1:])
-    return out * h
+    increments.cumsum(axis=0, out=out[1:])
+    return np.multiply(out, h, out=out)
 
 
 def lagrange_sample(values: np.ndarray, t0: float, h: float, times) -> np.ndarray:
@@ -193,10 +209,11 @@ class TimeCurve:
 
     @property
     def nodes(self) -> np.ndarray:
-        return self.t0 + self.h * np.arange(self.m + 1)
+        """The grid times, one read-only array shared by every curve on this grid."""
+        return _nodes(self.t0, self.t1, self.m)
 
     def with_values(self, values: np.ndarray) -> "TimeCurve":
-        return replace(self, values=np.asarray(values, dtype=float))
+        return TimeCurve(values, self.t0, self.t1)
 
     def derivative(self) -> "TimeCurve":
         return self.with_values(fd_derivative(self.values, self.h, 1))
@@ -219,6 +236,11 @@ class TimeCurve:
         if not np.all(on_grid):  # a NaN time is off the grid too
             raise ValueError(f"t={np.ravel(t)[np.argmin(on_grid)]} is not a grid node")
         return int(near) if near.ndim == 0 else near.astype(int)
+
+
+@lru_cache(maxsize=64)
+def _nodes(t0: float, t1: float, m: int) -> np.ndarray:
+    return _read_only(t0 + (t1 - t0) / m * np.arange(m + 1))
 
 
 def uniform_grid(m: int, t0: float = 0.0, t1: float = 1.0) -> np.ndarray:

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CertificationError, ResidualError
-from .timecurve import TimeCurve, cumulative_integral, fd_derivative
+from .timecurve import TimeCurve, _read_only, cumulative_integral, fd_derivative
 
 DEFAULT_M = 512
 DEFAULT_RESIDUAL_TOL = 1e-6
@@ -95,9 +95,9 @@ def _certify(ident: np.ndarray, direct: np.ndarray, tol: float) -> CurvatureCert
     the grid is too coarse and the verdict is "failed"; a NaN fails too.
     """
     ident, direct = ident[1:-1], direct[1:-1]
-    scale = max(1.0, float(np.max(np.abs(ident))))
-    gap = float(np.max(np.abs(ident - direct)))
-    min_ident = float(np.min(ident))
+    scale = max(1.0, float(np.abs(ident).max()))
+    gap = float(np.abs(ident - direct).max())
+    min_ident = float(ident.min())
     if not gap <= tol * scale:
         verdict = "failed"
     elif min_ident > tol * scale:
@@ -106,7 +106,7 @@ def _certify(ident: np.ndarray, direct: np.ndarray, tol: float) -> CurvatureCert
         verdict = "nonnegative"
     else:
         verdict = "failed"
-    return CurvatureCertificate(min_ident, float(np.min(direct)), gap, verdict)
+    return CurvatureCertificate(min_ident, float(direct.min()), gap, verdict)
 
 
 def curvature_certificate(
@@ -196,9 +196,7 @@ class WeightFamily:
             table[name + "p"] = fd_derivative(curve.values, curve.h, 1)
             table[name + "pp"] = fd_derivative(curve.values, curve.h, 2)
         table["cross"] = fd_derivative(table["w8"] * table["b"], self.b.h, 2)
-        for col in table.values():
-            col.flags.writeable = False
-        return table
+        return {name: _read_only(col) for name, col in table.items()}
 
     def derivatives_at(self, t) -> dict:
         """Rows of :attr:`derivatives` at the node time ``t``: scalars for a
@@ -344,7 +342,7 @@ def coefficient_residuals(family: WeightFamily) -> tuple[TimeCurve, TimeCurve]:
 def minimal_stabilizer(b: TimeCurve, T: TimeCurve, int_b2: np.ndarray) -> float:
     """Smallest N >= 1 with N + b/2 >= 1 and T <= 2 (int_b2 + N) nodewise."""
     # np.max, unlike builtin max, propagates a NaN node
-    return float(np.max([1.0, np.max(1.0 - b.values / 2.0), np.max(T.values / 2.0 - int_b2)]))
+    return float(np.max([1.0, (1.0 - b.values / 2.0).max(), (T.values / 2.0 - int_b2).max()]))
 
 
 def refine_pair(
@@ -363,12 +361,11 @@ def refine_pair(
     """
     if not stabilizer >= 1.0:
         raise ValueError("stabilizer must be >= 1")
-    a_next = a.with_values(a.values + b.values**2 / (8.0 * (int_b2 + stabilizer)))
-    A_next = A.with_values(
-        A.values + (np.log(int_b2 + stabilizer) - math.log(int_b2[-1] + stabilizer)) / 8.0
-    )
-    drift = np.max(np.abs(fd_derivative(A_next.values, A.h, 1) - a_next.values))
-    if not drift <= max(consistency_tol, 100 * consistency_tol * np.max(np.abs(a_next.values))):
+    energy = int_b2 + stabilizer
+    a_next = a.with_values(a.values + b.values**2 / (8.0 * energy))
+    A_next = A.with_values(A.values + (np.log(energy) - math.log(energy[-1])) / 8.0)
+    drift = np.abs(fd_derivative(A_next.values, A.h, 1) - a_next.values).max()
+    if not drift <= max(consistency_tol, 100 * consistency_tol * np.abs(a_next.values).max()):
         raise ValueError(f"consistency failure: |A_next' - a_next| = {drift:.3e}")
     return a_next, A_next
 
@@ -440,7 +437,7 @@ def run_refinement(
     tol: float = 1e-5,
     m: int = DEFAULT_M,
     recert_tol: float = 1e-4,
-    store_every: int = 1,
+    store_every: int = 0,
 ) -> RefinementTrace:
     """Drive the refinement from the seed family until sup|b| <= tol.
 
@@ -451,7 +448,8 @@ def run_refinement(
     cross-check runs at ``recert_tol`` rather than the construction-time
     residual tolerance.  If ``tol`` is not reached within ``max_steps`` the
     trace comes back with ``converged = False`` as a diagnostic rather than
-    an error.
+    an error.  ``store_every`` = s > 0 keeps the families of step 1, every
+    s-th step after it and the last step; by default none are kept.
     """
     if delta <= 2.0:
         raise ValueError("need delta > 2 for the refinement chain")
@@ -467,48 +465,36 @@ def run_refinement(
     families: list[WeightFamily] = []
     stored: list[int] = []
     stabilizer = 1.0
-    converged = False
     prev_a: np.ndarray | None = None
 
-    k = 0
-    while k < max_steps:
-        k += 1
+    for k in range(1, max_steps + 1):
         b = solve_cross(a, A, delta)
         int_b2 = cross_energy(b)
         T = solve_freq(a, A, int_b2)
-        family = WeightFamily(delta=delta, a=a, A=A, b=b, T=T)
         cols = _growth_columns(a, A)
         cert = _certify(cols["ident"], cols["direct"], recert_tol)
         if cert.verdict != "positive":
             raise CertificationError(f"convexity certificate failed at step {k}: {cert.verdict}")
-        if np.min(cols["ap"] + 4.0 * a.values**2) < -recert_tol:
+        if (cols["ap"] + 4.0 * a.values**2).min() < -recert_tol:
             raise CertificationError(f"rate inequality a' + 4a^2 >= 0 failed at step {k}")
-        if np.max(a.values) > ceiling + recert_tol:
+        if a.values.max() > ceiling + recert_tol:
             raise CertificationError(f"chain ceiling exceeded at step {k}")
-        if prev_a is not None and np.min(a.values[1:-1] - prev_a[1:-1]) < 0.0:
+        if prev_a is not None and (a.values[1:-1] - prev_a[1:-1]).min() < 0.0:
             raise CertificationError(f"chain violation: a_{k} < a_{k-1} somewhere")
-        sup_cross.append(float(np.max(np.abs(b.values))))
-        gaps.append(float(np.max(np.abs(a.values - a_lim.values))))
-        if store_every > 0 and (k - 1) % store_every == 0:
-            families.append(family)
+        sup_cross.append(float(np.abs(b.values).max()))
+        gaps.append(float(np.abs(a.values - a_lim.values).max()))
+        converged = sup_cross[-1] <= tol
+        if store_every > 0 and ((k - 1) % store_every == 0 or converged or k == max_steps):
+            families.append(WeightFamily(delta=delta, a=a, A=A, b=b, T=T))
             stored.append(k)
-        if sup_cross[-1] <= tol:
-            converged = True
+        if converged:
             break
         stabilizer = max(stabilizer, minimal_stabilizer(b, T, int_b2))
         prev_a = a.values
         a, A = refine_pair(a, A, b, int_b2, stabilizer)
 
-    if stored and stored[-1] != k:
-        families.append(family)
-        stored.append(k)
     return RefinementTrace(
-        delta=delta,
-        stabilizer=stabilizer,
-        converged=converged,
-        steps_run=k,
-        sup_cross=np.array(sup_cross),
-        gap_to_limit=np.array(gaps),
-        families=families,
-        stored_steps=stored,
+        delta=delta, stabilizer=stabilizer, converged=converged, steps_run=k,
+        sup_cross=np.array(sup_cross), gap_to_limit=np.array(gaps),
+        families=families, stored_steps=stored,
     )

@@ -374,6 +374,38 @@ def test_huge_finite_value_inside_the_tail_band_is_a_tail_violation():
         field.require_tail()
 
 
+def test_grid_axes_are_read_only_and_built_once(monkeypatch):
+    calls = []
+    fftfreq = np.fft.fftfreq
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fftfreq(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftfreq", counted)
+    grid = SpaceGrid(half_width=7.25, n=512)
+    x, xi = grid.x, grid.wavenumbers
+    assert grid.x is x and grid.wavenumbers is xi
+    assert len(calls) == 1
+    assert np.array_equal(x, -7.25 + grid.dx * np.arange(512))
+    assert np.array_equal(xi, 2.0 * np.pi * fftfreq(512, d=grid.dx))
+    for axis in (x, xi):
+        with pytest.raises(ValueError, match="read-only"):
+            axis[0] = 1.0
+
+
+def test_norms_of_a_huge_datum_do_not_overflow():
+    # squaring 1e160 overflows; the norm divides a huge row by its peak first
+    grid = SpaceGrid(half_width=12.0, n=256)
+    u0 = gaussian_field(grid)
+    traj = evolve(u0, zero_potential(), 0.0, 0.5, steps=64, n_frames=5)
+    huge = evolve(u0.with_values(1e160 * u0.values), zero_potential(), 0.0, 0.5, steps=64, n_frames=5)
+    norms = huge.norms()
+    assert np.all(np.isfinite(norms))
+    assert np.max(np.abs(norms / (1e160 * traj.norms()) - 1.0)) <= 1e-14
+    assert abs(huge.field(0).norm() / (1e160 * traj.field(0).norm()) - 1.0) <= 1e-14
+
+
 def test_trajectory_save_load_round_trip(tmp_path, grid12, gauss12):
     traj = evolve(gauss12, zero_potential(), 0.0, 0.5, steps=64, n_frames=5)
     traj.save(tmp_path / "run")

@@ -106,6 +106,28 @@ def test_node_index_of_an_array_is_an_index_array():
         c.node_index(np.array([0.0, 1.0 + c.h]))
 
 
+def test_nodes_are_one_read_only_array_per_grid():
+    c = curve_from_callable(np.sin, 128, 0.25, 1.5)
+    other = c.with_values(np.cos(c.nodes))
+    assert other.nodes is c.nodes
+    assert TimeCurve(np.zeros(129), 0.25, 1.5).nodes is c.nodes
+    assert np.array_equal(c.nodes, 0.25 + c.h * np.arange(129))
+    assert not c.nodes.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        c.nodes[0] = 1.0
+    other_grid = TimeCurve(np.zeros(129), 0.0, 1.5).nodes
+    assert other_grid is not c.nodes and other_grid[0] == 0.0
+
+
+def test_with_values_keeps_the_interval_and_rejects_a_stack():
+    c = curve_from_callable(np.sin, 128, 0.25, 1.5)
+    d = c.with_values(np.arange(129))
+    assert (d.t0, d.t1) == (0.25, 1.5)
+    assert d.values.dtype == float and np.array_equal(d.values, np.arange(129.0))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        c.with_values(np.zeros((129, 2)))
+
+
 def test_csv_round_trip(tmp_path):
     c = curve_from_callable(lambda x: np.exp(-x) * np.sin(5 * x), 128)
     path = tmp_path / "curve.csv"

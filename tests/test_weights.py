@@ -320,6 +320,22 @@ def test_run_refinement_chain_certificates_delta3():
     assert abs(a_lim.values[-1] - 1.0 / 9.0) < 1e-15
 
 
+def test_run_refinement_stores_no_families_by_default():
+    trace = run_refinement(3.0, 5)
+    assert trace.steps_run == 5
+    assert trace.families == [] and trace.stored_steps == []
+
+
+def test_storing_families_does_not_change_the_chain():
+    default = run_refinement(3.0, 5)
+    stored = run_refinement(3.0, 5, store_every=1)
+    assert stored.stored_steps == [1, 2, 3, 4, 5] and len(stored.families) == 5
+    assert default.families == []
+    for name in ("sup_cross", "gap_to_limit"):
+        assert getattr(stored, name).tobytes() == getattr(default, name).tobytes()
+    assert stored.stabilizer == default.stabilizer
+
+
 def test_run_refinement_ceiling_delta10():
     trace = run_refinement(10.0, 30, tol=1e-5, store_every=10)
     for fam in trace.families:
