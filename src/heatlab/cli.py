@@ -385,6 +385,11 @@ def run_verify_bound(cfg: ScenarioConfig):
         "lhs_sup": base.lhs_sup,
         "rhs_data": base.rhs_data,
     }
+    if make_potential(cfg).is_zero:  # ||e^{a x^2} u(t)||^2 = sqrt(pi / (2/s - 2a)) / s
+        t, spread = base.times, 1.0 + 4.0 * base.times  # s = 1 + 4t, a = t / 4(t^2 + R^2)
+        exact = np.sqrt(np.sqrt(np.pi / (2.0 / spread - t / (2.0 * (t**2 + cfg.R**2)))) / spread)
+        info["closed_form_gap"] = float(np.max(np.abs(base.weighted_norms - exact) / exact))
+        checks.append(Check("closed_form_gap", info["closed_form_gap"], 1e-10))
     files = {
         "bound.csv": ("t,weighted_norm", base.times, base.weighted_norms),
         "bound.svg": dict(

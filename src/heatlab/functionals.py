@@ -27,7 +27,7 @@ from .errors import ResidualError, TailViolation
 from .grid import DEFAULT_TAIL_TOL, Field, PotentialSpec, SpaceGrid, require_tail, zero_potential
 from .heat import Trajectory, conjugated_parts
 from .kernels import resample_periodic
-from .timecurve import TimeCurve, cumulative_integral, fd_derivative
+from .timecurve import STACK_CHUNK, TimeCurve, cumulative_integral, fd_derivative, weighted_sum
 from .weights import WeightFamily
 
 CONJUGATION_TOL = 5e-3  # relative residual allowed in d_t f - S f - A f = V f
@@ -160,16 +160,13 @@ def check_log_convexity(
     the corrections M and N, and returns the slack of the bound at every
     frame.  Frames must be equispaced and aligned with the family grid.
     """
-    potential = traj.potential
-    times = traj.times
+    potential, times = traj.potential, traj.times
     bad = ~np.isfinite(times)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise ValueError(f"frame {i} has non-finite time {times[i]}")
-    if c is None:
-        c = float(times[0])
-    if d is None:
-        d = float(times[-1])
+    c = float(times[0]) if c is None else c
+    d = float(times[-1]) if d is None else d
     if not (math.isfinite(c) and math.isfinite(d)):
         raise ValueError(f"window [c, d] = [{c}, {d}] must be finite")
     sel = np.nonzero((times >= c - 1e-12) & (times <= d + 1e-12))[0]
@@ -181,8 +178,7 @@ def check_log_convexity(
         raise ValueError("frames must be equispaced in [c, d]")
     dt = float(dts[0])
 
-    grid = traj.grid
-    x = grid.x
+    grid, x = traj.grid, traj.grid.x
     rows = family.derivatives_at(times)
     weight = WeightSlice(a=rows["a"][:, None], b=rows["b"][:, None], T=rows["T"][:, None], xi=xi)
     f = np.exp(weight.exponent(x)) * traj.frames[sel]
@@ -190,14 +186,20 @@ def check_log_convexity(
     mass, scale = grid.mass(f)
     H = scale**2 * mass
 
-    # d_t f, turned into the defect (d_t f - S f) - A f in place, in that rounding order
+    # d_t f, turned into the defect (d_t f - S f) - A f in place, in that
+    # rounding order, STACK_CHUNK frames at a time
     defect = fd_derivative(f, dt)
+    static = potential(x, float(times[0])) if potential.time_independent else None
     conj_gaps = np.empty(times.size)
-    for i, t in enumerate(times):
-        sf, af = conjugated_parts(f[i], grid, family.derivatives_at(t), xi)
-        defect[i] -= sf
-        defect[i] -= af
-        conj_gaps[i] = grid.norm(defect[i] - potential(x, float(t)) * f[i])
+    for lo in range(0, times.size, STACK_CHUNK):
+        chunk = slice(lo, lo + STACK_CHUNK)
+        columns = {name: col[chunk, None] for name, col in rows.items()}
+        sf, af = conjugated_parts(f[chunk], grid, columns, xi)
+        block = defect[chunk]
+        block -= sf
+        block -= af
+        v = static if static is not None else [potential(x, float(t)) for t in times[chunk]]
+        conj_gaps[chunk] = grid.norm(block - np.multiply(v, f[chunk]))
     vnorm_scale = math.sqrt(np.max(H)) * (1.0 + potential.sup_norm)
     conj_rel = float(np.max(conj_gaps)) / max(vnorm_scale, 1e-300)
     if not conj_rel <= CONJUGATION_TOL:
@@ -206,32 +208,26 @@ def check_log_convexity(
         )
 
     gamma = TimeCurve(rows["w8"], t0=float(times[0]), t1=float(times[-1]))
+    h_eps = H + epsilon
     defect_sq = grid.dx * np.sum(np.abs(defect) ** 2, axis=1)
-    source = gamma.with_values(gamma.values * defect_sq / (H + epsilon))
+    source = gamma.with_values(gamma.values * defect_sq / h_eps)
     M = solve_convexity_correction(gamma, source, residual_tol=None)
 
     pairing = grid.dx * np.abs(np.real(np.sum(defect * np.conj(f), axis=1)))
-    Nval = float(cumulative_integral(pairing / (H + epsilon), dt)[-1])
+    Nval = float(cumulative_integral(pairing / h_eps, dt)[-1])
 
     theta = interpolation_exponent(times, gamma.t0, gamma.t1, gamma)
-    rhs = (
-        (H[0] + epsilon) ** theta
-        * (H[-1] + epsilon) ** (1.0 - theta)
-        * np.exp(M.values + 2.0 * Nval)
-    )
-    slack = rhs - (H + epsilon)
-
-    cert = family.certificate()
+    rhs = h_eps[0] ** theta * h_eps[-1] ** (1.0 - theta) * np.exp(M.values + 2.0 * Nval)
     return ConvexityReport(
         times=times,
         H=H,
         theta=theta,
         M=M.values,
         Nval=Nval,
-        slack=slack,
+        slack=rhs - h_eps,
         epsilon=epsilon,
         conjugation_residual=conj_rel,
-        curvature_verdict=cert.verdict,
+        curvature_verdict=family.certificate().verdict,
     )
 
 
@@ -296,7 +292,7 @@ def appell_transform(
                 np.prod([(s - ts[r]) / (ts[k] - ts[r]) for r in range(5) if r != k])
                 for k in range(5)
             ]
-            return resample_periodic(np.dot(lk, source.frames[lo : lo + 5]), y, src_l)
+            return resample_periodic(weighted_sum(lk, source.frames[lo : lo + 5]), y, src_l)
 
     elif callable(source):
         def eval_source(y: np.ndarray, s: float) -> np.ndarray:

@@ -59,9 +59,10 @@ class SpaceGrid:
         modulus /= scale
         return self.dx * np.sum(np.square(modulus, out=modulus), axis=-1), scale[..., 0]
 
-    def norm(self, f: np.ndarray) -> float:
+    def norm(self, f: np.ndarray):
+        """The norm of each row along the last axis: a float for one row, else an array."""
         mass, scale = self.mass(f)
-        return float(scale * np.sqrt(mass))
+        return float(scale * np.sqrt(mass)) if np.ndim(f) == 1 else scale * np.sqrt(mass)
 
     def tail_fraction(self, values: np.ndarray) -> np.ndarray:
         """Fraction of the mass |values|^2 that lies beyond ``TAIL_START`` of

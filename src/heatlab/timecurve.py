@@ -15,11 +15,11 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import GridError
 
 MIN_INTERVALS = 64
+STACK_CHUNK = 16  # rows of a frame stack per elementwise stencil pass
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -81,6 +81,16 @@ def _end_index(n: int, width: int) -> np.ndarray:
     return _read_only(np.stack([np.arange(width), np.arange(n - width, n)], axis=1))
 
 
+def weighted_sum(weights, terms, out=None, scratch=None) -> np.ndarray:
+    """``sum_k weights[k] * terms[k]`` accumulated in the order of k into ``out``
+    through one product buffer ``scratch``, elementwise, so frames never reach BLAS."""
+    out = np.multiply(terms[0], weights[0], out=out)
+    scratch = np.empty_like(out) if scratch is None else scratch
+    for weight, term in zip(weights[1:], terms[1:]):
+        out += np.multiply(term, weight, out=scratch)
+    return out
+
+
 def _apply_rows(values: np.ndarray, deriv: int) -> np.ndarray:
     """The rows of ``_rows(deriv)`` applied along the first axis of a curve or
     stack: one output per node for a derivative, one per interval for
@@ -94,21 +104,26 @@ def _apply_rows(values: np.ndarray, deriv: int) -> np.ndarray:
         raise GridError(f"need at least {width} samples, got {n}")
     n_out = n - 1 if deriv < 0 else n
     out = np.empty((n_out, *values.shape[1:]), dtype=values.dtype)
-    if values.ndim == 1:  # a curve: np.correlate sums each window in the matmul's order
-        out.real[2 : n_out - 2] = np.correlate(values.real, centered, "valid")[: n_out - 4]
-        if values.dtype.kind == "c":  # part by part, as the complex matmul sums
-            out.imag[2 : n_out - 2] = np.correlate(values.imag, centered, "valid")[: n_out - 4]
-    else:  # a stack: centred rows on a read-only five-point window view
-        s = values.strides
-        windows = as_strided(values, (n_out - 4, *values.shape[1:], 5), (*s, s[0]), writeable=False)
-        out[2 : n_out - 2] = windows @ centered
-    if values.ndim == 1 and values.dtype.kind == "f":  # one product, each row summed as its dot
-        ends = edges @ values[_end_index(n, width)]
-        out[0], out[1], out[-2], out[-1] = ends[0, 0], ends[1, 0], ends[2, 1], ends[3, 1]
-    else:
+    if values.ndim > 1:  # a stack: five shifted slices per block of STACK_CHUNK rows
+        scratch = np.empty_like(values[:STACK_CHUNK])
+        for lo in range(2, n_out - 2, STACK_CHUNK):
+            hi = min(lo + STACK_CHUNK, n_out - 2)
+            rows = [values[lo + k : hi + k] for k in range(-2, 3)]
+            weighted_sum(centered, rows, out[lo:hi], scratch[: hi - lo])
+        head, tail = values[:width], values[n - width :]
+        for i, rows in ((0, head), (1, head), (-2, tail), (-1, tail)):
+            weighted_sum(edges[i], rows, out[i], scratch[0])
+        return out
+    # a curve: np.correlate sums each window in the matmul's order
+    out.real[2 : n_out - 2] = np.correlate(values.real, centered, "valid")[: n_out - 4]
+    if values.dtype.kind == "c":  # part by part, as the complex matmul sums
+        out.imag[2 : n_out - 2] = np.correlate(values.imag, centered, "valid")[: n_out - 4]
         head, tail = values[:width], values[n - width :]
         out[0], out[1] = edges[0] @ head, edges[1] @ head
         out[-2], out[-1] = edges[2] @ tail, edges[3] @ tail
+    else:  # one product, each row summed as its dot
+        ends = edges @ values[_end_index(n, width)]
+        out[0], out[1], out[-2], out[-1] = ends[0, 0], ends[1, 0], ends[2, 1], ends[3, 1]
     return out
 
 

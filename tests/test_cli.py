@@ -61,6 +61,22 @@ def test_verify_bound_command(tmp_path):
     out = tmp_path / "vb"
     assert run(["verify-bound", "--R", "2.5", "--steps", "400", "--out", str(out)]) == 0
     assert (out / "verify-bound" / "bound.csv").exists()
+    assert "closed_form_gap = " in (out / "verify-bound" / "manifest.txt").read_text()
+
+
+def test_verify_bound_closed_form_gap_can_fail(tmp_path, monkeypatch):
+    # weighted norms off by 1e-9 relative break the closed form, not the drift
+    original = fn.verify_interior_bound
+
+    def skewed(*args, **kwargs):
+        report = original(*args, **kwargs)
+        return replace(report, weighted_norms=report.weighted_norms * (1.0 + 1e-9))
+
+    monkeypatch.setattr(fn, "verify_interior_bound", skewed)
+    out = tmp_path / "vb"
+    assert run(["verify-bound", "--R", "2.5", "--steps", "400", "--out", str(out)]) == 1
+    verdict = (out / "verify-bound" / "verdict.txt").read_text()
+    assert verdict.startswith("FAIL max_violation=1e-09")
 
 
 SMALL = ["--grid-M", "256", "--K", "5", "--grid-N", "256", "--steps", "256"]

@@ -294,8 +294,9 @@ def test_weighted_norm_rejects_a_nan_integrand(grid12):
 
 
 def test_log_convexity_memory_stays_near_three_frame_stacks(gauss12, family3):
-    # the engine holds f and its defect and applies S and A frame by frame;
-    # batching the operators over the stack would push this past the bound
+    # the engine holds f and its defect and applies S and A to chunks of
+    # STACK_CHUNK frames, whose temporaries are a few rows each; S and A over
+    # the whole stack at once would push this past the bound
     potential = gaussian_potential(0.5, imaginary=True)
     traj = evolve(gauss12, potential, 0.0, 1.0, steps=1024, n_frames=257)
     family3.derivatives_at(traj.times)  # builds the family's table outside the measurement
@@ -306,6 +307,19 @@ def test_log_convexity_memory_stays_near_three_frame_stacks(gauss12, family3):
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * traj.frames.nbytes
+
+
+def test_log_convexity_evaluates_a_static_potential_once(gauss12, family3):
+    base = gaussian_potential(0.5, imaginary=True)
+    traj = evolve(gauss12, base, 0.0, 1.0, steps=1024, n_frames=257)
+    calls = []
+    traj.potential = replace(base, fn=lambda x, t: calls.append(t) or base.fn(x, t))
+    report = check_log_convexity(traj, family3, xi=1.0)
+    assert len(calls) == 1
+    traj.potential = replace(base, time_independent=False)
+    general = check_log_convexity(traj, family3, xi=1.0)
+    assert report.conjugation_residual == general.conjugation_residual
+    assert np.array_equal(report.slack, general.slack)
 
 
 def test_log_convexity_free_heat(grid12, gauss12, family3):

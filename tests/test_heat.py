@@ -24,6 +24,7 @@ from heatlab import (
     zero_potential,
 )
 from heatlab.errors import TailViolation
+from heatlab.heat import conjugated_parts
 from heatlab.timecurve import uniform_grid, write_csv
 from heatlab.weights import antiderivative, growth_identity
 
@@ -58,6 +59,40 @@ def test_free_heat_takes_one_fft_and_one_inverse_per_frame(grid12, gauss12, monk
     traj = evolve(gauss12, zero_potential(), 0.0, 1.0, steps=2048, n_frames=17)
     # the datum is frame 0; each later frame is one multiplier on its spectrum
     assert calls == {"fft": 1, "ifft": traj.n_frames - 1}
+
+
+def chunk_and_columns(family, grid, gauss, n_frames=16):
+    traj = evolve(gauss, gaussian_potential(0.5, imaginary=True), 0.0, 1.0, steps=512, n_frames=257)
+    times = traj.times[40 : 40 + n_frames]
+    rows = family.derivatives_at(times)
+    return traj.frames[40 : 40 + n_frames], times, {name: col[:, None] for name, col in rows.items()}
+
+
+def test_conjugated_parts_on_a_chunk_equals_the_frame_calls(grid12, gauss12, family3):
+    frames, times, columns = chunk_and_columns(family3, grid12, gauss12)
+    sf, af = conjugated_parts(frames, grid12, columns, 1.0)
+    assert sf.shape == af.shape == frames.shape
+    for i, t in enumerate(times):
+        s_one, a_one = conjugated_parts(frames[i], grid12, family3.derivatives_at(t), 1.0)
+        assert sf[i].tobytes() == s_one.tobytes() and af[i].tobytes() == a_one.tobytes()
+
+
+def test_conjugated_parts_takes_one_fft_and_two_inverses_per_chunk(
+    grid12, gauss12, family3, monkeypatch
+):
+    frames, _, columns = chunk_and_columns(family3, grid12, gauss12)
+    calls = {"fft": 0, "ifft": 0}
+    for name in calls:
+        original = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    conjugated_parts(frames, grid12, columns, 1.0)
+    # one spectrum feeds both the Laplacian and d_x
+    assert calls == {"fft": 1, "ifft": 2}
 
 
 def test_free_heat_steps_only_validate(grid12, gauss12):

@@ -269,6 +269,17 @@ def test_fd_derivative_exact_on_cubic_frame_stacks():
     assert np.max(np.abs(got - exact)) < 1e-12
 
 
+def test_fd_derivative_exact_on_cubic_frame_stacks_across_chunks():
+    # 40 frames: three STACK_CHUNK blocks of centred rows, a remainder and the end rows
+    times = np.linspace(0.0, 1.0, 40)
+    frames = np.array([(t**3 - 2 * t + 1) * np.ones(4) + 1j * t**2 for t in times])
+    h = times[1] - times[0]
+    exact = np.array([(3 * t**2 - 2) * np.ones(4) + 2j * t for t in times])
+    assert np.max(np.abs(fd_derivative(frames, h) - exact)) < 1e-12
+    second = np.array([6 * t * np.ones(4) + 2j for t in times])
+    assert np.max(np.abs(fd_derivative(frames, h, 2) - second)) < 1e-9
+
+
 @pytest.mark.parametrize("deriv", [1, 2])
 def test_fd_derivative_stack_matches_columnwise_curves(deriv):
     # a complex (frames, n) stack is differentiated along the frame axis,
