@@ -27,7 +27,9 @@ from .errors import ResidualError, TailViolation
 from .grid import DEFAULT_TAIL_TOL, Field, PotentialSpec, SpaceGrid, require_tail, zero_potential
 from .heat import Trajectory, conjugated_parts
 from .kernels import resample_periodic
-from .timecurve import STACK_CHUNK, TimeCurve, cumulative_integral, fd_derivative, weighted_sum
+from .timecurve import (
+    STACK_CHUNK, TimeCurve, cumulative_integral, fd_derivative, stack_rows, weighted_sum
+)
 from .weights import WeightFamily
 
 CONJUGATION_TOL = 5e-3  # relative residual allowed in d_t f - S f - A f = V f
@@ -186,20 +188,23 @@ def check_log_convexity(
     mass, scale = grid.mass(f)
     H = scale**2 * mass
 
-    # d_t f, turned into the defect (d_t f - S f) - A f in place, in that
-    # rounding order, STACK_CHUNK frames at a time
-    defect = fd_derivative(f, dt)
+    # each chunk's d_t f, turned into the defect (d_t f - S f) - A f in place,
+    # in that rounding order, in one reused block; only its row sums are kept
     static = potential(x, float(times[0])) if potential.time_independent else None
-    conj_gaps = np.empty(times.size)
+    conj_gaps, defect_sq, pairing = np.empty((3, times.size))
+    block, scratch = np.empty((2, STACK_CHUNK, grid.n), dtype=complex)
     for lo in range(0, times.size, STACK_CHUNK):
-        chunk = slice(lo, lo + STACK_CHUNK)
+        hi = min(lo + STACK_CHUNK, times.size)
+        chunk, defect = slice(lo, hi), block[: hi - lo]
+        np.divide(stack_rows(f, 1, lo, hi, defect, scratch), dt, out=defect)
         columns = {name: col[chunk, None] for name, col in rows.items()}
         sf, af = conjugated_parts(f[chunk], grid, columns, xi)
-        block = defect[chunk]
-        block -= sf
-        block -= af
+        defect -= sf
+        defect -= af
         v = static if static is not None else [potential(x, float(t)) for t in times[chunk]]
-        conj_gaps[chunk] = grid.norm(block - np.multiply(v, f[chunk]))
+        conj_gaps[chunk] = grid.norm(defect - np.multiply(v, f[chunk]))
+        defect_sq[chunk] = grid.dx * np.sum(np.abs(defect) ** 2, axis=1)
+        pairing[chunk] = grid.dx * np.abs(np.real(np.sum(defect * np.conj(f[chunk]), axis=1)))
     vnorm_scale = math.sqrt(np.max(H)) * (1.0 + potential.sup_norm)
     conj_rel = float(np.max(conj_gaps)) / max(vnorm_scale, 1e-300)
     if not conj_rel <= CONJUGATION_TOL:
@@ -209,11 +214,8 @@ def check_log_convexity(
 
     gamma = TimeCurve(rows["w8"], t0=float(times[0]), t1=float(times[-1]))
     h_eps = H + epsilon
-    defect_sq = grid.dx * np.sum(np.abs(defect) ** 2, axis=1)
     source = gamma.with_values(gamma.values * defect_sq / h_eps)
     M = solve_convexity_correction(gamma, source, residual_tol=None)
-
-    pairing = grid.dx * np.abs(np.real(np.sum(defect * np.conj(f), axis=1)))
     Nval = float(cumulative_integral(pairing / h_eps, dt)[-1])
 
     theta = interpolation_exponent(times, gamma.t0, gamma.t1, gamma)

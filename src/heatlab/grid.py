@@ -170,7 +170,7 @@ class PotentialSpec:
 
 
 def zero_potential() -> PotentialSpec:
-    return PotentialSpec(fn=None, sup_norm=0.0, label="none")
+    return PotentialSpec(fn=None, sup_norm=0.0, label="none", time_independent=True)
 
 
 def gaussian_potential(amplitude: float, imaginary: bool = False) -> PotentialSpec:

@@ -23,8 +23,8 @@ assembled operator sum.
 
 Coefficients are rows of :attr:`WeightFamily.derivatives`, read by
 :meth:`WeightFamily.derivatives_at`; all four operator routines share one
-spectral Laplacian, and stored frames are differentiated in time by
-:func:`~heatlab.timecurve.fd_derivative`.
+spectral Laplacian, and stored frames are differentiated in time chunk by
+chunk by :func:`~heatlab.timecurve.stack_rows`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import DEFAULT_TAIL_TOL, Field, PotentialSpec, SpaceGrid, require_tail, zero_potential
-from .timecurve import STACK_CHUNK, fd_derivative, read_csv
+from .timecurve import STACK_CHUNK, read_csv, stack_rows
 from .weights import WeightFamily
 
 DIMENSION = 1  # all coefficient formulas carry n symbolically; the lab runs n = 1
@@ -230,18 +230,20 @@ def pde_residual(traj: Trajectory, potential: PotentialSpec | None = None) -> fl
     dts = np.diff(traj.times)
     if not np.max(np.abs(dts - dts[0])) <= 1e-10:
         raise ValueError("pde_residual needs equispaced frames")
-    dudt = fd_derivative(traj.frames, float(dts[0]))
     grid, x = traj.grid, traj.grid.x
     static = potential(x, float(traj.times[0])) if potential.time_independent else None
     rel = np.empty(traj.n_frames)
+    # each chunk's d_t u in one reused block, never the whole stack
+    block, scratch = np.empty((2, STACK_CHUNK, grid.n), dtype=complex)
     for lo in range(0, traj.n_frames, STACK_CHUNK):
-        chunk = slice(lo, lo + STACK_CHUNK)
-        u = traj.frames[chunk]
+        hi = min(lo + STACK_CHUNK, traj.n_frames)
+        u, dudt = traj.frames[lo:hi], block[: hi - lo]
+        np.divide(stack_rows(traj.frames, 1, lo, hi, dudt, scratch), float(dts[0]), out=dudt)
         lap = _laplacian(grid, np.fft.fft(u))
-        v = static if static is not None else [potential(x, float(t)) for t in traj.times[chunk]]
+        v = static if static is not None else [potential(x, float(t)) for t in traj.times[lo:hi]]
         vu = np.multiply(v, u)
-        resid = grid.norm(dudt[chunk] - lap - vu)
-        rel[chunk] = resid / (grid.norm(lap) + grid.norm(vu) + 1e-300)
+        resid = grid.norm(dudt - lap - vu)
+        rel[lo:hi] = resid / (grid.norm(lap) + grid.norm(vu) + 1e-300)
     return float(np.max(rel))  # a NaN frame propagates
 
 

@@ -91,6 +91,26 @@ def weighted_sum(weights, terms, out=None, scratch=None) -> np.ndarray:
     return out
 
 
+def stack_rows(values: np.ndarray, deriv: int, lo: int, hi: int, out, scratch) -> np.ndarray:
+    """Rows ``[lo, hi)`` of ``_apply_rows(values, deriv)`` for a stack, into ``out``
+    through the product buffer ``scratch`` (>= hi - lo rows), elementwise with no
+    BLAS call; a row's bytes do not depend on the range it is computed in."""
+    centered, edges = _rows(deriv)
+    n, width = values.shape[0], edges.shape[1]
+    if n < width:
+        raise GridError(f"need at least {width} samples, got {n}")
+    n_out = n - 1 if deriv < 0 else n
+    start, stop = max(lo, 2), min(hi, n_out - 2)
+    if start < stop:
+        rows = [values[start + k : stop + k] for k in range(-2, 3)]
+        weighted_sum(centered, rows, out[start - lo : stop - lo], scratch[: stop - start])
+    head, tail = values[:width], values[n - width :]
+    for i, edge, rows in ((0, 0, head), (1, 1, head), (n_out - 2, 2, tail), (n_out - 1, 3, tail)):
+        if lo <= i < hi:
+            weighted_sum(edges[edge], rows, out[i - lo], scratch[0])
+    return out
+
+
 def _apply_rows(values: np.ndarray, deriv: int) -> np.ndarray:
     """The rows of ``_rows(deriv)`` applied along the first axis of a curve or
     stack: one output per node for a derivative, one per interval for
@@ -104,15 +124,11 @@ def _apply_rows(values: np.ndarray, deriv: int) -> np.ndarray:
         raise GridError(f"need at least {width} samples, got {n}")
     n_out = n - 1 if deriv < 0 else n
     out = np.empty((n_out, *values.shape[1:]), dtype=values.dtype)
-    if values.ndim > 1:  # a stack: five shifted slices per block of STACK_CHUNK rows
+    if values.ndim > 1:  # a stack, STACK_CHUNK rows at a time through one product buffer
         scratch = np.empty_like(values[:STACK_CHUNK])
-        for lo in range(2, n_out - 2, STACK_CHUNK):
-            hi = min(lo + STACK_CHUNK, n_out - 2)
-            rows = [values[lo + k : hi + k] for k in range(-2, 3)]
-            weighted_sum(centered, rows, out[lo:hi], scratch[: hi - lo])
-        head, tail = values[:width], values[n - width :]
-        for i, rows in ((0, head), (1, head), (-2, tail), (-1, tail)):
-            weighted_sum(edges[i], rows, out[i], scratch[0])
+        for lo in range(0, n_out, STACK_CHUNK):
+            hi = min(lo + STACK_CHUNK, n_out)
+            stack_rows(values, deriv, lo, hi, out[lo:hi], scratch)
         return out
     # a curve: np.correlate sums each window in the matmul's order
     out.real[2 : n_out - 2] = np.correlate(values.real, centered, "valid")[: n_out - 4]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,16 @@ def grid12():
 @pytest.fixture(scope="session")
 def gauss12(grid12):
     return gaussian_field(grid12)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes tracemalloc sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def pytest_configure(config):

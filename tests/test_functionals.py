@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -8,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from heatlab import (
     Field,
+    PotentialSpec,
     SpaceGrid,
     TimeCurve,
     Trajectory,
@@ -294,19 +295,39 @@ def test_weighted_norm_rejects_a_nan_integrand(grid12):
 
 
 def test_log_convexity_memory_stays_near_three_frame_stacks(gauss12, family3):
-    # the engine holds f and its defect and applies S and A to chunks of
-    # STACK_CHUNK frames, whose temporaries are a few rows each; S and A over
-    # the whole stack at once would push this past the bound
+    # the engine holds f and reduces its defect STACK_CHUNK frames at a time,
+    # applying S and A to each chunk, whose temporaries are a few rows each;
+    # S and A over the whole stack at once would push this past the bound
     potential = gaussian_potential(0.5, imaginary=True)
     traj = evolve(gauss12, potential, 0.0, 1.0, steps=1024, n_frames=257)
     family3.derivatives_at(traj.times)  # builds the family's table outside the measurement
-    tracemalloc.start()
-    try:
-        check_log_convexity(traj, family3, xi=1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: check_log_convexity(traj, family3, xi=1.0))
     assert peak < 3.5 * traj.frames.nbytes
+
+
+def test_log_convexity_never_holds_a_whole_stack_defect(gauss12, family3):
+    # f is one stack; a whole-stack d_t f, defect, |defect|^2, conj(f) or
+    # defect * conj(f) would each add most of another
+    traj = evolve(gauss12, zero_potential(), 0.0, 1.0, steps=256, n_frames=257)
+    family3.derivatives_at(traj.times)
+    peak = traced_peak(lambda: check_log_convexity(traj, family3, xi=1.0))
+    assert peak < 2.0 * traj.frames.nbytes
+
+
+def test_zero_potential_is_evaluated_once_per_check(gauss12, family3, monkeypatch):
+    traj = evolve(gauss12, zero_potential(), 0.0, 1.0, steps=256, n_frames=257)
+    general = replace(traj, potential=replace(zero_potential(), time_independent=False))
+    want_residual, want = pde_residual(general), check_log_convexity(general, family3, xi=1.0)
+    calls = []
+    call = PotentialSpec.__call__
+    monkeypatch.setattr(PotentialSpec, "__call__", lambda v, x, t: calls.append(t) or call(v, x, t))
+    assert pde_residual(traj) == want_residual
+    assert len(calls) == 1
+    report = check_log_convexity(traj, family3, xi=1.0)
+    assert len(calls) == 2
+    for name in ("H", "M", "slack"):
+        assert getattr(report, name).tobytes() == getattr(want, name).tobytes()
+    assert (report.Nval, report.conjugation_residual) == (want.Nval, want.conjugation_residual)
 
 
 def test_log_convexity_evaluates_a_static_potential_once(gauss12, family3):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from heatlab import (
     Field,
     PotentialSpec,
@@ -173,6 +174,14 @@ def test_static_potential_is_evaluated_once(grid12, gauss12):
     assert len(calls) == 1
     assert pde_residual(traj) == pde_residual(traj, replace(base, time_independent=False))
     assert len(calls) == 2
+
+
+def test_pde_residual_memory_stays_below_one_frame_stack(gauss12):
+    # d_t u is taken STACK_CHUNK frames at a time in one reused block; a
+    # whole-stack derivative alone would be one stack
+    potential = gaussian_potential(0.5, imaginary=True)
+    traj = evolve(gauss12, potential, 0.0, 1.0, steps=1024, n_frames=257)
+    assert traced_peak(lambda: pde_residual(traj)) < 0.75 * traj.frames.nbytes
 
 
 def test_time_dependent_potential_stays_second_order(grid12, gauss12):

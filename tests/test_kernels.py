@@ -1,8 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from heatlab.kernels import resample_periodic
 
 L = 9.0
@@ -106,11 +105,5 @@ def test_nan_sample_never_resamples_to_a_finite_value():
 def test_resample_memory_stays_linear():
     values = samples(2048, seed=2)
     targets = np.linspace(-L, L, 2048)
-    tracemalloc.start()
-    try:
-        resample_periodic(values, targets, L)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     # a dense 2048 x 2048 complex table alone would take 64 MiB
-    assert peak < 8 * 2**20
+    assert traced_peak(lambda: resample_periodic(values, targets, L)) < 8 * 2**20

@@ -7,10 +7,12 @@ from scipy.integrate import quad
 from heatlab import TimeCurve, curve_from_callable
 from heatlab.errors import GridError
 from heatlab.timecurve import (
+    STACK_CHUNK,
     cumulative_integral,
     fd_derivative,
     interval_quadrature_weights,
     read_csv,
+    stack_rows,
     stencil_weights,
     uniform_grid,
     write_csv,
@@ -168,8 +170,9 @@ def test_general_interval_support():
         (lambda v: fd_derivative(v, 0.1, 2), 5),
         (lambda v: cumulative_integral(v, 0.1), 5),
         (lambda v: cumulative_integral(np.stack([v, v], axis=1), 0.1), 5),
+        (lambda v: stack_rows(np.stack([v, v], axis=1), 1, 0, 1, *np.empty((2, 1, 2))), 4),
     ],
-    ids=["first-derivative", "second-derivative", "quadrature", "quadrature-stack"],
+    ids=["first-derivative", "second-derivative", "quadrature", "quadrature-stack", "stack-rows"],
 )
 def test_fd_derivative_rejects_tiny_arrays(op, too_few):
     with pytest.raises(GridError, match=f"got {too_few}"):
@@ -297,3 +300,22 @@ def test_fd_derivative_stack_matches_columnwise_curves(deriv):
         col = stack[:, j]
         expected = fd_derivative(col.real, h, deriv) + 1j * fd_derivative(col.imag, h, deriv)
         assert np.max(np.abs(got[:, j] - expected)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("deriv", [1, 2])
+@pytest.mark.parametrize("n", [7, 37, 40, 257])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_stack_rows_blocks_match_the_whole_stack_bytes(dtype, n, deriv):
+    # every STACK_CHUNK block (among them the ones holding rows 0, 1, n-2 and
+    # n-1, and a short last block) and two ranges cut across the end rows
+    rng = np.random.default_rng(n + deriv)
+    values = rng.standard_normal((n, 9)).astype(dtype)
+    if dtype is complex:
+        values += 1j * rng.standard_normal((n, 9))
+    h = 1.0 / (n - 1)
+    whole = fd_derivative(values, h, deriv)
+    ranges = [(lo, min(lo + STACK_CHUNK, n)) for lo in range(0, n, STACK_CHUNK)]
+    scratch = np.empty_like(values[:STACK_CHUNK])
+    for lo, hi in [*ranges, (1, 3), (n - 3, n - 1)]:
+        block = stack_rows(values, deriv, lo, hi, np.empty_like(values[lo:hi]), scratch)
+        assert (block / h**deriv).tobytes() == whole[lo:hi].tobytes()
