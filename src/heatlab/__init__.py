@@ -25,7 +25,6 @@ from .heat import (
     apply_symmetric,
     commutator_identity,
     complex_gaussian,
-    complex_gaussian_field,
     evolve,
     pde_residual,
 )

@@ -295,8 +295,10 @@ def run_iterate(cfg: ScenarioConfig):
             title=f"refinement, delta={cfg.delta:g}", xlabel="k", logy=True,
         ),
     }
-    # the chain's invariants are certified inside run_refinement
-    return [Check("final_sup_b", trace.final_sup_cross, math.inf)], info, files
+    # run_refinement certifies the chain; each trace's largest step-to-step rise must be 0
+    rises = [("sup_b_rise", trace.sup_cross), ("gap_rise", trace.gap_to_limit)]
+    checks = [Check(name, float(np.max(np.diff(v), initial=0.0)), 0.0) for name, v in rises]
+    return [Check("final_sup_b", trace.final_sup_cross, math.inf), *checks], info, files
 
 
 def _evolve_gaussian(cfg: ScenarioConfig, n_frames: int, scale: int = 1) -> Trajectory:

@@ -288,7 +288,10 @@ def appell_transform(
                 return resample_periodic(source.frames[j], y, src_l)
             # local quartic in time through the five nearest frames; resampling
             # is linear, so interpolate the frames first and resample once
-            lo = min(max(j - 2, 0), source.times.size - 5)
+            size = source.times.size
+            if size < 5:
+                raise ValueError(f"off-frame s={s:g} needs the 5-frame quartic; only {size} stored")
+            lo = min(max(j - 2, 0), size - 5)
             ts = source.times[lo : lo + 5]
             lk = [
                 np.prod([(s - ts[r]) / (ts[k] - ts[r]) for r in range(5) if r != k])

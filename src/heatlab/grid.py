@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import Callable
 
@@ -120,16 +120,6 @@ class Field:
     def tail_fraction(self) -> float:
         """Mass fraction beyond 0.9 of the half-width."""
         return float(self.grid.tail_fraction(self.values))
-
-    def tail_ok(self, tol: float = DEFAULT_TAIL_TOL) -> bool:
-        return self.tail_fraction() <= tol
-
-    def require_tail(self, tol: float = DEFAULT_TAIL_TOL) -> "Field":
-        require_tail(self.tail_fraction(), self.time, tol)
-        return self
-
-    def with_values(self, values: np.ndarray, time: float | None = None) -> "Field":
-        return replace(self, values=values, time=self.time if time is None else time)
 
     def to_csv(self, path) -> None:
         write_csv(path, "x,re,im", self.grid.x, self.values.real, self.values.imag)

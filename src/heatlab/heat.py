@@ -34,8 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import DEFAULT_TAIL_TOL, Field, PotentialSpec, SpaceGrid, require_tail, zero_potential
-from .timecurve import STACK_CHUNK, read_csv, stack_rows
+from .grid import DEFAULT_TAIL_TOL, Field, PotentialSpec, SpaceGrid, require_tail
+from .timecurve import STACK_CHUNK, stack_rows
 from .weights import WeightFamily
 
 DIMENSION = 1  # all coefficient formulas carry n symbolically; the lab runs n = 1
@@ -53,10 +53,6 @@ def complex_gaussian(x, t: float, R: float) -> np.ndarray:
     return np.asarray(z, dtype=complex) ** (-DIMENSION / 2.0) * np.exp(
         -np.asarray(x, dtype=float) ** 2 / (4.0 * z)
     )
-
-
-def complex_gaussian_field(grid: SpaceGrid, t: float, R: float) -> Field:
-    return Field(grid=grid, values=complex_gaussian(grid.x, t, R), time=t)
 
 
 @dataclass
@@ -77,15 +73,6 @@ class Trajectory:
     def n_frames(self) -> int:
         return self.times.size
 
-    def field(self, i: int) -> Field:
-        return Field(grid=self.grid, values=self.frames[i], time=float(self.times[i]))
-
-    def index_at(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if not abs(self.times[i] - t) <= 1e-9:
-            raise ValueError(f"no stored frame at t={t}")
-        return i
-
     def norms(self) -> np.ndarray:
         return self.grid.norm(self.frames)
 
@@ -104,31 +91,6 @@ class Trajectory:
             (directory / name).write_text(template % tuple(pairs.tolist()))
             manifest.append(f"{i},{self.times[i]:.12g},{name}")
         (directory / "frames.csv").write_text("\n".join(manifest) + "\n")
-
-    @classmethod
-    def load(
-        cls,
-        directory,
-        potential: PotentialSpec | None = None,
-        tail_tol: float = DEFAULT_TAIL_TOL,
-    ) -> "Trajectory":
-        directory = Path(directory)
-        rows = (directory / "frames.csv").read_text().strip().splitlines()[1:]
-        times, frames = [], []
-        for row in rows:
-            _, t, name = row.split(",")
-            x, re, im = read_csv(directory / name, "x,re,im")
-            times.append(float(t))
-            frames.append(re + 1j * im)
-        grid = SpaceGrid(half_width=-x[0], n=x.size)
-        frames = np.array(frames)
-        return cls(
-            grid=grid,
-            times=np.array(times),
-            frames=frames,
-            tail_flags=grid.tail_fraction(frames) <= tail_tol,
-            potential=potential or zero_potential(),
-        )
 
 
 def evolve(
@@ -273,12 +235,12 @@ def conjugated_parts(
 
 def apply_symmetric(f: Field, family: WeightFamily, t: float, xi: float) -> Field:
     """The symmetric conjugated operator S at time ``t`` and frequency ``xi``."""
-    return f.with_values(conjugated_parts(f.values, f.grid, family.derivatives_at(t), xi)[0])
+    return Field(f.grid, conjugated_parts(f.values, f.grid, family.derivatives_at(t), xi)[0], f.time)
 
 
 def apply_skew(f: Field, family: WeightFamily, t: float, xi: float) -> Field:
     """The skew-symmetric conjugated operator A = -2(2ax + b xi) d_x - 2na."""
-    return f.with_values(conjugated_parts(f.values, f.grid, family.derivatives_at(t), xi)[1])
+    return Field(f.grid, conjugated_parts(f.values, f.grid, family.derivatives_at(t), xi)[1], f.time)
 
 
 def commutator_identity(

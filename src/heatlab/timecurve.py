@@ -246,15 +246,6 @@ class TimeCurve:
     def with_values(self, values: np.ndarray) -> "TimeCurve":
         return TimeCurve(values, self.t0, self.t1)
 
-    def derivative(self) -> "TimeCurve":
-        return self.with_values(fd_derivative(self.values, self.h, 1))
-
-    def second_derivative(self) -> "TimeCurve":
-        return self.with_values(fd_derivative(self.values, self.h, 2))
-
-    def antiderivative(self, start_value: float = 0.0) -> "TimeCurve":
-        return self.with_values(start_value + cumulative_integral(self.values, self.h))
-
     def sample_at(self, times) -> np.ndarray:
         return lagrange_sample(self.values, self.t0, self.h, times)
 

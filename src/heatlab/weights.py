@@ -68,12 +68,6 @@ def _growth_columns(a: TimeCurve, A: TimeCurve) -> dict[str, np.ndarray]:
     return {"ap": ap, "app": app, "w8": w8, "ident": ident, "direct": direct}
 
 
-def growth_identity(a: TimeCurve, A: TimeCurve) -> np.ndarray:
-    """(e^{8A} a)'' evaluated through the product-rule identity, with
-    finite-difference a', a''."""
-    return _growth_columns(a, A)["ident"]
-
-
 @dataclass(frozen=True)
 class CurvatureCertificate:
     """Nodewise record of (e^{8A} a)'' computed along two independent routes."""
@@ -203,10 +197,6 @@ class WeightFamily:
         scalar ``t``, columns for an array of node times; off-node times raise."""
         i = self.a.node_index(t)
         return {name: col[i] for name, col in self.derivatives.items()}
-
-    def clock(self) -> np.ndarray:
-        """The reparametrizing factor e^{8A} at the nodes."""
-        return self.derivatives["w8"]
 
     def certificate(self, tol: float = DEFAULT_RESIDUAL_TOL) -> CurvatureCertificate:
         """:func:`curvature_certificate` of (a, A), read from the table."""

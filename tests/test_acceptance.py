@@ -33,7 +33,6 @@ from heatlab import (
     coefficient_residuals,
     commutator_identity,
     complex_gaussian,
-    complex_gaussian_field,
     evolve,
     family_from_rate,
     first_family_rate,
@@ -204,7 +203,7 @@ def test_criterion_4b_closed_form_family_from_zero(grid12):
     # the tail guard, and its truncation error decays like 1/L; the full-box
     # mismatch is O(0.1).  Kept exactly as stated; see notes.
     start = time.perf_counter()
-    u0 = complex_gaussian_field(grid12, 0.0, 1.0)
+    u0 = Field(grid12, complex_gaussian(grid12.x, 0.0, 1.0), 0.0)
     traj = evolve(u0, zero_potential(), 0.0, 1.0, steps=1024)
     exact = complex_gaussian(grid12.x, 1.0, 1.0)
     gap = grid12.norm(traj.frames[-1] - exact)
@@ -223,7 +222,8 @@ def test_criterion_4b_window_closed_form_family():
     # the periodic seam the solver reproduces the closed form to 1e-6
     start = time.perf_counter()
     grid = SpaceGrid(half_width=16.0, n=2048)
-    traj = evolve(complex_gaussian_field(grid, 0.0, 1.0), zero_potential(), 0.0, 1.0, steps=1024)
+    u0 = Field(grid, complex_gaussian(grid.x, 0.0, 1.0), 0.0)
+    traj = evolve(u0, zero_potential(), 0.0, 1.0, steps=1024)
     exact = complex_gaussian(grid.x, 1.0, 1.0)
     window = np.abs(grid.x) <= 8.0
     gap = math.sqrt(grid.dx * float(np.sum(np.abs(traj.frames[-1] - exact)[window] ** 2)))
@@ -293,8 +293,8 @@ def test_criterion_6_appell_identities():
     grid = SpaceGrid(half_width=16.0, n=2048)
     times = np.linspace(0.0, 1.0, 129)
     tr = appell_transform(u_closed, alpha, beta, grid, times)
-    left = weighted_norm(tr.field(0), WeightSlice(a=gamma))
-    right = weighted_norm(tr.field(128), WeightSlice(a=gamma))
+    left = weighted_norm(Field(grid, tr.frames[0], float(tr.times[0])), WeightSlice(a=gamma))
+    right = weighted_norm(Field(grid, tr.frames[128], float(tr.times[128])), WeightSlice(a=gamma))
     u0 = weighted_norm(Field(grid=grid, values=u_closed(grid.x, 0.0)), WeightSlice(a=0.0))
     u1 = weighted_norm(
         Field(grid=grid, values=u_closed(grid.x, 1.0)), WeightSlice(a=1.0 / delta**2)
@@ -304,7 +304,7 @@ def test_criterion_6_appell_identities():
     worst_mid = 0.0
     for i, t in enumerate(times):
         s = float(appell_time_map(alpha, beta, t))
-        lhs = weighted_norm(tr.field(i), WeightSlice(a=gamma))
+        lhs = weighted_norm(Field(grid, tr.frames[i], float(t)), WeightSlice(a=gamma))
         rhs = weighted_norm(
             Field(grid=grid, values=u_closed(grid.x, s)),
             WeightSlice(a=appell_mid_exponent(alpha, beta, gamma, s)),

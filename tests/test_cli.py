@@ -218,6 +218,29 @@ def test_nan_residual_propagates_into_verdict(tmp_path, monkeypatch, command, fl
     assert verdict == "FAIL max_violation=nan"
 
 
+@pytest.mark.parametrize("series", ["sup_cross", "gap_to_limit"])
+def test_a_rising_refinement_trace_fails_iterate(tmp_path, monkeypatch, series):
+    refine = wt.run_refinement
+
+    def rising(*args, **kwargs):
+        trace = refine(*args, **kwargs)
+        values = getattr(trace, series).copy()
+        values[5] = 2.0 * values[4]  # one step up, every other step down
+        return replace(trace, **{series: values})
+
+    monkeypatch.setattr(wt, "run_refinement", rising)
+    out = tmp_path / "o"
+    assert run(["iterate", "--K", "10", "--out", str(out)]) == 1
+    assert (out / "iterate" / "verdict.txt").read_text().startswith("FAIL max_violation=")
+
+
+def test_iterate_trace_rises_read_zero_at_the_defaults():
+    checks, _, _ = cli.run_iterate.__wrapped__(ScenarioConfig())
+    assert [(c.name, c.value, c.bound) for c in checks[1:]] == [
+        ("sup_b_rise", 0.0, 0.0), ("gap_rise", 0.0, 0.0)
+    ]
+
+
 def test_certification_error_is_a_named_fail(tmp_path, monkeypatch):
     def failing(self, *args, **kwargs):
         raise CertificationError("b changes sign")

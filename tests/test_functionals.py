@@ -131,7 +131,7 @@ def with_nan(curve, node=100):
 
 
 def clock(fam):
-    return TimeCurve(fam.clock())
+    return TimeCurve(fam.derivatives["w8"])
 
 
 def limit_family_with_nan_rate(fam):
@@ -221,7 +221,7 @@ def with_nan_time(traj, i=64):
 
 
 def evolve_free(traj, **kwargs):
-    return evolve(traj.field(0), zero_potential(), 0.0, 1.0, steps=8, **kwargs)
+    return evolve(Field(traj.grid, traj.frames[0], 0.0), zero_potential(), 0.0, 1.0, steps=8, **kwargs)
 
 
 def appell_with(alpha, beta):
@@ -253,7 +253,6 @@ NAN_ARGUMENTS = {
     "sharpness_probe gamma_factor": (
         ValueError, "gamma_factor", lambda tr, fam: sharpness_probe(1.0, 0.5, math.nan)
     ),
-    "Trajectory.index_at": (ValueError, "no stored frame", lambda tr, fam: tr.index_at(math.nan)),
     "pde_residual times": (
         ValueError, "equispaced", lambda tr, fam: pde_residual(with_nan_time(tr))
     ),
@@ -415,8 +414,8 @@ def test_appell_endpoint_norm_identities():
     grid = SpaceGrid(half_width=16.0, n=2048)
     times = np.linspace(0.0, 1.0, 65)
     tr = appell_transform(free_heat_gaussian, alpha, beta, grid, times)
-    left = weighted_norm(tr.field(0), WeightSlice(a=gamma))
-    right = weighted_norm(tr.field(64), WeightSlice(a=gamma))
+    left = weighted_norm(Field(grid, tr.frames[0], float(tr.times[0])), WeightSlice(a=gamma))
+    right = weighted_norm(Field(grid, tr.frames[64], float(tr.times[64])), WeightSlice(a=gamma))
     u0 = weighted_norm(Field(grid=grid, values=free_heat_gaussian(grid.x, 0.0)), WeightSlice(a=0.0))
     u1 = weighted_norm(
         Field(grid=grid, values=free_heat_gaussian(grid.x, 1.0)), WeightSlice(a=1.0 / delta**2)
@@ -434,7 +433,7 @@ def test_appell_mid_time_identity_closed_form():
     worst = 0.0
     for i, t in enumerate(times):
         s = float(appell_time_map(alpha, beta, t))
-        lhs = weighted_norm(tr.field(i), WeightSlice(a=gamma))
+        lhs = weighted_norm(Field(grid, tr.frames[i], float(t)), WeightSlice(a=gamma))
         q = appell_mid_exponent(alpha, beta, gamma, s)
         rhs = weighted_norm(
             Field(grid=grid, values=free_heat_gaussian(grid.x, s)), WeightSlice(a=q)
@@ -565,6 +564,24 @@ def test_appell_rejects_out_of_domain_targets():
         appell_transform(traj, alpha, beta, big_out, np.linspace(0.0, 1.0, 65))
 
 
+def test_appell_names_the_quartic_when_a_short_trajectory_lacks_frames():
+    # 3 stored frames: s = 0.6 / 1.3 falls between them, where the quartic needs 5
+    src_grid = SpaceGrid(half_width=24.0, n=1024)
+    traj = evolve(
+        gaussian_field(src_grid), zero_potential(), 0.0, 1.0, steps=10,
+        frame_times=np.array([0.0, 0.3, 1.0]),
+    )
+    out = SpaceGrid(half_width=9.0, n=512)
+    with pytest.raises(ValueError, match="needs the 5-frame quartic; only 3 stored"):
+        appell_transform(traj, 1.0, 2.0, out, np.array([0.0, 0.3, 1.0]))
+    # times that map onto stored frames need no quartic, whatever the frame count
+    on_frames = appell_transform(traj, 1.0, 2.0, out, np.array([0.0, 1.0]))
+    exact = appell_transform(free_heat_gaussian, 1.0, 2.0, out, np.array([0.0, 1.0]))
+    assert np.max(np.abs(on_frames.frames - exact.frames)) < 1e-10
+    same = appell_transform(traj, 1.0, 1.0, out, traj.times)
+    assert same.n_frames == 3 and np.all(np.isfinite(same.frames))
+
+
 # --------------------------------------------------------------- bound report
 
 
@@ -605,7 +622,8 @@ def test_interior_bound_marks_one_failing_interior_frame(grid12, gauss12):
     assert not report.finite
     rates = traj.times / (4.0 * (traj.times**2 + r**2))
     for i in np.delete(np.arange(traj.n_frames), 40):
-        frame_norm = weighted_norm(traj.field(i), WeightSlice(a=float(rates[i])))
+        field = Field(grid12, traj.frames[i], float(traj.times[i]))
+        frame_norm = weighted_norm(field, WeightSlice(a=float(rates[i])))
         assert np.array_equal(report.weighted_norms[i], frame_norm)
 
 
@@ -622,9 +640,8 @@ def test_interior_bound_blow_up_signature_as_time_floor_shrinks(grid12, gauss12)
     # with the critical weight x^2/4t the truncated norms explode as t -> 0+
     traj = evolve(gauss12, zero_potential(), 0.0, 1.0, steps=500, n_frames=101)
     norms = []
-    for t in (0.4, 0.3, 0.2):
-        i = traj.index_at(t)
-        field = traj.field(i)
+    for i, t in ((40, 0.4), (30, 0.3), (20, 0.2)):
+        field = Field(grid12, traj.frames[i], float(traj.times[i]))
         norms.append(
             weighted_norm(field, WeightSlice(a=1.0 / (4.0 * t)), check_tail=False)
         )

@@ -9,13 +9,11 @@ from heatlab import (
     PotentialSpec,
     SpaceGrid,
     TimeCurve,
-    Trajectory,
     WeightFamily,
     apply_skew,
     apply_symmetric,
     commutator_identity,
     complex_gaussian,
-    complex_gaussian_field,
     constant_potential,
     evolve,
     gaussian_field,
@@ -25,9 +23,10 @@ from heatlab import (
     zero_potential,
 )
 from heatlab.errors import TailViolation
+from heatlab.grid import DEFAULT_TAIL_TOL, require_tail
 from heatlab.heat import conjugated_parts
-from heatlab.timecurve import uniform_grid, write_csv
-from heatlab.weights import antiderivative, growth_identity
+from heatlab.timecurve import read_csv, uniform_grid, write_csv
+from heatlab.weights import antiderivative
 
 
 def zero_family(m=512):
@@ -228,8 +227,8 @@ def test_complex_gaussian_modulus():
 
 
 def test_closed_form_solution_flags_tail_at_start(grid12):
-    u0 = complex_gaussian_field(grid12, 0.0, 1.0)
-    assert not u0.tail_ok()
+    u0 = Field(grid12, complex_gaussian(grid12.x, 0.0, 1.0), 0.0)
+    assert not u0.tail_fraction() <= DEFAULT_TAIL_TOL
     traj = evolve(u0, zero_potential(), 0.0, 1.0, steps=512)
     assert not traj.tail_flags[0]
     with pytest.raises(TailViolation):
@@ -240,8 +239,8 @@ def test_solver_matches_closed_form_from_positive_start():
     # from t0 = 0.35 the closed-form datum is localized and the match is global;
     # the box is sized so the truncated data tails stay below the target
     grid = SpaceGrid(half_width=16.0, n=2048)
-    u0 = complex_gaussian_field(grid, 0.35, 1.0)
-    assert u0.tail_ok()
+    u0 = Field(grid, complex_gaussian(grid.x, 0.35, 1.0), 0.35)
+    assert u0.tail_fraction() <= DEFAULT_TAIL_TOL
     traj = evolve(u0, zero_potential(), 0.35, 1.0, steps=1024)
     exact = complex_gaussian(grid.x, 1.0, 1.0)
     assert grid.norm(traj.frames[-1] - exact) < 1e-6
@@ -251,7 +250,7 @@ def test_solver_matches_closed_form_from_zero_away_from_seam():
     # the modulus-one datum at t = 0 contaminates a diffusion-length
     # neighborhood of the periodic seam; the interior stays clean
     grid = SpaceGrid(half_width=16.0, n=2048)
-    u0 = complex_gaussian_field(grid, 0.0, 1.0)
+    u0 = Field(grid, complex_gaussian(grid.x, 0.0, 1.0), 0.0)
     traj = evolve(u0, zero_potential(), 0.0, 1.0, steps=1024)
     exact = complex_gaussian(grid.x, 1.0, 1.0)
     window = np.abs(grid.x) <= 8.0
@@ -320,7 +319,7 @@ def test_commutator_identity_fixed_point_xi_zero(grid12):
     fam = limit_family(3.0)
     f = Field(grid=grid12, values=np.exp(-grid12.x**2 / 2.0) + 0j)
     lhs, rhs = commutator_identity(f, fam, 0.5, 0.0)
-    ident = growth_identity(fam.a, fam.A)
+    ident = fam.derivatives["ident"]
     direct = float(
         ident[fam.a.node_index(0.5)]
         * grid12.dx
@@ -365,7 +364,7 @@ def test_nan_frame_is_never_hidden(grid12, gauss12):
     traj.frames[40, 100] = np.nan
     assert np.isnan(pde_residual(traj))
     with pytest.raises(TailViolation):
-        traj.field(40).require_tail()
+        require_tail(grid12.tail_fraction(traj.frames[40]), traj.times[40])
 
 
 def test_grid_tail_fraction_of_a_stack_matches_fields(grid12, gauss12):
@@ -378,7 +377,8 @@ def test_grid_tail_fraction_of_a_stack_matches_fields(grid12, gauss12):
         field = Field(grid=grid12, values=row)
         assert np.array_equal(frac, field.tail_fraction(), equal_nan=True)
     assert got[5] == 0.0 and got[6] > 0.5
-    assert np.isnan(got[2]) and not Field(grid=grid12, values=frames[2]).tail_ok()
+    assert np.isnan(got[2])
+    assert not Field(grid=grid12, values=frames[2]).tail_fraction() <= DEFAULT_TAIL_TOL
 
 
 def field_with_spike(x0, value=np.inf):
@@ -386,36 +386,36 @@ def field_with_spike(x0, value=np.inf):
     u = gaussian_field(SpaceGrid(half_width=12.0, n=256))
     values = u.values.copy()
     values[np.argmin(np.abs(u.grid.x - x0))] = value
-    return u.with_values(values)
+    return Field(u.grid, values, u.time)
 
 
 def test_inf_outside_the_tail_band_fails_the_tail_guard():
     # an infinite total must not turn the band mass into a fraction of 0
     field = field_with_spike(0.0)
-    assert np.isnan(field.tail_fraction()) and not field.tail_ok()
+    assert np.isnan(field.tail_fraction()) and not field.tail_fraction() <= DEFAULT_TAIL_TOL
     with pytest.raises(TailViolation):
-        field.require_tail()
+        require_tail(field.tail_fraction(), field.time)
 
 
 def test_inf_inside_the_tail_band_is_a_tail_violation():
     # inf / inf must not escape the guard as a FloatingPointError
     field = field_with_spike(-11.5)
     with pytest.raises(TailViolation):
-        field.require_tail()
+        require_tail(field.tail_fraction(), field.time)
 
 
 def test_huge_finite_value_outside_the_tail_band_passes_the_tail_guard():
     # squaring 1e160 overflows; the guard scales each row by its peak first
     field = field_with_spike(0.0, 1e160)
-    assert field.tail_ok()
-    field.require_tail()
+    assert field.tail_fraction() <= DEFAULT_TAIL_TOL
+    require_tail(field.tail_fraction(), field.time)
 
 
 def test_huge_finite_value_inside_the_tail_band_is_a_tail_violation():
     field = field_with_spike(-11.5, 1e160)
-    assert not field.tail_ok()
+    assert not field.tail_fraction() <= DEFAULT_TAIL_TOL
     with pytest.raises(TailViolation):
-        field.require_tail()
+        require_tail(field.tail_fraction(), field.time)
 
 
 def test_grid_axes_are_read_only_and_built_once(monkeypatch):
@@ -443,20 +443,31 @@ def test_norms_of_a_huge_datum_do_not_overflow():
     grid = SpaceGrid(half_width=12.0, n=256)
     u0 = gaussian_field(grid)
     traj = evolve(u0, zero_potential(), 0.0, 0.5, steps=64, n_frames=5)
-    huge = evolve(u0.with_values(1e160 * u0.values), zero_potential(), 0.0, 0.5, steps=64, n_frames=5)
+    huge = evolve(Field(grid, 1e160 * u0.values), zero_potential(), 0.0, 0.5, steps=64, n_frames=5)
     norms = huge.norms()
     assert np.all(np.isfinite(norms))
     assert np.max(np.abs(norms / (1e160 * traj.norms()) - 1.0)) <= 1e-14
-    assert abs(huge.field(0).norm() / (1e160 * traj.field(0).norm()) - 1.0) <= 1e-14
+    first, base = (Field(grid, tr.frames[0], float(tr.times[0])).norm() for tr in (huge, traj))
+    assert abs(first / (1e160 * base) - 1.0) <= 1e-14
+
+
+def read_saved(directory):
+    """(grid, times, frames) of a saved trajectory, read back with ``read_csv``."""
+    rows = [row.split(",") for row in (directory / "frames.csv").read_text().splitlines()[1:]]
+    columns = [read_csv(directory / name, "x,re,im") for _, _, name in rows]
+    x = columns[0][0]
+    grid = SpaceGrid(half_width=-x[0], n=x.size)
+    times = np.array([float(t) for _, t, _ in rows])
+    return grid, times, np.array([re + 1j * im for _, re, im in columns])
 
 
 def test_trajectory_save_load_round_trip(tmp_path, grid12, gauss12):
     traj = evolve(gauss12, zero_potential(), 0.0, 0.5, steps=64, n_frames=5)
     traj.save(tmp_path / "run")
     assert (tmp_path / "run" / "frames.csv").read_text().splitlines()[0] == "index,t,file"
-    back = Trajectory.load(tmp_path / "run")
-    assert np.max(np.abs(back.frames - traj.frames)) < 1e-11
-    assert np.array_equal(back.times, traj.times)
+    _, times, frames = read_saved(tmp_path / "run")
+    assert np.max(np.abs(frames - traj.frames)) < 1e-11
+    assert np.array_equal(times, traj.times)
 
 
 def assert_frames_are_write_csv_bytes(traj, directory, scratch):
@@ -468,12 +479,13 @@ def assert_frames_are_write_csv_bytes(traj, directory, scratch):
 
 def test_saved_frames_are_write_csv_bytes(tmp_path, grid12):
     # frame 0 is not localized, so the round trip must carry a False tail flag
-    u0 = complex_gaussian_field(grid12, 0.0, 1.0)
+    u0 = Field(grid12, complex_gaussian(grid12.x, 0.0, 1.0), 0.0)
     traj = evolve(u0, gaussian_potential(0.5, imaginary=True), 0.0, 0.5, steps=64, n_frames=5)
     assert_frames_are_write_csv_bytes(traj, tmp_path / "run", tmp_path / "ref.csv")
-    back = Trajectory.load(tmp_path / "run")
-    assert not back.tail_flags[0]
-    assert np.array_equal(back.tail_flags, traj.tail_flags)
+    grid, _, frames = read_saved(tmp_path / "run")
+    tail_flags = grid.tail_fraction(frames) <= DEFAULT_TAIL_TOL
+    assert not tail_flags[0]
+    assert np.array_equal(tail_flags, traj.tail_flags)
     special = replace(traj, frames=traj.frames.copy())
     special.frames[2, :3] = [-0.0 + 5e-324j, complex(np.inf, -np.inf), complex(np.nan, 1e12)]
     assert_frames_are_write_csv_bytes(special, tmp_path / "special", tmp_path / "ref.csv")

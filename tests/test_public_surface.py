@@ -1,0 +1,81 @@
+"""The heatlab names that code outside the package relies on.
+
+The benchmark harness in ``perfbench/`` wraps heatlab from outside, so a
+removed name would otherwise surface only as a failed traced benchmark run;
+these tests load ``perfbench/tracer.py`` and read ``perfbench/workloads.py``
+without changing either file.  The README's library example runs as written.
+"""
+
+import ast
+import importlib.util
+import json
+import re
+from pathlib import Path
+
+import heatlab
+import heatlab.cli  # noqa: F401  (the tracer reads every layer module)
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_per_layer_metric_is_a_key_the_tracer_produces():
+    tracer = load_tracer().Tracer()
+    tracer._find_patches()  # builds the wrappers without installing them
+    keys = {f"{name}.{stat}" for name in tracer.totals for stat in ("calls", "total_s", "self_s")}
+    keys |= set(tracer.counters)
+    # run.py adds the traced-pass timings itself
+    keys |= set(re.findall(r'layers\["(trace\.\w+)"\]', (PERFBENCH / "run.py").read_text()))
+    listed = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    assert sorted(set(listed) - keys) == []
+
+
+def dotted(node):
+    """``["wt", "WeightFamily", ...]`` for an attribute chain on a bare name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else None
+
+
+def test_every_heatlab_attribute_the_workloads_use_exists():
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    modules = {
+        alias.asname or alias.name: getattr(heatlab, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "heatlab"
+        for alias in node.names
+    }
+    assert modules  # the workloads import heatlab's layer modules by name
+    chains = {
+        tuple(chain)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and (chain := dotted(node)) is not None
+        and chain[0] in modules
+    }
+    missing = []
+    for root, *attrs in sorted(chains):
+        target = modules[root]
+        for depth, attr in enumerate(attrs):
+            if not hasattr(target, attr):
+                missing.append(".".join([root, *attrs[: depth + 1]]))
+                break
+            target = getattr(target, attr)
+    assert missing == []
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()

@@ -28,7 +28,7 @@ from heatlab import (
 from heatlab import weights as wt
 from heatlab.errors import CertificationError, ResidualError
 from heatlab.timecurve import fd_derivative, uniform_grid
-from heatlab.weights import growth_identity, limit_rate
+from heatlab.weights import limit_rate
 
 
 def test_antiderivative_zero_and_constant():
@@ -48,7 +48,7 @@ def test_solve_cross_rejects_bad_boundary_data():
 def test_fixed_point_family_has_zero_cross_coefficient():
     fam = limit_family(3.0)
     assert np.max(np.abs(fam.b.values)) == 0.0
-    relation = fam.a.values * fam.clock() - fam.a.nodes / 9.0
+    relation = fam.a.values * fam.derivatives["w8"] - fam.a.nodes / 9.0
     assert np.max(np.abs(relation)) < 1e-12
 
 
@@ -61,10 +61,12 @@ def test_derivative_table_matches_fresh_differences(family3):
         assert np.array_equal(table[name + "p"], fd_derivative(curve.values, h, 1))
         assert np.array_equal(table[name + "pp"], fd_derivative(curve.values, h, 2))
     assert np.array_equal(table["w8"], np.exp(8.0 * family3.A.values))
-    assert np.array_equal(table["ident"], growth_identity(family3.a, family3.A))
+    ap = fd_derivative(family3.a.values, h, 1)
+    app = fd_derivative(family3.a.values, h, 2)
+    ident = table["w8"] * (app + 24.0 * family3.a.values * ap + 64.0 * family3.a.values**3)
+    assert np.array_equal(table["ident"], ident)
     assert np.array_equal(table["direct"], fd_derivative(table["w8"] * family3.a.values, h, 2))
     assert np.array_equal(table["cross"], fd_derivative(table["w8"] * family3.b.values, h, 2))
-    assert np.array_equal(family3.clock(), table["w8"])
     assert not table["ap"].flags.writeable
 
 
@@ -356,7 +358,7 @@ def test_limit_family_values():
     fam3 = limit_family(3.0)
     assert not fam3.singular
     assert abs(float(fam3.a.sample_at(0.5)) - 1.0 / 12.0) < 1e-15
-    relation = fam3.a.values * fam3.clock() - fam3.a.nodes / 9.0
+    relation = fam3.a.values * fam3.derivatives["w8"] - fam3.a.nodes / 9.0
     assert np.max(np.abs(relation)) < 1e-12
     with pytest.raises(ValueError):
         limit_family(1.5)
@@ -379,7 +381,7 @@ def test_validate_flags_sign_corruption(family3):
 @settings(max_examples=40, deadline=None)
 def test_quadratic_form_collapses_to_square(family3, x, xi, node):
     c_xx, c_xxi, c_xixi = quadratic_form_coefficients(family3)
-    ident = growth_identity(family3.a, family3.A)
+    ident = family3.derivatives["ident"]
     assembled = c_xx[node] * x**2 + c_xxi[node] * x * xi + c_xixi[node] * xi**2
     collapsed = ident[node] * (x + xi) ** 2
     scale = max(1.0, abs(collapsed), abs(ident[node]) * (x**2 + xi**2))
