@@ -1,3 +1,6 @@
+import gc
+import os
+import subprocess
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +12,7 @@ from heatlab import (
     PotentialSpec,
     SpaceGrid,
     TimeCurve,
+    Trajectory,
     WeightFamily,
     apply_skew,
     apply_symmetric,
@@ -477,15 +481,74 @@ def assert_frames_are_write_csv_bytes(traj, directory, scratch):
         assert (directory / f"frame_{i:04d}.csv").read_bytes() == scratch.read_bytes()
 
 
-def test_saved_frames_are_write_csv_bytes(tmp_path, grid12):
+SPECIAL = [-0.0 + 5e-324j, complex(np.inf, -np.inf), complex(np.nan, 1e12)]
+
+
+@pytest.fixture
+def popen_spy(monkeypatch):
+    """Every process ``subprocess.Popen`` starts while the test runs."""
+    started, real = [], subprocess.Popen
+
+    def spy(*args, **kwargs):
+        started.append(real(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", spy)
+    return started
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def test_saved_frames_are_write_csv_bytes(tmp_path, grid12, two_cpus, popen_spy):
     # frame 0 is not localized, so the round trip must carry a False tail flag
     u0 = Field(grid12, complex_gaussian(grid12.x, 0.0, 1.0), 0.0)
-    traj = evolve(u0, gaussian_potential(0.5, imaginary=True), 0.0, 0.5, steps=64, n_frames=5)
+    pot = gaussian_potential(0.5, imaginary=True)
+    for n_frames in (2, 5, 251):
+        traj = evolve(u0, pot, 0.0, 0.5, steps=500, n_frames=n_frames)
+        traj.save(tmp_path / f"run_{n_frames}")
+        grid, _, frames = read_saved(tmp_path / f"run_{n_frames}")
+        tail_flags = grid.tail_fraction(frames) <= DEFAULT_TAIL_TOL
+        assert not tail_flags[0]
+        assert np.array_equal(tail_flags, traj.tail_flags)
+        # this process writes frames [0, half) and the helper frames [half, n_frames)
+        half = (n_frames + 1) // 2
+        special = replace(traj, frames=traj.frames.copy())
+        special.frames[[half - 1, half], :3] = SPECIAL
+        directory = tmp_path / f"special_{n_frames}"
+        assert_frames_are_write_csv_bytes(special, directory, tmp_path / "ref.csv")
+    assert [helper.returncode for helper in popen_spy] == [0] * 6
+
+
+def test_a_one_frame_trajectory_is_saved_in_process(tmp_path, grid12, gauss12, two_cpus, popen_spy):
+    values = gauss12.values.copy()
+    values[:3] = SPECIAL
+    traj = Trajectory(grid12, [0.0], values[None], np.array([True]), zero_potential())
     assert_frames_are_write_csv_bytes(traj, tmp_path / "run", tmp_path / "ref.csv")
-    grid, _, frames = read_saved(tmp_path / "run")
-    tail_flags = grid.tail_fraction(frames) <= DEFAULT_TAIL_TOL
-    assert not tail_flags[0]
-    assert np.array_equal(tail_flags, traj.tail_flags)
-    special = replace(traj, frames=traj.frames.copy())
-    special.frames[2, :3] = [-0.0 + 5e-324j, complex(np.inf, -np.inf), complex(np.nan, 1e12)]
-    assert_frames_are_write_csv_bytes(special, tmp_path / "special", tmp_path / "ref.csv")
+    assert popen_spy == []
+
+
+def test_one_cpu_saves_every_frame_in_process(tmp_path, gauss12, popen_spy, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    traj = evolve(gauss12, zero_potential(), 0.0, 0.5, steps=64, n_frames=5)
+    assert_frames_are_write_csv_bytes(traj, tmp_path / "run", tmp_path / "ref.csv")
+    assert popen_spy == []
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+def test_frame_helper_failures_raise_and_leave_no_process(tmp_path, gauss12, two_cpus, popen_spy):
+    traj = evolve(gauss12, zero_potential(), 0.0, 0.5, steps=64, n_frames=5)
+    traj.save(tmp_path / "ok")
+    assert [helper.returncode for helper in popen_spy] == [0]
+    # of 5 frames this process writes frames 0 to 2 and the helper frames 3 and 4
+    for index, failure in ((3, "frame helper exited with code 1"), (0, "Is a directory")):
+        blocked = tmp_path / f"blocked_{index}" / f"frame_{index:04d}.csv"
+        blocked.mkdir(parents=True)
+        with pytest.raises(OSError, match=failure) as raised:
+            traj.save(blocked.parent)
+        assert str(blocked) in str(raised.value)
+        assert not (blocked.parent / "frames.csv").exists()
+    assert [helper.returncode for helper in popen_spy] == [0, 1, 0]
+    gc.collect()
