@@ -370,6 +370,8 @@ def verify_interior_bound(
     integrand = np.exp(2.0 * exponent) * np.abs(traj.frames) ** 2
     norms = np.sqrt(grid.dx * np.sum(integrand, axis=1))
     rhs = grid.norm(traj.frames[0]) + float(norms[-1])
+    if rhs == 0.0:
+        raise ValueError("||u(0)|| + the final weighted norm is 0, so the bound is undefined")
     finite = True
     if check_tail:
         fraction = grid.tail_fraction(np.exp(exponent) * np.abs(traj.frames))

@@ -111,10 +111,11 @@ def stack_rows(values: np.ndarray, deriv: int, lo: int, hi: int, out, scratch) -
     return out
 
 
-def _apply_rows(values: np.ndarray, deriv: int) -> np.ndarray:
+def _apply_rows(values: np.ndarray, deriv: int, lead: int = 0) -> np.ndarray:
     """The rows of ``_rows(deriv)`` applied along the first axis of a curve or
     stack: one output per node for a derivative, one per interval for
-    ``deriv = -1``.  Real input is taken as float, complex input kept."""
+    ``deriv = -1``, after ``lead`` <= 2 unset leading rows.  Real input is
+    taken as float, complex input kept."""
     values = np.asarray(values)
     if values.dtype.kind != "c":
         values = values.astype(float, copy=False)
@@ -123,23 +124,26 @@ def _apply_rows(values: np.ndarray, deriv: int) -> np.ndarray:
     if n < width:
         raise GridError(f"need at least {width} samples, got {n}")
     n_out = n - 1 if deriv < 0 else n
-    out = np.empty((n_out, *values.shape[1:]), dtype=values.dtype)
+    if values.ndim == 1 and values.dtype.kind != "c":
+        # a real curve: the "full" correlation (each window summed as its dot) is the output
+        out = np.correlate(values, centered, "full")[2 - lead : n_out + 2]
+        ends = np.dot(edges, values[_end_index(n, width)])
+        out[lead], out[lead + 1], out[-2], out[-1] = ends[0, 0], ends[1, 0], ends[2, 1], ends[3, 1]
+        return out
+    out = np.empty((lead + n_out, *values.shape[1:]), dtype=values.dtype)
+    rows = out[lead:]
     if values.ndim > 1:  # a stack, STACK_CHUNK rows at a time through one product buffer
         scratch = np.empty_like(values[:STACK_CHUNK])
         for lo in range(0, n_out, STACK_CHUNK):
             hi = min(lo + STACK_CHUNK, n_out)
-            stack_rows(values, deriv, lo, hi, out[lo:hi], scratch)
+            stack_rows(values, deriv, lo, hi, rows[lo:hi], scratch)
         return out
-    # a curve: np.correlate sums each window in the matmul's order
-    out.real[2 : n_out - 2] = np.correlate(values.real, centered, "valid")[: n_out - 4]
-    if values.dtype.kind == "c":  # part by part, as the complex matmul sums
-        out.imag[2 : n_out - 2] = np.correlate(values.imag, centered, "valid")[: n_out - 4]
-        head, tail = values[:width], values[n - width :]
-        out[0], out[1] = edges[0] @ head, edges[1] @ head
-        out[-2], out[-1] = edges[2] @ tail, edges[3] @ tail
-    else:  # one product, each row summed as its dot
-        ends = edges @ values[_end_index(n, width)]
-        out[0], out[1], out[-2], out[-1] = ends[0, 0], ends[1, 0], ends[2, 1], ends[3, 1]
+    # a complex curve part by part, as the complex matmul sums
+    rows.real[2 : n_out - 2] = np.correlate(values.real, centered, "valid")[: n_out - 4]
+    rows.imag[2 : n_out - 2] = np.correlate(values.imag, centered, "valid")[: n_out - 4]
+    head, tail = values[:width], values[n - width :]
+    rows[0], rows[1] = edges[0] @ head, edges[1] @ head
+    rows[-2], rows[-1] = edges[2] @ tail, edges[3] @ tail
     return out
 
 
@@ -163,10 +167,9 @@ def cumulative_integral(values: np.ndarray, h: float) -> np.ndarray:
     giving global accuracy O(h^5); the four edge intervals use quintic
     windows (see ``_rows``).
     """
-    increments = _apply_rows(values, -1)
-    out = np.empty((increments.shape[0] + 1, *increments.shape[1:]), dtype=increments.dtype)
+    out = _apply_rows(values, -1, lead=1)
     out[0] = 0.0
-    increments.cumsum(axis=0, out=out[1:])
+    out[1:].cumsum(axis=0, out=out[1:])  # the increments, accumulated in place
     return np.multiply(out, h, out=out)
 
 

@@ -35,6 +35,7 @@ from .timecurve import TimeCurve, _read_only, cumulative_integral, fd_derivative
 
 DEFAULT_M = 512
 DEFAULT_RESIDUAL_TOL = 1e-6
+DEFAULT_RECERT_TOL = 1e-4  # the chain's per-step curvature and rate tolerance
 
 
 def grid_tol(tol: float, m: int) -> float:
@@ -55,16 +56,15 @@ def first_family_rate(delta: float, m: int = DEFAULT_M) -> TimeCurve:
     return TimeCurve(t / (delta + 2.0 - 2.0 * t) ** 2)
 
 
-def _growth_columns(a: TimeCurve, A: TimeCurve) -> dict[str, np.ndarray]:
+def _growth_columns(a: np.ndarray, A: np.ndarray, h: float) -> dict[str, np.ndarray]:
     """a', a'', the clock ``w8`` = e^{8A} and (e^{8A} a)'' along two routes:
     ``ident`` by the product-rule identity e^{8A} (a'' + 24 a a' + 64 a^3),
     ``direct`` by a second difference of e^{8A} a."""
-    av = a.values
-    ap = fd_derivative(av, a.h, 1)
-    app = fd_derivative(av, a.h, 2)
-    w8 = np.exp(8.0 * A.values)
-    ident = w8 * (app + 24.0 * av * ap + 64.0 * av**3)
-    direct = fd_derivative(w8 * av, a.h, 2)
+    ap = fd_derivative(a, h, 1)
+    app = fd_derivative(a, h, 2)
+    w8 = np.exp(8.0 * A)
+    ident = w8 * (app + 24.0 * a * ap + 64.0 * a**3)
+    direct = fd_derivative(w8 * a, h, 2)
     return {"ap": ap, "app": app, "w8": w8, "ident": ident, "direct": direct}
 
 
@@ -109,21 +109,25 @@ def curvature_certificate(
     """Certify convexity of e^{8A} a by cross-checked interior curvature:
     the product-rule identity against a direct second difference of e^{8A} a.
     A family reads the same certificate from its table."""
-    cols = _growth_columns(a, A)
+    cols = _growth_columns(a.values, A.values, a.h)
     return _certify(cols["ident"], cols["direct"], tol)
+
+
+def _cross(a: np.ndarray, em8: np.ndarray, t: np.ndarray, delta: float) -> np.ndarray:
+    """b = 2 (a - t e^{-8A} / delta^2) from a, ``em8`` = e^{-8A} and the nodes ``t``."""
+    if not (abs(a[0]) <= 1e-12 and abs(a[-1] - 1.0 / delta**2) <= 1e-9):
+        raise ValueError(
+            "boundary data violated: need a(0) = 0 and a(1) = 1/delta^2, got "
+            f"a(0)={a[0]:g}, a(1)={a[-1]:g}"
+        )
+    return 2.0 * (a - t * em8 / delta**2)
 
 
 def solve_cross(a: TimeCurve, A: TimeCurve, delta: float) -> TimeCurve:
     """Cross coefficient b with b(0) = b(1) = 0, by the closed form
     b = 2 (a - t e^{-8A} / delta^2).  :meth:`WeightFamily.certify_equations`
     checks it against the defining equation."""
-    t = a.nodes
-    if not (abs(a.values[0]) <= 1e-12 and abs(a.values[-1] - 1.0 / delta**2) <= 1e-9):
-        raise ValueError(
-            "boundary data violated: need a(0) = 0 and a(1) = 1/delta^2, got "
-            f"a(0)={a.values[0]:g}, a(1)={a.values[-1]:g}"
-        )
-    return a.with_values(2.0 * (a.values - t * np.exp(-8.0 * A.values) / delta**2))
+    return a.with_values(_cross(a.values, np.exp(-8.0 * A.values), a.nodes, delta))
 
 
 def solve_cross_bvp(a: TimeCurve, A: TimeCurve) -> TimeCurve:
@@ -141,9 +145,22 @@ def solve_cross_bvp(a: TimeCurve, A: TimeCurve) -> TimeCurve:
     return a.with_values((2.0 * g2 + c1 * tau) / w)
 
 
+def _energy(b: np.ndarray, h: float) -> np.ndarray:
+    return cumulative_integral(b**2, h)
+
+
 def cross_energy(b: TimeCurve) -> np.ndarray:
     """int_0^t b^2 at the nodes, the one quadrature of b that T, N and a step read."""
-    return cumulative_integral(b.values**2, b.h)
+    return _energy(b.values, b.h)
+
+
+def _freq(a: np.ndarray, em8: np.ndarray, int_b2: np.ndarray, h: float, tau: np.ndarray) -> np.ndarray:
+    """T from a, ``em8`` = e^{-8A}, int_0^t b^2 and tau = (t - t0) / (t1 - t0)."""
+    int_a2 = cumulative_integral(a**2, h)
+    int_em = cumulative_integral(em8, h)
+    c = (a[-1] - a[0] - 2.0 * int_b2[-1] + 8.0 * int_a2[-1]) / int_em[-1]
+    tvals = 2.0 * int_b2 - (a - a[0]) - 8.0 * int_a2 + c * int_em
+    return tvals - tvals[-1] * tau  # pin the endpoint exactly
 
 
 def solve_freq(a: TimeCurve, A: TimeCurve, int_b2: np.ndarray) -> TimeCurve:
@@ -154,12 +171,8 @@ def solve_freq(a: TimeCurve, A: TimeCurve, int_b2: np.ndarray) -> TimeCurve:
     the final value vanishes.  :meth:`WeightFamily.certify_equations` checks
     it against the defining equation.
     """
-    int_a2 = cumulative_integral(a.values**2, a.h)
-    int_em = cumulative_integral(np.exp(-8.0 * A.values), a.h)
-    c = (a.values[-1] - a.values[0] - 2.0 * int_b2[-1] + 8.0 * int_a2[-1]) / int_em[-1]
-    tvals = 2.0 * int_b2 - (a.values - a.values[0]) - 8.0 * int_a2 + c * int_em
     tau = (a.nodes - a.t0) / (a.t1 - a.t0)
-    return a.with_values(tvals - tvals[-1] * tau)  # pin the endpoint exactly
+    return a.with_values(_freq(a.values, np.exp(-8.0 * A.values), int_b2, a.h, tau))
 
 
 @dataclass(frozen=True)
@@ -184,7 +197,7 @@ class WeightFamily:
         Tp, Tpp``), the clock ``w8`` = e^{8A}, (e^{8A} a)'' along two routes
         (``ident`` by the product rule, ``direct`` by a second difference of
         e^{8A} a) and ``cross`` = (e^{8A} b)''."""
-        table = {"a": self.a.values.view(), **_growth_columns(self.a, self.A)}
+        table = {"a": self.a.values.view(), **_growth_columns(self.a.values, self.A.values, self.a.h)}
         for name, curve in (("b", self.b), ("T", self.T)):
             table[name] = curve.values.view()
             table[name + "p"] = fd_derivative(curve.values, curve.h, 1)
@@ -329,10 +342,28 @@ def coefficient_residuals(family: WeightFamily) -> tuple[TimeCurve, TimeCurve]:
     return r1, r2
 
 
+def _stabilizer(b: np.ndarray, T: np.ndarray, int_b2: np.ndarray) -> float:
+    # np.maximum, unlike builtin max, propagates a NaN node
+    return float(np.maximum(np.maximum(1.0, (1.0 - b / 2.0).max()), (T / 2.0 - int_b2).max()))
+
+
 def minimal_stabilizer(b: TimeCurve, T: TimeCurve, int_b2: np.ndarray) -> float:
     """Smallest N >= 1 with N + b/2 >= 1 and T <= 2 (int_b2 + N) nodewise."""
-    # np.max, unlike builtin max, propagates a NaN node
-    return float(np.max([1.0, (1.0 - b.values / 2.0).max(), (T.values / 2.0 - int_b2).max()]))
+    return _stabilizer(b.values, T.values, int_b2)
+
+
+def _advance(a: np.ndarray, A: np.ndarray, b: np.ndarray, int_b2: np.ndarray,
+             stabilizer: float, h: float, consistency_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(a_next, A_next) of :func:`refine_pair` on arrays, with its checks."""
+    if not stabilizer >= 1.0:
+        raise ValueError("stabilizer must be >= 1")
+    energy = int_b2 + stabilizer
+    a_next = a + b**2 / (8.0 * energy)
+    A_next = A + (np.log(energy) - math.log(energy[-1])) / 8.0
+    drift = np.abs(fd_derivative(A_next, h, 1) - a_next).max()
+    if not drift <= max(consistency_tol, 100 * consistency_tol * np.abs(a_next).max()):
+        raise ValueError(f"consistency failure: |A_next' - a_next| = {drift:.3e}")
+    return a_next, A_next
 
 
 def refine_pair(
@@ -349,15 +380,8 @@ def refine_pair(
     A_next = A + (log(int_0^t b^2 + N) - log(int_0^1 b^2 + N)) / 8.
     That A_next' = a_next is asserted, not assumed.
     """
-    if not stabilizer >= 1.0:
-        raise ValueError("stabilizer must be >= 1")
-    energy = int_b2 + stabilizer
-    a_next = a.with_values(a.values + b.values**2 / (8.0 * energy))
-    A_next = A.with_values(A.values + (np.log(energy) - math.log(energy[-1])) / 8.0)
-    drift = np.abs(fd_derivative(A_next.values, A.h, 1) - a_next.values).max()
-    if not drift <= max(consistency_tol, 100 * consistency_tol * np.abs(a_next.values).max()):
-        raise ValueError(f"consistency failure: |A_next' - a_next| = {drift:.3e}")
-    return a_next, A_next
+    a_next, A_next = _advance(a.values, A.values, b.values, int_b2, stabilizer, A.h, consistency_tol)
+    return a.with_values(a_next), A.with_values(A_next)
 
 
 def limit_rate(delta: float, m: int = DEFAULT_M, t_min: float = 1e-3) -> tuple[TimeCurve, TimeCurve, bool]:
@@ -408,6 +432,7 @@ class RefinementTrace:
     converged: bool
     steps_run: int
     sup_cross: np.ndarray  # sup |b_k| for k = 1..steps_run
+    rate_margin: np.ndarray  # min (a_k' + 4 a_k^2) for k = 1..steps_run
     gap_to_limit: np.ndarray  # sup |a_k - a_limit| for k = 1..steps_run
     families: list[WeightFamily] = dataclass_field(default_factory=list)
     stored_steps: list[int] = dataclass_field(default_factory=list)
@@ -426,7 +451,7 @@ def run_refinement(
     max_steps: int,
     tol: float = 1e-5,
     m: int = DEFAULT_M,
-    recert_tol: float = 1e-4,
+    recert_tol: float = DEFAULT_RECERT_TOL,
     store_every: int = 0,
 ) -> RefinementTrace:
     """Drive the refinement from the seed family until sup|b| <= tol.
@@ -439,18 +464,21 @@ def run_refinement(
     residual tolerance.  If ``tol`` is not reached within ``max_steps`` the
     trace comes back with ``converged = False`` as a diagnostic rather than
     an error.  ``store_every`` = s > 0 keeps the families of step 1, every
-    s-th step after it and the last step; by default none are kept.
+    s-th step after it and the last step; by default none are kept.  Steps
+    run on bare arrays; no iterate is formed after the last step.
     """
     if delta <= 2.0:
         raise ValueError("need delta > 2 for the refinement chain")
     if max_steps < 1:
         raise ValueError("need max_steps >= 1")
-    a = first_family_rate(delta, m)
-    A = antiderivative(a)
-    a_lim, _, _ = limit_rate(delta, m)
+    seed = first_family_rate(delta, m)
+    t, h = seed.nodes, seed.h  # on [0, 1], tau = t
+    a, A = seed.values, antiderivative(seed).values
+    a_lim = limit_rate(delta, m)[0].values
     ceiling = 1.0 / (delta**2 - 4.0)
 
     sup_cross: list[float] = []
+    margins: list[float] = []
     gaps: list[float] = []
     families: list[WeightFamily] = []
     stored: list[int] = []
@@ -458,33 +486,39 @@ def run_refinement(
     prev_a: np.ndarray | None = None
 
     for k in range(1, max_steps + 1):
-        b = solve_cross(a, A, delta)
-        int_b2 = cross_energy(b)
-        T = solve_freq(a, A, int_b2)
-        cols = _growth_columns(a, A)
+        em8 = np.exp(-8.0 * A)  # shared by both solves
+        b = _cross(a, em8, t, delta)
+        int_b2 = _energy(b, h)
+        T = _freq(a, em8, int_b2, h, t)
+        cols = _growth_columns(a, A, h)
         cert = _certify(cols["ident"], cols["direct"], recert_tol)
         if cert.verdict != "positive":
             raise CertificationError(f"convexity certificate failed at step {k}: {cert.verdict}")
-        if (cols["ap"] + 4.0 * a.values**2).min() < -recert_tol:
-            raise CertificationError(f"rate inequality a' + 4a^2 >= 0 failed at step {k}")
-        if a.values.max() > ceiling + recert_tol:
+        # each check is written "not (value within bound)", so a NaN fails it
+        if not a.max() <= ceiling + recert_tol:
             raise CertificationError(f"chain ceiling exceeded at step {k}")
-        if prev_a is not None and (a.values[1:-1] - prev_a[1:-1]).min() < 0.0:
+        margin = float((cols["ap"] + 4.0 * a**2).min())
+        if not margin >= -recert_tol:
+            raise CertificationError(f"rate inequality a' + 4a^2 >= 0 failed at step {k}")
+        if prev_a is not None and not (a[1:-1] - prev_a[1:-1]).min() >= 0.0:
             raise CertificationError(f"chain violation: a_{k} < a_{k-1} somewhere")
-        sup_cross.append(float(np.abs(b.values).max()))
-        gaps.append(float(np.abs(a.values - a_lim.values).max()))
+        sup_cross.append(float(np.abs(b).max()))
+        margins.append(margin)
+        gaps.append(float(np.abs(a - a_lim).max()))
         converged = sup_cross[-1] <= tol
         if store_every > 0 and ((k - 1) % store_every == 0 or converged or k == max_steps):
-            families.append(WeightFamily(delta=delta, a=a, A=A, b=b, T=T))
+            families.append(WeightFamily(delta, *(seed.with_values(v) for v in (a, A, b, T))))
             stored.append(k)
         if converged:
             break
-        stabilizer = max(stabilizer, minimal_stabilizer(b, T, int_b2))
-        prev_a = a.values
-        a, A = refine_pair(a, A, b, int_b2, stabilizer)
+        stabilizer = max(stabilizer, _stabilizer(b, T, int_b2))
+        if k == max_steps:  # no iterate after the last step
+            break
+        prev_a = a
+        a, A = _advance(a, A, b, int_b2, stabilizer, h, DEFAULT_RESIDUAL_TOL)
 
     return RefinementTrace(
         delta=delta, stabilizer=stabilizer, converged=converged, steps_run=k,
-        sup_cross=np.array(sup_cross), gap_to_limit=np.array(gaps),
-        families=families, stored_steps=stored,
+        sup_cross=np.array(sup_cross), rate_margin=np.array(margins),
+        gap_to_limit=np.array(gaps), families=families, stored_steps=stored,
     )

@@ -236,9 +236,36 @@ def test_a_rising_refinement_trace_fails_iterate(tmp_path, monkeypatch, series):
 
 def test_iterate_trace_rises_read_zero_at_the_defaults():
     checks, _, _ = cli.run_iterate.__wrapped__(ScenarioConfig())
-    assert [(c.name, c.value, c.bound) for c in checks[1:]] == [
+    assert [(c.name, c.value, c.bound) for c in checks[1:3]] == [
         ("sup_b_rise", 0.0, 0.0), ("gap_rise", 0.0, 0.0)
     ]
+
+
+def test_iterate_checks_the_last_rate_margin(tmp_path):
+    out = tmp_path / "o"
+    assert run(["iterate", "--out", str(out)]) == 0
+    trace = wt.run_refinement(3.0, 50)
+    manifest = (out / "iterate" / "manifest.txt").read_text().splitlines()
+    assert f"rate_margin = {trace.rate_margin[-1]:.12g}" in manifest
+    checks, info, _ = cli.run_iterate.__wrapped__(ScenarioConfig())
+    assert checks[-1] == Check("rate_margin", -info["rate_margin"], 1e-4)
+    assert info["rate_margin"] == trace.rate_margin[-1] > 0.0
+
+
+def test_a_negative_rate_margin_fails_iterate(tmp_path, monkeypatch):
+    refine = wt.run_refinement
+
+    def dipping(*args, **kwargs):
+        trace = refine(*args, **kwargs)
+        margins = trace.rate_margin.copy()
+        margins[-1] = -1.0  # the last iterate breaks a' + 4a^2 >= 0
+        return replace(trace, rate_margin=margins)
+
+    monkeypatch.setattr(wt, "run_refinement", dipping)
+    out = tmp_path / "o"
+    assert run(["iterate", "--K", "10", "--out", str(out)]) == 1
+    assert (out / "iterate" / "verdict.txt").read_text() == "FAIL max_violation=1\n"
+    assert "rate_margin = -1" in (out / "iterate" / "manifest.txt").read_text().splitlines()
 
 
 def test_certification_error_is_a_named_fail(tmp_path, monkeypatch):

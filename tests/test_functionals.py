@@ -164,8 +164,48 @@ def step_with_nan_cross(fam):
     wt.refine_pair(fam.a, fam.A, bad, wt.cross_energy(bad), 1.0)
 
 
-# one NaN node in a, b, T, the correction source, the clock gamma or the
-# stabilizer: (error, message pattern, call)
+def nan_at(values, node=100):
+    values = values.copy()
+    values[node] = np.nan
+    return values
+
+
+def chain_with(fam, **patches):
+    # three steps of the chain with its curvature certificate passing, so the
+    # NaN reaches the chain's own checks
+    positive = wt.CurvatureCertificate(0.0, 0.0, 0.0, "positive")
+    with mock.patch.multiple(wt, _certify=lambda *args: positive, **patches):
+        wt.run_refinement(fam.delta, 3)
+
+
+def chain_with_nan_seed(fam):
+    seed = wt.first_family_rate
+    chain_with(fam, first_family_rate=lambda *args: with_nan(seed(*args)))
+
+
+def chain_with_nan_rate_derivative(fam):
+    growth = wt._growth_columns
+
+    def poisoned(*args):
+        cols = growth(*args)
+        return {**cols, "ap": nan_at(cols["ap"])}
+
+    chain_with(fam, _growth_columns=poisoned)
+
+
+def chain_with_nan_previous_rate(fam):
+    advance = wt._advance
+
+    def poisoning(a, *args):
+        step = advance(a, *args)
+        a[100] = np.nan  # the rate just certified, which the next step compares against
+        return step
+
+    chain_with(fam, _advance=poisoning)
+
+
+# one NaN node in a, b, T, the correction source, the clock gamma, the
+# stabilizer or a chain iterate: (error, message pattern, call)
 NAN_GUARDS = {
     "certify_equations cross": (
         ResidualError,
@@ -195,6 +235,13 @@ NAN_GUARDS = {
     ),
     "minimal_stabilizer b": (ValueError, "stabilizer", step_with_nan_stabilizer("b")),
     "minimal_stabilizer T": (ValueError, "stabilizer", step_with_nan_stabilizer("T")),
+    "run_refinement ceiling": (CertificationError, "^chain ceiling", chain_with_nan_seed),
+    "run_refinement rate inequality": (
+        CertificationError, "^rate inequality", chain_with_nan_rate_derivative
+    ),
+    "run_refinement monotonicity": (
+        CertificationError, "^chain violation", chain_with_nan_previous_rate
+    ),
 }
 NAN_GUARDS |= {
     f"validate {name} {where}" + (" strict" if strict else ""): (
@@ -625,6 +672,13 @@ def test_interior_bound_marks_one_failing_interior_frame(grid12, gauss12):
         field = Field(grid12, traj.frames[i], float(traj.times[i]))
         frame_norm = weighted_norm(field, WeightSlice(a=float(rates[i])))
         assert np.array_equal(report.weighted_norms[i], frame_norm)
+
+
+def test_interior_bound_names_a_zero_datum(grid12):
+    zero = Field(grid12, np.zeros(grid12.n, dtype=complex), 0.0)
+    traj = evolve(zero, zero_potential(), 0.0, 1.0, steps=8)
+    with pytest.raises(ValueError, match=r"^\|\|u\(0\)\|\| \+ the final weighted norm is 0"):
+        verify_interior_bound(traj, 1.0)
 
 
 def test_interior_bound_free_heat_stable_and_monotone_in_potential():

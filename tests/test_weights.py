@@ -223,6 +223,60 @@ def test_chain_step_integrates_b_squared_once(monkeypatch):
     assert len(calls) == 3 * 5 + 1
 
 
+def test_chain_step_forms_two_exponentials(monkeypatch):
+    # per step: e^{-8A}, shared by the cross and frequency solves, and the clock e^{8A}
+    calls = []
+    exp = np.exp
+    monkeypatch.setattr(wt.np, "exp", lambda x: calls.append(1) or exp(x))
+    run_refinement(3.0, 5)
+    assert len(calls) == 2 * 5
+
+
+@pytest.mark.parametrize("steps, advances", [(1, 0), (3, 2)])
+def test_chain_forms_no_iterate_after_its_last_step(monkeypatch, steps, advances):
+    calls = count_calls(monkeypatch, "_advance")
+    trace = run_refinement(3.0, steps)
+    assert trace.steps_run == steps and len(calls) == advances
+
+
+def reference_chain(delta: float, m: int, steps: int):
+    """The refinement chain composed from the public step functions."""
+    a = first_family_rate(delta, m)
+    big_a = antiderivative(a)
+    a_lim = limit_rate(delta, m)[0]
+    sup_cross, gaps, families, stabilizer = [], [], [], 1.0
+    for k in range(1, steps + 1):
+        b = solve_cross(a, big_a, delta)
+        int_b2 = cross_energy(b)
+        T = solve_freq(a, big_a, int_b2)
+        sup_cross.append(float(np.abs(b.values).max()))
+        gaps.append(float(np.abs(a.values - a_lim.values).max()))
+        families.append((a, big_a, b, T))
+        stabilizer = max(stabilizer, minimal_stabilizer(b, T, int_b2))
+        if k < steps:
+            a, big_a = refine_pair(a, big_a, b, int_b2, stabilizer)
+    return np.array(sup_cross), np.array(gaps), stabilizer, families
+
+
+# at M = 64 the curvature certificate fails at step 9 (delta 2.3) and 30 (delta 3)
+CERTIFIED_STEPS = {(2.3, 64): 8, (3.0, 64): 29}
+
+
+@pytest.mark.parametrize("m", [64, 512, 2048])
+@pytest.mark.parametrize("delta", [2.3, 3.0, 4.71, 9.9])
+def test_chain_equals_the_public_step_functions(delta, m):
+    trace = run_refinement(delta, CERTIFIED_STEPS.get((delta, m), 50), m=m, store_every=1)
+    sup_cross, gaps, stabilizer, families = reference_chain(delta, m, trace.steps_run)
+    assert trace.sup_cross.tobytes() == sup_cross.tobytes()
+    assert trace.gap_to_limit.tobytes() == gaps.tobytes()
+    assert trace.stabilizer == stabilizer
+    assert trace.stored_steps == list(range(1, trace.steps_run + 1))
+    for stored, curves, margin in zip(trace.families, families, trace.rate_margin):
+        for name, curve in zip("aAbT", curves):
+            assert getattr(stored, name).values.tobytes() == curve.values.tobytes()
+        assert margin == (stored.derivatives["ap"] + 4.0 * stored.a.values**2).min()
+
+
 @pytest.mark.parametrize(
     "name, pattern",
     [("b", "^cross-coefficient residual"), ("T", "^frequency-coefficient residual")],
