@@ -28,7 +28,7 @@ from .grid import DEFAULT_TAIL_TOL, Field, PotentialSpec, SpaceGrid, require_tai
 from .heat import Trajectory, conjugated_parts
 from .kernels import resample_periodic
 from .timecurve import (
-    STACK_CHUNK, TimeCurve, cumulative_integral, fd_derivative, stack_rows, weighted_sum
+    TimeCurve, cumulative_integral, fd_derivative, time_derivative_chunks, weighted_sum
 )
 from .weights import WeightFamily
 
@@ -86,7 +86,7 @@ def interpolation_exponent(t, c: float, d: float, gamma: TimeCurve):
 
 
 def solve_convexity_correction(
-    gamma: TimeCurve, source: TimeCurve, residual_tol: float | None = 1e-6
+    gamma: TimeCurve, source: TimeCurve, residual_tol: float = 1e-6
 ) -> TimeCurve:
     """Solve d_t(gamma d_t M) = -source with M = 0 at both ends of the grid.
 
@@ -105,21 +105,17 @@ def solve_convexity_correction(
     mvals = cumulative_integral((c - accumulated) * weight, h)
     tau = (gamma.nodes - gamma.t0) / (gamma.t1 - gamma.t0)
     mvals = mvals - mvals[-1] * tau
-    m = gamma.with_values(mvals)
-    if residual_tol is not None:
-        # boundary values are pinned exactly; the equation is certified on the
-        # interior, away from the compounded one-sided stencil rows
-        resid = (
-            fd_derivative(gamma.values * fd_derivative(mvals, h, 1), h, 1) + source.values
-        )[3:-3]
-        scale = max(1.0, float(np.max(np.abs(source.values))))
-        if not float(np.max(np.abs(resid))) <= residual_tol * scale:
-            raise ResidualError(
-                f"correction-term residual {np.max(np.abs(resid)):.3e} exceeds tolerance"
-            )
-        if not float(np.min(mvals)) >= -residual_tol * max(1.0, float(np.max(np.abs(mvals)))):
-            raise ResidualError("correction term went negative")
-    return m
+    # boundary values are pinned exactly; the equation is certified on the
+    # interior, away from the compounded one-sided stencil rows
+    resid = (fd_derivative(gamma.values * fd_derivative(mvals, h, 1), h, 1) + source.values)[3:-3]
+    scale = max(1.0, float(np.max(np.abs(source.values))))
+    if not float(np.max(np.abs(resid))) <= residual_tol * scale:
+        raise ResidualError(
+            f"correction-term residual {np.max(np.abs(resid)):.3e} exceeds tolerance"
+        )
+    if not float(np.min(mvals)) >= -residual_tol * max(1.0, float(np.max(np.abs(mvals)))):
+        raise ResidualError("correction term went negative")
+    return gamma.with_values(mvals)
 
 
 @dataclass
@@ -159,8 +155,9 @@ def check_log_convexity(
     Builds f(t) = e^{a x^2 + b x xi - T xi^2} u(t) on the stored frames,
     evaluates d_t f - Sf - Af by frame differencing (it must reproduce V f:
     the conjugation identity is asserted numerically, not assumed), solves for
-    the corrections M and N, and returns the slack of the bound at every
-    frame.  Frames must be equispaced and aligned with the family grid.
+    the corrections M (its equation and sign certified) and N, and returns the
+    slack of the bound at every frame.  Frames must be equispaced and aligned
+    with the family grid.
     """
     potential, times = traj.potential, traj.times
     bad = ~np.isfinite(times)
@@ -192,11 +189,7 @@ def check_log_convexity(
     # in that rounding order, in one reused block; only its row sums are kept
     static = potential(x, float(times[0])) if potential.time_independent else None
     conj_gaps, defect_sq, pairing = np.empty((3, times.size))
-    block, scratch = np.empty((2, STACK_CHUNK, grid.n), dtype=complex)
-    for lo in range(0, times.size, STACK_CHUNK):
-        hi = min(lo + STACK_CHUNK, times.size)
-        chunk, defect = slice(lo, hi), block[: hi - lo]
-        np.divide(stack_rows(f, 1, lo, hi, defect, scratch), dt, out=defect)
+    for chunk, defect in time_derivative_chunks(f, dt):
         columns = {name: col[chunk, None] for name, col in rows.items()}
         sf, af = conjugated_parts(f[chunk], grid, columns, xi)
         defect -= sf
@@ -215,7 +208,7 @@ def check_log_convexity(
     gamma = TimeCurve(rows["w8"], t0=float(times[0]), t1=float(times[-1]))
     h_eps = H + epsilon
     source = gamma.with_values(gamma.values * defect_sq / h_eps)
-    M = solve_convexity_correction(gamma, source, residual_tol=None)
+    M = solve_convexity_correction(gamma, source)
     Nval = float(cumulative_integral(pairing / h_eps, dt)[-1])
 
     theta = interpolation_exponent(times, gamma.t0, gamma.t1, gamma)

@@ -24,7 +24,7 @@ assembled operator sum.
 Coefficients are rows of :attr:`WeightFamily.derivatives`, read by
 :meth:`WeightFamily.derivatives_at`; all four operator routines share one
 spectral Laplacian, and stored frames are differentiated in time chunk by
-chunk by :func:`~heatlab.timecurve.stack_rows`.
+chunk by :func:`~heatlab.timecurve.time_derivative_chunks`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import framecsv
 from .grid import DEFAULT_TAIL_TOL, Field, PotentialSpec, SpaceGrid, require_tail
-from .timecurve import STACK_CHUNK, stack_rows
+from .timecurve import time_derivative_chunks
 from .weights import WeightFamily
 
 DIMENSION = 1  # all coefficient formulas carry n symbolically; the lab runs n = 1
@@ -220,17 +220,13 @@ def pde_residual(traj: Trajectory, potential: PotentialSpec | None = None) -> fl
     grid, x = traj.grid, traj.grid.x
     static = potential(x, float(traj.times[0])) if potential.time_independent else None
     rel = np.empty(traj.n_frames)
-    # each chunk's d_t u in one reused block, never the whole stack
-    block, scratch = np.empty((2, STACK_CHUNK, grid.n), dtype=complex)
-    for lo in range(0, traj.n_frames, STACK_CHUNK):
-        hi = min(lo + STACK_CHUNK, traj.n_frames)
-        u, dudt = traj.frames[lo:hi], block[: hi - lo]
-        np.divide(stack_rows(traj.frames, 1, lo, hi, dudt, scratch), float(dts[0]), out=dudt)
+    for chunk, dudt in time_derivative_chunks(traj.frames, float(dts[0])):
+        u = traj.frames[chunk]
         lap = _laplacian(grid, np.fft.fft(u))
-        v = static if static is not None else [potential(x, float(t)) for t in traj.times[lo:hi]]
+        v = static if static is not None else [potential(x, float(t)) for t in traj.times[chunk]]
         vu = np.multiply(v, u)
         resid = grid.norm(dudt - lap - vu)
-        rel[lo:hi] = resid / (grid.norm(lap) + grid.norm(vu) + 1e-300)
+        rel[chunk] = resid / (grid.norm(lap) + grid.norm(vu) + 1e-300)
     return float(np.max(rel))  # a NaN frame propagates
 
 

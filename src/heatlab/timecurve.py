@@ -92,9 +92,10 @@ def weighted_sum(weights, terms, out=None, scratch=None) -> np.ndarray:
 
 
 def stack_rows(values: np.ndarray, deriv: int, lo: int, hi: int, out, scratch) -> np.ndarray:
-    """Rows ``[lo, hi)`` of ``_apply_rows(values, deriv)`` for a stack, into ``out``
-    through the product buffer ``scratch`` (>= hi - lo rows), elementwise with no
-    BLAS call; a row's bytes do not depend on the range it is computed in."""
+    """Rows ``[lo, hi)`` of the ``_rows(deriv)`` stencils applied along the first
+    axis of a stack (real or complex), into ``out`` through the product buffer
+    ``scratch`` (>= hi - lo rows), elementwise with no BLAS call; a row's bytes
+    do not depend on the range it is computed in."""
     centered, edges = _rows(deriv)
     n, width = values.shape[0], edges.shape[1]
     if n < width:
@@ -111,57 +112,47 @@ def stack_rows(values: np.ndarray, deriv: int, lo: int, hi: int, out, scratch) -
     return out
 
 
+def time_derivative_chunks(stack: np.ndarray, dt: float):
+    """Yield ``(chunk, d)`` for each slice ``chunk`` of STACK_CHUNK frames of
+    ``stack``, ``d`` holding those rows of its first time derivative at frame
+    spacing ``dt``, in one block that the next chunk overwrites."""
+    block, scratch = np.empty((2, STACK_CHUNK, *stack.shape[1:]), dtype=stack.dtype)
+    for lo in range(0, len(stack), STACK_CHUNK):
+        hi = min(lo + STACK_CHUNK, len(stack))
+        d = block[: hi - lo]
+        yield slice(lo, hi), np.divide(stack_rows(stack, 1, lo, hi, d, scratch), dt, out=d)
+
+
 def _apply_rows(values: np.ndarray, deriv: int, lead: int = 0) -> np.ndarray:
-    """The rows of ``_rows(deriv)`` applied along the first axis of a curve or
-    stack: one output per node for a derivative, one per interval for
-    ``deriv = -1``, after ``lead`` <= 2 unset leading rows.  Real input is
-    taken as float, complex input kept."""
+    """The rows of ``_rows(deriv)`` applied to a real curve: one output per node
+    for a derivative, one per interval for ``deriv = -1``, after ``lead`` <= 2
+    unset leading rows.  Stacks and complex samples go through :func:`stack_rows`."""
     values = np.asarray(values)
-    if values.dtype.kind != "c":
-        values = values.astype(float, copy=False)
+    if values.ndim != 1 or values.dtype.kind == "c":
+        raise ValueError(f"not a real curve: {values.dtype} {values.shape}; use stack_rows")
+    values = values.astype(float, copy=False)
     centered, edges = _rows(deriv)
-    n, width = values.shape[0], edges.shape[1]
+    n, width = values.size, edges.shape[1]
     if n < width:
         raise GridError(f"need at least {width} samples, got {n}")
     n_out = n - 1 if deriv < 0 else n
-    if values.ndim == 1 and values.dtype.kind != "c":
-        # a real curve: the "full" correlation (each window summed as its dot) is the output
-        out = np.correlate(values, centered, "full")[2 - lead : n_out + 2]
-        ends = np.dot(edges, values[_end_index(n, width)])
-        out[lead], out[lead + 1], out[-2], out[-1] = ends[0, 0], ends[1, 0], ends[2, 1], ends[3, 1]
-        return out
-    out = np.empty((lead + n_out, *values.shape[1:]), dtype=values.dtype)
-    rows = out[lead:]
-    if values.ndim > 1:  # a stack, STACK_CHUNK rows at a time through one product buffer
-        scratch = np.empty_like(values[:STACK_CHUNK])
-        for lo in range(0, n_out, STACK_CHUNK):
-            hi = min(lo + STACK_CHUNK, n_out)
-            stack_rows(values, deriv, lo, hi, rows[lo:hi], scratch)
-        return out
-    # a complex curve part by part, as the complex matmul sums
-    rows.real[2 : n_out - 2] = np.correlate(values.real, centered, "valid")[: n_out - 4]
-    rows.imag[2 : n_out - 2] = np.correlate(values.imag, centered, "valid")[: n_out - 4]
-    head, tail = values[:width], values[n - width :]
-    rows[0], rows[1] = edges[0] @ head, edges[1] @ head
-    rows[-2], rows[-1] = edges[2] @ tail, edges[3] @ tail
+    # the "full" correlation (each window summed as its dot) is the output
+    out = np.correlate(values, centered, "full")[2 - lead : n_out + 2]
+    ends = np.dot(edges, values[_end_index(n, width)])
+    out[lead], out[lead + 1], out[-2], out[-1] = ends[0, 0], ends[1, 0], ends[2, 1], ends[3, 1]
     return out
 
 
 def fd_derivative(values: np.ndarray, h: float, deriv: int = 1) -> np.ndarray:
-    """Differentiate uniform samples along the first axis with stencils of
-    accuracy order >= 4.
-
-    ``values`` is a real curve of shape ``(m + 1,)`` or a stack such as the
-    complex ``(frames, n)`` array of a stored trajectory, differentiated in
-    time column by column.
-    """
+    """Differentiate a real curve of shape ``(m + 1,)`` at spacing ``h`` with
+    stencils of accuracy order >= 4."""
     out = _apply_rows(values, deriv)
     return np.divide(out, h**deriv, out=out)
 
 
 def cumulative_integral(values: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative integral from the first node along the first axis, exact
-    for degree <= 4, of a curve or column by column of a stack.
+    """Cumulative integral of a real curve from its first node, exact for
+    degree <= 4.
 
     Interior intervals integrate the quartic through the five nearest nodes,
     giving global accuracy O(h^5); the four edge intervals use quintic
@@ -169,7 +160,7 @@ def cumulative_integral(values: np.ndarray, h: float) -> np.ndarray:
     """
     out = _apply_rows(values, -1, lead=1)
     out[0] = 0.0
-    out[1:].cumsum(axis=0, out=out[1:])  # the increments, accumulated in place
+    out[1:].cumsum(out=out[1:])  # the increments, accumulated in place
     return np.multiply(out, h, out=out)
 
 

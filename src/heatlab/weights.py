@@ -76,6 +76,7 @@ class CurvatureCertificate:
     min_direct: float
     max_route_gap: float
     verdict: str  # "positive" | "nonnegative" | "failed"
+    bound: float  # tol times the curvature scale, which the gap and the minimum are held to
 
     @property
     def ok(self) -> bool:
@@ -89,18 +90,13 @@ def _certify(ident: np.ndarray, direct: np.ndarray, tol: float) -> CurvatureCert
     the grid is too coarse and the verdict is "failed"; a NaN fails too.
     """
     ident, direct = ident[1:-1], direct[1:-1]
-    scale = max(1.0, float(np.abs(ident).max()))
+    bound = tol * max(1.0, float(np.abs(ident).max()))
     gap = float(np.abs(ident - direct).max())
     min_ident = float(ident.min())
-    if not gap <= tol * scale:
-        verdict = "failed"
-    elif min_ident > tol * scale:
-        verdict = "positive"
-    elif min_ident >= -tol * scale:
-        verdict = "nonnegative"
-    else:
-        verdict = "failed"
-    return CurvatureCertificate(min_ident, float(direct.min()), gap, verdict)
+    verdict = "failed"
+    if gap <= bound and min_ident >= -bound:
+        verdict = "positive" if min_ident > bound else "nonnegative"
+    return CurvatureCertificate(min_ident, float(direct.min()), gap, verdict, bound)
 
 
 def curvature_certificate(
@@ -113,21 +109,16 @@ def curvature_certificate(
     return _certify(cols["ident"], cols["direct"], tol)
 
 
-def _cross(a: np.ndarray, em8: np.ndarray, t: np.ndarray, delta: float) -> np.ndarray:
-    """b = 2 (a - t e^{-8A} / delta^2) from a, ``em8`` = e^{-8A} and the nodes ``t``."""
+def solve_cross(a: np.ndarray, em8: np.ndarray, t: np.ndarray, delta: float) -> np.ndarray:
+    """Cross coefficient b with b(0) = b(1) = 0 at the nodes ``t``, by the closed
+    form b = 2 (a - t e^{-8A} / delta^2) from a and ``em8`` = e^{-8A}.
+    :meth:`WeightFamily.certify_equations` checks it against the defining equation."""
     if not (abs(a[0]) <= 1e-12 and abs(a[-1] - 1.0 / delta**2) <= 1e-9):
         raise ValueError(
             "boundary data violated: need a(0) = 0 and a(1) = 1/delta^2, got "
             f"a(0)={a[0]:g}, a(1)={a[-1]:g}"
         )
     return 2.0 * (a - t * em8 / delta**2)
-
-
-def solve_cross(a: TimeCurve, A: TimeCurve, delta: float) -> TimeCurve:
-    """Cross coefficient b with b(0) = b(1) = 0, by the closed form
-    b = 2 (a - t e^{-8A} / delta^2).  :meth:`WeightFamily.certify_equations`
-    checks it against the defining equation."""
-    return a.with_values(_cross(a.values, np.exp(-8.0 * A.values), a.nodes, delta))
 
 
 def solve_cross_bvp(a: TimeCurve, A: TimeCurve) -> TimeCurve:
@@ -145,34 +136,27 @@ def solve_cross_bvp(a: TimeCurve, A: TimeCurve) -> TimeCurve:
     return a.with_values((2.0 * g2 + c1 * tau) / w)
 
 
-def _energy(b: np.ndarray, h: float) -> np.ndarray:
+def cross_energy(b: np.ndarray, h: float) -> np.ndarray:
+    """int_0^t b^2 at the nodes, the one quadrature of b that T, N and a step read."""
     return cumulative_integral(b**2, h)
 
 
-def cross_energy(b: TimeCurve) -> np.ndarray:
-    """int_0^t b^2 at the nodes, the one quadrature of b that T, N and a step read."""
-    return _energy(b.values, b.h)
-
-
-def _freq(a: np.ndarray, em8: np.ndarray, int_b2: np.ndarray, h: float, tau: np.ndarray) -> np.ndarray:
-    """T from a, ``em8`` = e^{-8A}, int_0^t b^2 and tau = (t - t0) / (t1 - t0)."""
-    int_a2 = cumulative_integral(a**2, h)
-    int_em = cumulative_integral(em8, h)
-    c = (a[-1] - a[0] - 2.0 * int_b2[-1] + 8.0 * int_a2[-1]) / int_em[-1]
-    tvals = 2.0 * int_b2 - (a - a[0]) - 8.0 * int_a2 + c * int_em
-    return tvals - tvals[-1] * tau  # pin the endpoint exactly
-
-
-def solve_freq(a: TimeCurve, A: TimeCurve, int_b2: np.ndarray) -> TimeCurve:
-    """Frequency coefficient T with T = 0 at both ends; ``int_b2`` = cross_energy(b).
+def solve_freq(
+    a: np.ndarray, em8: np.ndarray, int_b2: np.ndarray, h: float, tau: np.ndarray
+) -> np.ndarray:
+    """Frequency coefficient T with T = 0 at both ends, from a, ``em8`` = e^{-8A},
+    ``int_b2`` = cross_energy(b) and tau = (t - t0) / (t1 - t0).
 
     First integral of the defining equation plus the boundary fit:
     T = 2 int b^2 - (a - a(t0)) - 8 int a^2 + C int e^{-8A}, with C chosen so
     the final value vanishes.  :meth:`WeightFamily.certify_equations` checks
     it against the defining equation.
     """
-    tau = (a.nodes - a.t0) / (a.t1 - a.t0)
-    return a.with_values(_freq(a.values, np.exp(-8.0 * A.values), int_b2, a.h, tau))
+    int_a2 = cumulative_integral(a**2, h)
+    int_em = cumulative_integral(em8, h)
+    c = (a[-1] - a[0] - 2.0 * int_b2[-1] + 8.0 * int_a2[-1]) / int_em[-1]
+    tvals = 2.0 * int_b2 - (a - a[0]) - 8.0 * int_a2 + c * int_em
+    return tvals - tvals[-1] * tau  # pin the endpoint exactly
 
 
 @dataclass(frozen=True)
@@ -291,6 +275,14 @@ class WeightFamily:
             raise CertificationError("; ".join(problems))
 
 
+def _complete(delta: float, a: TimeCurve, A: TimeCurve, b: np.ndarray, em8: np.ndarray,
+              singular: bool = False) -> WeightFamily:
+    """The family (a, A, b, T) with T solved from a, e^{-8A} and b."""
+    tau = (a.nodes - a.t0) / (a.t1 - a.t0)
+    T = solve_freq(a.values, em8, cross_energy(b, a.h), a.h, tau)
+    return WeightFamily(delta, a, A, a.with_values(b), a.with_values(T), singular)
+
+
 def family_from_rate(
     delta: float,
     a: TimeCurve,
@@ -300,8 +292,8 @@ def family_from_rate(
     """Complete a rate curve into a full family by solving for b and T."""
     if A is None:
         A = antiderivative(a)
-    b = solve_cross(a, A, delta)
-    family = WeightFamily(delta=delta, a=a, A=A, b=b, T=solve_freq(a, A, cross_energy(b)))
+    em8 = np.exp(-8.0 * A.values)
+    family = _complete(delta, a, A, solve_cross(a.values, em8, a.nodes, delta), em8)
     family.certify_equations(residual_tol)
     return family
 
@@ -342,46 +334,32 @@ def coefficient_residuals(family: WeightFamily) -> tuple[TimeCurve, TimeCurve]:
     return r1, r2
 
 
-def _stabilizer(b: np.ndarray, T: np.ndarray, int_b2: np.ndarray) -> float:
+def minimal_stabilizer(b: np.ndarray, T: np.ndarray, int_b2: np.ndarray) -> float:
+    """Smallest N >= 1 with N + b/2 >= 1 and T <= 2 (int_b2 + N) nodewise."""
     # np.maximum, unlike builtin max, propagates a NaN node
     return float(np.maximum(np.maximum(1.0, (1.0 - b / 2.0).max()), (T / 2.0 - int_b2).max()))
 
 
-def minimal_stabilizer(b: TimeCurve, T: TimeCurve, int_b2: np.ndarray) -> float:
-    """Smallest N >= 1 with N + b/2 >= 1 and T <= 2 (int_b2 + N) nodewise."""
-    return _stabilizer(b.values, T.values, int_b2)
+def refine_pair(
+    a: np.ndarray, A: np.ndarray, b: np.ndarray, int_b2: np.ndarray, stabilizer: float, h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One refinement step of (a, A) on a grid of spacing ``h``, driven by b and
+    ``int_b2`` = cross_energy(b):
 
-
-def _advance(a: np.ndarray, A: np.ndarray, b: np.ndarray, int_b2: np.ndarray,
-             stabilizer: float, h: float, consistency_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(a_next, A_next) of :func:`refine_pair` on arrays, with its checks."""
+    a_next = a + b^2 / (8 (int_0^t b^2 + N)) and
+    A_next = A + (log(int_0^t b^2 + N) - log(int_0^1 b^2 + N)) / 8.
+    That A_next' = a_next is asserted to the construction-time residual
+    tolerance, not assumed.
+    """
     if not stabilizer >= 1.0:
         raise ValueError("stabilizer must be >= 1")
     energy = int_b2 + stabilizer
     a_next = a + b**2 / (8.0 * energy)
     A_next = A + (np.log(energy) - math.log(energy[-1])) / 8.0
     drift = np.abs(fd_derivative(A_next, h, 1) - a_next).max()
-    if not drift <= max(consistency_tol, 100 * consistency_tol * np.abs(a_next).max()):
+    if not drift <= max(DEFAULT_RESIDUAL_TOL, 100 * DEFAULT_RESIDUAL_TOL * np.abs(a_next).max()):
         raise ValueError(f"consistency failure: |A_next' - a_next| = {drift:.3e}")
     return a_next, A_next
-
-
-def refine_pair(
-    a: TimeCurve,
-    A: TimeCurve,
-    b: TimeCurve,
-    int_b2: np.ndarray,
-    stabilizer: float,
-    consistency_tol: float = DEFAULT_RESIDUAL_TOL,
-) -> tuple[TimeCurve, TimeCurve]:
-    """One refinement step of (a, A) driven by b and ``int_b2`` = cross_energy(b).
-
-    a_next = a + b^2 / (8 (int_0^t b^2 + N)) and
-    A_next = A + (log(int_0^t b^2 + N) - log(int_0^1 b^2 + N)) / 8.
-    That A_next' = a_next is asserted, not assumed.
-    """
-    a_next, A_next = _advance(a.values, A.values, b.values, int_b2, stabilizer, A.h, consistency_tol)
-    return a.with_values(a_next), A.with_values(A_next)
 
 
 def limit_rate(delta: float, m: int = DEFAULT_M, t_min: float = 1e-3) -> tuple[TimeCurve, TimeCurve, bool]:
@@ -415,9 +393,7 @@ def limit_family(delta: float, m: int = DEFAULT_M, t_min: float = 1e-3) -> Weigh
     relation = a.values * np.exp(8.0 * A.values) - a.nodes / delta**2
     if not np.max(np.abs(relation)) <= 1e-12:
         raise CertificationError("closed-form limit violates a e^{8A} = t/delta^2")
-    b = a.with_values(np.zeros(m + 1))
-    T = solve_freq(a, A, cross_energy(b))
-    family = WeightFamily(delta=delta, a=a, A=A, b=b, T=T, singular=singular)
+    family = _complete(delta, a, A, np.zeros(m + 1), np.exp(-8.0 * A.values), singular)
     if not singular:
         family.certify_equations()
     return family
@@ -487,13 +463,17 @@ def run_refinement(
 
     for k in range(1, max_steps + 1):
         em8 = np.exp(-8.0 * A)  # shared by both solves
-        b = _cross(a, em8, t, delta)
-        int_b2 = _energy(b, h)
-        T = _freq(a, em8, int_b2, h, t)
+        b = solve_cross(a, em8, t, delta)
+        int_b2 = cross_energy(b, h)
+        T = solve_freq(a, em8, int_b2, h, t)
         cols = _growth_columns(a, A, h)
         cert = _certify(cols["ident"], cols["direct"], recert_tol)
         if cert.verdict != "positive":
-            raise CertificationError(f"convexity certificate failed at step {k}: {cert.verdict}")
+            raise CertificationError(
+                f"convexity certificate failed at step {k}: {cert.verdict} (route gap "
+                f"{cert.max_route_gap:.3e}, interior minimum {cert.min_identity:.3e}, "
+                f"bound recert_tol x scale = {cert.bound:.3e})"
+            )
         # each check is written "not (value within bound)", so a NaN fails it
         if not a.max() <= ceiling + recert_tol:
             raise CertificationError(f"chain ceiling exceeded at step {k}")
@@ -511,11 +491,11 @@ def run_refinement(
             stored.append(k)
         if converged:
             break
-        stabilizer = max(stabilizer, _stabilizer(b, T, int_b2))
+        stabilizer = max(stabilizer, minimal_stabilizer(b, T, int_b2))
         if k == max_steps:  # no iterate after the last step
             break
         prev_a = a
-        a, A = _advance(a, A, b, int_b2, stabilizer, h, DEFAULT_RESIDUAL_TOL)
+        a, A = refine_pair(a, A, b, int_b2, stabilizer, h)
 
     return RefinementTrace(
         delta=delta, stabilizer=stabilizer, converged=converged, steps_run=k,

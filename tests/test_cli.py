@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -278,6 +279,34 @@ def test_certification_error_is_a_named_fail(tmp_path, monkeypatch):
     scenario = out / "construct-weights"
     assert (scenario / "verdict.txt").read_text().strip() == "FAIL max_violation=nan CertificationError"
     assert "error = b changes sign" in (scenario / "manifest.txt").read_text().splitlines()
+
+
+def test_chain_certificate_failure_reports_its_numbers(tmp_path):
+    # at M = 64 the route gap of step 30 outgrows recert_tol times the curvature scale
+    out = tmp_path / "o"
+    assert run(["iterate", "--grid-M", "64", "--out", str(out)]) == 1
+    scenario = out / "iterate"
+    assert (scenario / "verdict.txt").read_text().strip() == "FAIL max_violation=nan CertificationError"
+    manifest = (scenario / "manifest.txt").read_text().splitlines()
+    error = next(line for line in manifest if line.startswith("error = "))
+    assert error.startswith("error = convexity certificate failed at step 30: failed (")
+    found = re.search(
+        r"route gap (\S+), interior minimum (\S+), bound recert_tol x scale = (\S+)\)$", error
+    )
+    gap, minimum, bound = (float(value) for value in found.groups())
+    assert bound >= wt.DEFAULT_RECERT_TOL  # the curvature scale is at least 1
+    assert gap > bound and minimum > bound  # the routes disagree; the curvature is positive
+
+
+def test_correction_term_residual_is_a_named_fail(tmp_path, monkeypatch):
+    derivative = fn.fd_derivative
+    monkeypatch.setattr(fn, "fd_derivative", lambda *args: derivative(*args) + 1e-3)
+    out = tmp_path / "vc"
+    assert run(["verify-convexity", "--potential", "none", "--out", str(out)]) == 1
+    scenario = out / "verify-convexity"
+    assert (scenario / "verdict.txt").read_text().strip() == "FAIL max_violation=nan ResidualError"
+    manifest = (scenario / "manifest.txt").read_text().splitlines()
+    assert any(line.startswith("error = correction-term residual") for line in manifest)
 
 
 def test_floating_point_error_is_reported_not_raised(tmp_path, monkeypatch, capsys):

@@ -148,20 +148,24 @@ def validate_with_nan(name, node, strict_signs):
     return lambda fam: family_with_nan(fam, name, node).validate(strict_signs=strict_signs)
 
 
+def refine_with(fam, b, stabilizer):
+    h = fam.a.h
+    wt.refine_pair(fam.a.values, fam.A.values, b, wt.cross_energy(b, h), stabilizer, h)
+
+
 def step_with_nan_stabilizer(name):
     # minimal_stabilizer of a family with a NaN node is NaN, which refine_pair refuses
     def call(fam):
         bad = family_with_nan(fam, name)
-        stab = wt.minimal_stabilizer(bad.b, bad.T, wt.cross_energy(bad.b))
-        wt.refine_pair(fam.a, fam.A, fam.b, wt.cross_energy(fam.b), stab)
+        int_b2 = wt.cross_energy(bad.b.values, fam.a.h)
+        refine_with(fam, fam.b.values, wt.minimal_stabilizer(bad.b.values, bad.T.values, int_b2))
 
     return call
 
 
 def step_with_nan_cross(fam):
     # a NaN node in b poisons int_0^t b^2 from there on, so A_next' drifts from a_next
-    bad = with_nan(fam.b)
-    wt.refine_pair(fam.a, fam.A, bad, wt.cross_energy(bad), 1.0)
+    refine_with(fam, with_nan(fam.b).values, 1.0)
 
 
 def nan_at(values, node=100):
@@ -173,7 +177,7 @@ def nan_at(values, node=100):
 def chain_with(fam, **patches):
     # three steps of the chain with its curvature certificate passing, so the
     # NaN reaches the chain's own checks
-    positive = wt.CurvatureCertificate(0.0, 0.0, 0.0, "positive")
+    positive = wt.CurvatureCertificate(0.0, 0.0, 0.0, "positive", 1.0)
     with mock.patch.multiple(wt, _certify=lambda *args: positive, **patches):
         wt.run_refinement(fam.delta, 3)
 
@@ -194,14 +198,14 @@ def chain_with_nan_rate_derivative(fam):
 
 
 def chain_with_nan_previous_rate(fam):
-    advance = wt._advance
+    advance = wt.refine_pair
 
     def poisoning(a, *args):
         step = advance(a, *args)
         a[100] = np.nan  # the rate just certified, which the next step compares against
         return step
 
-    chain_with(fam, _advance=poisoning)
+    chain_with(fam, refine_pair=poisoning)
 
 
 # one NaN node in a, b, T, the correction source, the clock gamma, the
@@ -231,7 +235,7 @@ NAN_GUARDS = {
     "refine_pair stabilizer": (
         ValueError,
         "stabilizer",
-        lambda fam: wt.refine_pair(fam.a, fam.A, fam.b, wt.cross_energy(fam.b), math.nan),
+        lambda fam: refine_with(fam, fam.b.values, math.nan),
     ),
     "minimal_stabilizer b": (ValueError, "stabilizer", step_with_nan_stabilizer("b")),
     "minimal_stabilizer T": (ValueError, "stabilizer", step_with_nan_stabilizer("T")),
@@ -409,6 +413,17 @@ def test_log_convexity_imaginary_potential(grid12, gauss12, family3):
     # purely imaginary potential: Re(Vf, f) = 0, so N stays at frame-noise level
     assert report.Nval < 1e-6
     assert np.max(report.M) > 1e-3  # the M correction is genuinely active
+
+
+def test_log_convexity_certifies_its_correction_term(gauss12, family3, monkeypatch):
+    # every check solves for M and then checks d_t(gamma d_t M) = -source and
+    # M >= 0; a derivative off by 1e-3 breaks the equation and stops the check
+    traj = evolve(gauss12, zero_potential(), 0.0, 1.0, steps=256, n_frames=257)
+    check_log_convexity(traj, family3, xi=1.0)
+    derivative = functionals.fd_derivative
+    monkeypatch.setattr(functionals, "fd_derivative", lambda *args: derivative(*args) + 1e-3)
+    with pytest.raises(ResidualError, match="^correction-term residual"):
+        check_log_convexity(traj, family3, xi=1.0)
 
 
 def test_log_convexity_constant_weight_matches_gaussian_closed_form(grid12, gauss12):

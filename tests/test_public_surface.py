@@ -37,6 +37,21 @@ def test_every_per_layer_metric_is_a_key_the_tracer_produces():
     assert sorted(set(listed) - keys) == []
 
 
+def test_the_tracer_sees_every_step_of_the_chain():
+    # the chain calls its step kernels by their public names, so the spans
+    # the benchmark reports for them time the chain itself
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        heatlab.weights.run_refinement(3.0, 5)
+    finally:
+        tracer.remove()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("weights.solve_cross") == 5
+    assert names.count("weights.solve_freq") == 5
+    assert names.count("weights.refine_pair") == 4  # no iterate after the last step
+
+
 def dotted(node):
     """``["wt", "WeightFamily", ...]`` for an attribute chain on a bare name, else None."""
     parts = []

@@ -14,6 +14,7 @@ from heatlab.timecurve import (
     read_csv,
     stack_rows,
     stencil_weights,
+    time_derivative_chunks,
     uniform_grid,
     write_csv,
 )
@@ -169,10 +170,9 @@ def test_general_interval_support():
         (lambda v: fd_derivative(v, 0.1, 1), 4),
         (lambda v: fd_derivative(v, 0.1, 2), 5),
         (lambda v: cumulative_integral(v, 0.1), 5),
-        (lambda v: cumulative_integral(np.stack([v, v], axis=1), 0.1), 5),
         (lambda v: stack_rows(np.stack([v, v], axis=1), 1, 0, 1, *np.empty((2, 1, 2))), 4),
     ],
-    ids=["first-derivative", "second-derivative", "quadrature", "quadrature-stack", "stack-rows"],
+    ids=["first-derivative", "second-derivative", "quadrature", "stack-rows"],
 )
 def test_fd_derivative_rejects_tiny_arrays(op, too_few):
     with pytest.raises(GridError, match=f"got {too_few}"):
@@ -233,25 +233,21 @@ def test_fd_derivative_matches_reference_bytes(deriv):
         h = rng.uniform(1e-4, 1.0)
         got = fd_derivative(values, h, deriv)
         assert got.tobytes() == reference_fd_derivative(values, h, deriv).tobytes()
-    curve = rng.standard_normal(1025) + 1j * rng.standard_normal(1025)
-    got = fd_derivative(curve, 1.0 / 1024, deriv)
-    assert got.tobytes() == reference_fd_derivative(curve, 1.0 / 1024, deriv).tobytes()
 
 
-def test_cumulative_integral_stack_matches_columnwise_curves():
-    # a real (m + 1, k) stack is integrated column by column; the edge rows
-    # sum in a different order on a stack, so the routes agree to 1e-14 of
-    # the round-off scale max|values| (t1 - t0) of a cumulative sum
-    t0, t1, m = 0.25, 1.5, 300
-    t = uniform_grid(m, t0, t1)
-    freqs = np.linspace(0.5, 7.0, 5)
-    stack = np.sin(np.outer(t, freqs)) + np.outer(t**2, freqs)
-    h = (t1 - t0) / m
-    got = cumulative_integral(stack, h)
-    assert got.shape == stack.shape
-    scale = np.max(np.abs(stack)) * (t1 - t0)
-    for j in range(freqs.size):
-        assert np.max(np.abs(got[:, j] - cumulative_integral(stack[:, j], h))) <= 1e-14 * scale
+@pytest.mark.parametrize("op", [fd_derivative, cumulative_integral])
+def test_curve_calculus_rejects_a_complex_curve(op):
+    # astype(float) would drop the imaginary part without a word
+    curve = np.exp(1j * uniform_grid(128))
+    with pytest.raises(ValueError, match="stack_rows"):
+        op(curve, 1.0 / 128)
+
+
+@pytest.mark.parametrize("op", [fd_derivative, cumulative_integral])
+def test_curve_calculus_rejects_a_stack(op):
+    stack = np.ones((129, 3))
+    with pytest.raises(ValueError, match="stack_rows"):
+        op(stack, 1.0 / 128)
 
 
 def test_sample_at_refuses_a_nan_time():
@@ -264,10 +260,21 @@ def test_sample_at_refuses_a_nan_time():
         c.sample_at(1.5)
 
 
+def stack_derivative(values, h, deriv=1):
+    """The whole stack's derivative along its first axis, from one stack_rows call."""
+    rows = stack_rows(values, deriv, 0, len(values), np.empty_like(values), np.empty_like(values))
+    return rows / h**deriv
+
+
+def chunked_time_derivative(values, dt):
+    """The first time derivative gathered from time_derivative_chunks' reused block."""
+    return np.concatenate([d.copy() for _, d in time_derivative_chunks(values, dt)])
+
+
 def test_fd_derivative_exact_on_cubic_frame_stacks():
     times = np.linspace(0.0, 1.0, 9)
     frames = np.array([(t**3 - 2 * t + 1) * np.ones(4) + 1j * t**2 for t in times])
-    got = fd_derivative(frames, times[1] - times[0])
+    got = chunked_time_derivative(frames, times[1] - times[0])
     exact = np.array([(3 * t**2 - 2) * np.ones(4) + 2j * t for t in times])
     assert np.max(np.abs(got - exact)) < 1e-12
 
@@ -278,9 +285,9 @@ def test_fd_derivative_exact_on_cubic_frame_stacks_across_chunks():
     frames = np.array([(t**3 - 2 * t + 1) * np.ones(4) + 1j * t**2 for t in times])
     h = times[1] - times[0]
     exact = np.array([(3 * t**2 - 2) * np.ones(4) + 2j * t for t in times])
-    assert np.max(np.abs(fd_derivative(frames, h) - exact)) < 1e-12
+    assert np.max(np.abs(chunked_time_derivative(frames, h) - exact)) < 1e-12
     second = np.array([6 * t * np.ones(4) + 2j for t in times])
-    assert np.max(np.abs(fd_derivative(frames, h, 2) - second)) < 1e-9
+    assert np.max(np.abs(stack_derivative(frames, h, 2) - second)) < 1e-9
 
 
 @pytest.mark.parametrize("deriv", [1, 2])
@@ -293,7 +300,7 @@ def test_fd_derivative_stack_matches_columnwise_curves(deriv):
     freqs = np.linspace(0.5, 3.0, 6)
     stack = np.cos(np.outer(t, freqs)) + 1j * np.exp(-np.outer(t, freqs))
     h = t[1] - t[0]
-    got = fd_derivative(stack, h, deriv)
+    got = stack_derivative(stack, h, deriv)
     assert got.shape == stack.shape and np.iscomplexobj(got)
     scale = np.max(np.abs(stack)) / h**deriv
     for j in range(freqs.size):
@@ -313,7 +320,9 @@ def test_stack_rows_blocks_match_the_whole_stack_bytes(dtype, n, deriv):
     if dtype is complex:
         values += 1j * rng.standard_normal((n, 9))
     h = 1.0 / (n - 1)
-    whole = fd_derivative(values, h, deriv)
+    whole = stack_derivative(values, h, deriv)
+    if deriv == 1:
+        assert chunked_time_derivative(values, h).tobytes() == whole.tobytes()
     ranges = [(lo, min(lo + STACK_CHUNK, n)) for lo in range(0, n, STACK_CHUNK)]
     scratch = np.empty_like(values[:STACK_CHUNK])
     for lo, hi in [*ranges, (1, 3), (n - 3, n - 1)]:

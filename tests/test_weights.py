@@ -42,7 +42,7 @@ def test_antiderivative_zero_and_constant():
 def test_solve_cross_rejects_bad_boundary_data():
     zero = TimeCurve(np.zeros(129))
     with pytest.raises(ValueError, match="boundary data"):
-        solve_cross(zero, antiderivative(zero), 3.0)
+        solve_cross(zero.values, np.ones(129), zero.nodes, 3.0)
 
 
 def test_fixed_point_family_has_zero_cross_coefficient():
@@ -93,8 +93,8 @@ def test_cross_residual_certificate(family3):
 def test_freq_zero_inputs_give_zero():
     m = 128
     zero = TimeCurve(np.zeros(m + 1))
-    T = solve_freq(zero, zero, cross_energy(zero))
-    assert np.max(np.abs(T.values)) < 1e-15
+    T = solve_freq(zero.values, np.ones(m + 1), cross_energy(zero.values, zero.h), zero.h, zero.nodes)
+    assert np.max(np.abs(T)) < 1e-15
 
 
 def test_freq_against_refined_midpoint_quadrature(family3):
@@ -103,7 +103,7 @@ def test_freq_against_refined_midpoint_quadrature(family3):
     m_fine = 5120
     a = first_family_rate(delta, m_fine)
     big_a = antiderivative(a)
-    b = solve_cross(a, big_a, delta)
+    b = solve_cross(a.values, np.exp(-8.0 * big_a.values), a.nodes, delta)
     h = a.h
 
     def midpoint_cum(values):
@@ -112,7 +112,7 @@ def test_freq_against_refined_midpoint_quadrature(family3):
         np.cumsum(mids * h, out=out[1:])
         return out
 
-    int_b2 = midpoint_cum(b.values**2)
+    int_b2 = midpoint_cum(b**2)
     int_a2 = midpoint_cum(a.values**2)
     int_em = midpoint_cum(np.exp(-8.0 * big_a.values))
     c = (a.values[-1] - 2.0 * int_b2[-1] + 8.0 * int_a2[-1]) / int_em[-1]
@@ -234,27 +234,28 @@ def test_chain_step_forms_two_exponentials(monkeypatch):
 
 @pytest.mark.parametrize("steps, advances", [(1, 0), (3, 2)])
 def test_chain_forms_no_iterate_after_its_last_step(monkeypatch, steps, advances):
-    calls = count_calls(monkeypatch, "_advance")
+    calls = count_calls(monkeypatch, "refine_pair")
     trace = run_refinement(3.0, steps)
     assert trace.steps_run == steps and len(calls) == advances
 
 
 def reference_chain(delta: float, m: int, steps: int):
     """The refinement chain composed from the public step functions."""
-    a = first_family_rate(delta, m)
-    big_a = antiderivative(a)
-    a_lim = limit_rate(delta, m)[0]
+    seed = first_family_rate(delta, m)
+    t, h = seed.nodes, seed.h
+    a, big_a = seed.values, antiderivative(seed).values
+    a_lim = limit_rate(delta, m)[0].values
     sup_cross, gaps, families, stabilizer = [], [], [], 1.0
     for k in range(1, steps + 1):
-        b = solve_cross(a, big_a, delta)
-        int_b2 = cross_energy(b)
-        T = solve_freq(a, big_a, int_b2)
-        sup_cross.append(float(np.abs(b.values).max()))
-        gaps.append(float(np.abs(a.values - a_lim.values).max()))
+        b = solve_cross(a, np.exp(-8.0 * big_a), t, delta)
+        int_b2 = cross_energy(b, h)
+        T = solve_freq(a, np.exp(-8.0 * big_a), int_b2, h, t)
+        sup_cross.append(float(np.abs(b).max()))
+        gaps.append(float(np.abs(a - a_lim).max()))
         families.append((a, big_a, b, T))
         stabilizer = max(stabilizer, minimal_stabilizer(b, T, int_b2))
         if k < steps:
-            a, big_a = refine_pair(a, big_a, b, int_b2, stabilizer)
+            a, big_a = refine_pair(a, big_a, b, int_b2, stabilizer, h)
     return np.array(sup_cross), np.array(gaps), stabilizer, families
 
 
@@ -273,7 +274,7 @@ def test_chain_equals_the_public_step_functions(delta, m):
     assert trace.stored_steps == list(range(1, trace.steps_run + 1))
     for stored, curves, margin in zip(trace.families, families, trace.rate_margin):
         for name, curve in zip("aAbT", curves):
-            assert getattr(stored, name).values.tobytes() == curve.values.tobytes()
+            assert getattr(stored, name).values.tobytes() == curve.tobytes()
         assert margin == (stored.derivatives["ap"] + 4.0 * stored.a.values**2).min()
 
 
@@ -325,32 +326,35 @@ def test_corrupted_cross_coefficient_is_detected(family3):
 
 def test_minimal_stabilizer_trivial_cases():
     m = 128
-    zero = TimeCurve(np.zeros(m + 1))
-    assert minimal_stabilizer(zero, zero, cross_energy(zero)) == 1.0
-    minus_two = TimeCurve(np.full(m + 1, -2.0))
-    assert abs(minimal_stabilizer(minus_two, zero, cross_energy(minus_two)) - 2.0) < 1e-12
+    h = 1.0 / m
+    zero = np.zeros(m + 1)
+    assert minimal_stabilizer(zero, zero, cross_energy(zero, h)) == 1.0
+    minus_two = np.full(m + 1, -2.0)
+    assert abs(minimal_stabilizer(minus_two, zero, cross_energy(minus_two, h)) - 2.0) < 1e-12
 
 
 def test_minimal_stabilizer_stable_under_refinement():
     vals = {}
     for m in (512, 1024):
         fam = family_from_rate(3.0, first_family_rate(3.0, m))
-        vals[m] = minimal_stabilizer(fam.b, fam.T, cross_energy(fam.b))
+        vals[m] = minimal_stabilizer(fam.b.values, fam.T.values, cross_energy(fam.b.values, fam.b.h))
     assert abs(vals[512] - vals[1024]) < 1e-3
 
 
 def test_refine_fixed_point_is_unchanged():
     fam = limit_family(3.0)
-    a_next, big_a_next = refine_pair(fam.a, fam.A, fam.b, cross_energy(fam.b), 1.0)
-    assert np.array_equal(a_next.values, fam.a.values)
-    assert np.array_equal(big_a_next.values, fam.A.values)
+    b, h = fam.b.values, fam.a.h
+    a_next, big_a_next = refine_pair(fam.a.values, fam.A.values, b, cross_energy(b, h), 1.0, h)
+    assert np.array_equal(a_next, fam.a.values)
+    assert np.array_equal(big_a_next, fam.A.values)
 
 
 def test_refine_step_monotone_and_boundary_exact(family3):
     assert float(family3.a.sample_at(0.5)) == 0.5 / 16.0
-    int_b2 = cross_energy(family3.b)
-    stab = minimal_stabilizer(family3.b, family3.T, int_b2)
-    a2, big_a2 = refine_pair(family3.a, family3.A, family3.b, int_b2, stab)
+    a, b, h = family3.a, family3.b.values, family3.a.h
+    int_b2 = cross_energy(b, h)
+    stab = minimal_stabilizer(b, family3.T.values, int_b2)
+    a2 = a.with_values(refine_pair(a.values, family3.A.values, b, int_b2, stab, h)[0])
     assert float(a2.sample_at(0.5)) > 0.03125
     assert a2.values[0] == 0.0
     assert a2.values[-1] == family3.a.values[-1] == 1.0 / 9.0
@@ -359,7 +363,8 @@ def test_refine_step_monotone_and_boundary_exact(family3):
 
 def test_refine_rejects_small_stabilizer(family3):
     with pytest.raises(ValueError):
-        refine_pair(family3.a, family3.A, family3.b, cross_energy(family3.b), 0.5)
+        b, h = family3.b.values, family3.a.h
+        refine_pair(family3.a.values, family3.A.values, b, cross_energy(b, h), 0.5, h)
 
 
 def test_run_refinement_chain_certificates_delta3():
