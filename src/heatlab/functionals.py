@@ -33,6 +33,9 @@ from .timecurve import (
 from .weights import WeightFamily
 
 CONJUGATION_TOL = 5e-3  # relative residual allowed in d_t f - S f - A f = V f
+CORRECTION_TOL = 1e-6  # relative residual and sign slack of the correction term M
+POINTS_PER_UNIT = 48.0  # sharpness probe grid density: at least this many points per unit length
+CAUCHY_TOL = 1e-6  # relative box-to-box increment below which a probe is convergent
 
 
 @dataclass(frozen=True)
@@ -49,26 +52,28 @@ class WeightSlice:
         return self.a * x**2 + self.b * x * self.xi - self.T * self.xi**2
 
 
-def weighted_norm(
-    field: Field,
-    spec: WeightSlice,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    check_tail: bool = True,
-) -> float:
-    """|| e^{a x^2 + b x xi - T xi^2} u || by the periodic trapezoid rule.
+def _weighted_rows(grid: SpaceGrid, exponent, values, time: float, tol: float | None):
+    """Norms ||e^{exponent} u|| of the rows of ``values`` by the periodic
+    trapezoid rule, and the tail fractions of e^{exponent} |u| when ``tol`` is
+    not None (else None).  A weight that defeats the decay of ``u`` makes the
+    truncated quadrature meaningless, so a last row with more than ``tol`` of
+    its mass in the outer band raises TailViolation at ``time``."""
+    modulus = np.abs(values)
+    norms = np.sqrt(grid.dx * np.sum(np.exp(2.0 * exponent) * modulus**2, axis=-1))
+    if tol is None:
+        return norms, None
+    fractions = grid.tail_fraction(np.exp(exponent) * modulus)
+    cause = "the weighted norm is not finite at this truncation"
+    require_tail(np.ravel(fractions)[-1], time, tol, cause)
+    return norms, fractions
 
-    A weight that defeats the decay of ``u`` makes the truncated quadrature
-    meaningless, so integrands with more than ``tail_tol`` of their mass in
-    the outer band are rejected rather than silently truncated.
-    """
-    grid = field.grid
-    exponent = spec.exponent(grid.x)
-    if check_tail:
-        cause = "the weighted norm is not finite at this truncation"
-        amplitude = np.exp(exponent) * np.abs(field.values)
-        require_tail(grid.tail_fraction(amplitude), field.time, tail_tol, cause)
-    integrand = np.exp(2.0 * exponent) * np.abs(field.values) ** 2
-    return math.sqrt(grid.dx * float(np.sum(integrand)))
+
+def weighted_norm(field: Field, spec: WeightSlice, check_tail: bool = True) -> float:
+    """|| e^{a x^2 + b x xi - T xi^2} u || by the periodic trapezoid rule; with
+    ``check_tail`` an integrand holding more than ``DEFAULT_TAIL_TOL`` of its
+    mass in the outer band is rejected rather than silently truncated."""
+    grid, tol = field.grid, DEFAULT_TAIL_TOL if check_tail else None
+    return float(_weighted_rows(grid, spec.exponent(grid.x), field.values, field.time, tol)[0])
 
 
 def interpolation_exponent(t, c: float, d: float, gamma: TimeCurve):
@@ -85,14 +90,13 @@ def interpolation_exponent(t, c: float, d: float, gamma: TimeCurve):
     return float(theta[0]) if np.ndim(t) == 0 else theta
 
 
-def solve_convexity_correction(
-    gamma: TimeCurve, source: TimeCurve, residual_tol: float = 1e-6
-) -> TimeCurve:
+def solve_convexity_correction(gamma: TimeCurve, source: TimeCurve) -> TimeCurve:
     """Solve d_t(gamma d_t M) = -source with M = 0 at both ends of the grid.
 
     Double quadrature: gamma M' = C - int source, with C fixed by the final
     boundary value.  A nonnegative source makes M concave in the gamma clock,
-    hence nonnegative; that sign is checked along with the equation residual.
+    hence nonnegative; that sign is checked along with the equation residual,
+    both at ``CORRECTION_TOL``.
     """
     if not np.min(gamma.values) > 0.0:
         raise ValueError("gamma must be positive")
@@ -109,11 +113,11 @@ def solve_convexity_correction(
     # interior, away from the compounded one-sided stencil rows
     resid = (fd_derivative(gamma.values * fd_derivative(mvals, h, 1), h, 1) + source.values)[3:-3]
     scale = max(1.0, float(np.max(np.abs(source.values))))
-    if not float(np.max(np.abs(resid))) <= residual_tol * scale:
+    if not float(np.max(np.abs(resid))) <= CORRECTION_TOL * scale:
         raise ResidualError(
             f"correction-term residual {np.max(np.abs(resid)):.3e} exceeds tolerance"
         )
-    if not float(np.min(mvals)) >= -residual_tol * max(1.0, float(np.max(np.abs(mvals)))):
+    if not float(np.min(mvals)) >= -CORRECTION_TOL * max(1.0, float(np.max(np.abs(mvals)))):
         raise ResidualError("correction term went negative")
     return gamma.with_values(mvals)
 
@@ -246,7 +250,6 @@ def appell_transform(
     grid: SpaceGrid,
     times: np.ndarray,
     potential: PotentialSpec | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> Trajectory:
     """Apply the parabolic change of variables
 
@@ -300,9 +303,8 @@ def appell_transform(
         raise TypeError("source must be a Trajectory or a callable u(x, s)")
 
     root = math.sqrt(alpha * beta)
-    for i, t in enumerate(times):
+    for i, (t, s) in enumerate(zip(times, appell_time_map(alpha, beta, times))):
         denom = alpha * (1.0 - t) + beta * t
-        s = beta * t / denom
         y = root * x / denom
         mult = (root / denom) ** 0.5 * np.exp((alpha - beta) * x**2 / (4.0 * denom))
         frames[i] = mult * eval_source(y, float(s))
@@ -311,8 +313,8 @@ def appell_transform(
 
         def v_fn(xv, tv, _p=potential):
             dv = alpha * (1.0 - tv) + beta * tv
-            sv = beta * tv / dv
-            return (alpha * beta / dv**2) * _p(root * xv / dv, float(sv))
+            sv = float(appell_time_map(alpha, beta, tv))
+            return (alpha * beta / dv**2) * _p(root * xv / dv, sv)
 
         new_potential = PotentialSpec(
             fn=v_fn,
@@ -322,10 +324,7 @@ def appell_transform(
     else:
         new_potential = zero_potential()
 
-    flags = grid.tail_fraction(frames) <= tail_tol
-    return Trajectory(
-        grid=grid, times=times, frames=frames, tail_flags=flags, potential=new_potential
-    )
+    return Trajectory(grid=grid, times=times, frames=frames, potential=new_potential)
 
 
 @dataclass
@@ -360,16 +359,13 @@ def verify_interior_bound(
         raise ValueError("need R > 0")
     grid, t = traj.grid, traj.times
     exponent = WeightSlice(a=(t / (4.0 * (t**2 + R**2)))[:, None]).exponent(grid.x)
-    integrand = np.exp(2.0 * exponent) * np.abs(traj.frames) ** 2
-    norms = np.sqrt(grid.dx * np.sum(integrand, axis=1))
+    tol = tail_tol if check_tail else None
+    norms, fraction = _weighted_rows(grid, exponent, traj.frames, t[-1], tol)
     rhs = grid.norm(traj.frames[0]) + float(norms[-1])
     if rhs == 0.0:
         raise ValueError("||u(0)|| + the final weighted norm is 0, so the bound is undefined")
     finite = True
     if check_tail:
-        fraction = grid.tail_fraction(np.exp(exponent) * np.abs(traj.frames))
-        cause = "the weighted norm is not finite at this truncation"
-        require_tail(fraction[-1], t[-1], tail_tol, cause)
         bad = ~(fraction <= tail_tol)
         norms[bad] = np.inf
         finite = not np.any(bad)
@@ -403,8 +399,6 @@ def sharpness_probe(
     t: float,
     gamma_factor: float,
     box_widths=(8.0, 16.0, 32.0, 64.0),
-    points_per_unit: float = 48.0,
-    cauchy_tol: float = 1e-6,
 ) -> SharpnessReport:
     """Norms ||e^{g x^2} u_R(., t)|| with g = gamma_factor * t/4(t^2+R^2) on
     growing boxes.
@@ -412,7 +406,7 @@ def sharpness_probe(
     Below the critical factor the sequence is Cauchy; at the critical factor
     the integrand modulus is constant in x and the norm grows like sqrt(2L);
     above it the growth is Gaussian.  The verdict is "convergent" exactly when
-    the relative increments stay below ``cauchy_tol``; the growth exponent is
+    the relative increments stay below ``CAUCHY_TOL``; the growth exponent is
     the log-log slope over the boxes.
     """
     if not gamma_factor > 0.0:
@@ -425,12 +419,12 @@ def sharpness_probe(
     net = (gamma_factor - 1.0) * t / (2.0 * (t**2 + R**2))
     norms = np.empty(boxes.size)
     for i, l in enumerate(boxes):
-        n = 1 << max(8, int(math.ceil(math.log2(points_per_unit * 2.0 * l))))
+        n = 1 << max(8, int(math.ceil(math.log2(POINTS_PER_UNIT * 2.0 * l))))
         grid = SpaceGrid(half_width=l, n=n)
         norms[i] = math.sqrt(grid.dx * amp * float(np.sum(np.exp(net * grid.x**2))))
     increments = np.abs(np.diff(norms)) / norms[1:]
     # Cauchy within tol = the tail increment has stabilized
-    verdict = "convergent" if increments[-1] <= cauchy_tol else "divergent"
+    verdict = "convergent" if increments[-1] <= CAUCHY_TOL else "divergent"
     slope = float(np.polyfit(np.log(boxes), np.log(norms), 1)[0])
     return SharpnessReport(
         R=R,

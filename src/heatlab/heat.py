@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import framecsv
-from .grid import DEFAULT_TAIL_TOL, Field, PotentialSpec, SpaceGrid, require_tail
+from .grid import Field, PotentialSpec, SpaceGrid
 from .timecurve import time_derivative_chunks
 from .weights import WeightFamily
 
@@ -66,7 +66,6 @@ class Trajectory:
     grid: SpaceGrid
     times: np.ndarray
     frames: np.ndarray  # (n_frames, n) complex
-    tail_flags: np.ndarray  # per-frame: True when the tail guard held
     potential: PotentialSpec
 
     def __post_init__(self):
@@ -126,33 +125,25 @@ def evolve(
     steps: int,
     n_frames: int | None = None,
     frame_times: np.ndarray | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    strict_tail: bool = False,
-    max_dt: float | None = None,
 ) -> Trajectory:
     """Propagate ``u0`` from ``t0`` to ``t1`` and store selected frames.
 
     ``steps`` sets the target step size (t1 - t0)/steps; with V != 0 each
     interval between stored frames is covered by whole Strang steps of at most
     that size.  With V = 0 every frame is the exact multiplier
-    exp(-(t_j - t0) xi^2) applied to the datum's spectrum, and ``steps`` (with
-    ``max_dt``) only validates.  A ``time_independent`` potential is evaluated
-    once and run in the first-same-as-last Strang form; any other is sampled
-    at the quarter points of every step.  Frames come either as an equispaced
+    exp(-(t_j - t0) xi^2) applied to the datum's spectrum, and ``steps`` only
+    validates.  A ``time_independent`` potential is evaluated once and run in
+    the first-same-as-last Strang form; any other is sampled at the quarter
+    points of every step.  Frames come either as an equispaced
     count ``n_frames`` (default: every step, capped at 257) or as an explicit
-    ``frame_times`` array starting at t0 and ending at t1.  Tail-guard
-    violations raise when ``strict_tail`` is set and are recorded per frame
-    otherwise.
+    ``frame_times`` array starting at t0 and ending at t1.  A caller that
+    needs the tail guard applies :meth:`SpaceGrid.tail_fraction` to the frames.
     """
     if not t1 > t0:
         raise ValueError("need t1 > t0")
     if steps < 1:
         raise ValueError("need steps >= 1")
     dt_target = (t1 - t0) / steps
-    if max_dt is not None and not dt_target <= max_dt * (1.0 + 1e-12):
-        raise ValueError(
-            f"step count too small: dt = {dt_target:.3e} exceeds max_dt = {max_dt:.3e}"
-        )
     if frame_times is None:
         if n_frames is None:
             n_frames = min(steps + 1, 257)
@@ -199,16 +190,7 @@ def evolve(
             t = float(target)
             frames[j] = u
 
-    fractions = grid.tail_fraction(frames)
-    if strict_tail:
-        require_tail(fractions, frame_times, tail_tol)
-    return Trajectory(
-        grid=grid,
-        times=frame_times,
-        frames=frames,
-        tail_flags=fractions <= tail_tol,
-        potential=potential,
-    )
+    return Trajectory(grid=grid, times=frame_times, frames=frames, potential=potential)
 
 
 def pde_residual(traj: Trajectory, potential: PotentialSpec | None = None) -> float:

@@ -36,12 +36,28 @@ from .timecurve import TimeCurve, _read_only, cumulative_integral, fd_derivative
 DEFAULT_M = 512
 DEFAULT_RESIDUAL_TOL = 1e-6
 DEFAULT_RECERT_TOL = 1e-4  # the chain's per-step curvature and rate tolerance
+LIMIT_T_MIN = 1e-3  # first node of the singular (delta = 2) limit curves
 
 
 def grid_tol(tol: float, m: int) -> float:
     """Residual tolerance rescaled to the grid: the defaults are calibrated at
     M = 512 and truncation shrinks like h^4, so coarser grids get more room."""
     return tol * max(1.0, (DEFAULT_M / m) ** 4)
+
+
+def _rate_drift(a: np.ndarray, A: np.ndarray, h: float) -> tuple[float, bool]:
+    """``(max |A' - a|, ok)``, ok when the drift is within max(tol, 100 tol max|a|)
+    for tol = ``DEFAULT_RESIDUAL_TOL``; a NaN drift is not ok."""
+    drift = float(np.abs(fd_derivative(A, h, 1) - a).max())
+    tol = DEFAULT_RESIDUAL_TOL
+    return drift, drift <= max(tol, 100 * tol * np.abs(a).max())
+
+
+def _no_interior_dip(values: np.ndarray, tol: float) -> bool:
+    """Whether the interior minimum of ``values`` is at least -tol times
+    max(1, max|values|); a NaN node fails."""
+    scale = max(1.0, float(np.max(np.abs(values))))
+    return bool(np.min(values[1:-1]) >= -tol * scale)
 
 
 def antiderivative(curve: TimeCurve) -> TimeCurve:
@@ -223,16 +239,15 @@ class WeightFamily:
                 raise ResidualError(
                     f"{name}-coefficient residual {np.max(np.abs(resid)):.3e} exceeds tolerance"
                 )
-        tvals = self.T.values
-        tscale = max(1.0, float(np.max(np.abs(tvals))))
-        if not float(np.min(tvals[1:-1])) >= -tol * tscale:
+        if not _no_interior_dip(self.T.values, tol):
             raise CertificationError(
-                f"sign failure: interior minimum {np.min(tvals[1:-1]):.3e} < 0 "
+                f"sign failure: interior minimum {np.min(self.T.values[1:-1]):.3e} < 0 "
                 "signals inconsistent inputs"
             )
 
-    def validate(self, tol: float = DEFAULT_RESIDUAL_TOL, strict_signs: bool = False) -> None:
-        """Check the structural invariants; raise CertificationError on failure.
+    def validate(self, strict_signs: bool = False) -> None:
+        """Check the structural invariants at ``DEFAULT_RESIDUAL_TOL``; raise
+        CertificationError on failure.
 
         ``strict_signs`` additionally requires b < 0 and T > 0 at interior
         nodes, which holds for every refinement iterate but degenerates for
@@ -243,8 +258,7 @@ class WeightFamily:
         # every check is written "not (value <= bound)", so a NaN fails it
         if not abs(A.values[-1]) <= 1e-12:
             problems.append("A does not vanish at the final node")
-        da = fd_derivative(A.values, A.h, 1)
-        if not np.max(np.abs(da - a.values)) <= max(tol, 100 * tol * np.max(np.abs(a.values))):
+        if not _rate_drift(a.values, A.values, A.h)[1]:
             problems.append("A' differs from a beyond tolerance")
         if not self.singular:
             if not abs(a.values[0]) <= 1e-12:
@@ -254,22 +268,18 @@ class WeightFamily:
         for name, curve in (("b", b), ("T", T)):
             if not np.max(np.abs(curve.values[[0, -1]])) <= 1e-10:
                 problems.append(f"{name} does not vanish at the endpoints")
-        cert = self.certificate(tol)
+        cert = self.certificate()
         if not cert.ok:
             problems.append(f"curvature certificate failed (min {cert.min_identity:.3e})")
-        interior_b = b.values[1:-1]
-        interior_T = T.values[1:-1]
         if strict_signs:
-            if not np.max(interior_b) < 0.0:
+            if not np.max(b.values[1:-1]) < 0.0:
                 problems.append("b is not strictly negative on the interior")
-            if not np.min(interior_T) > 0.0:
+            if not np.min(T.values[1:-1]) > 0.0:
                 problems.append("T is not strictly positive on the interior")
         else:
-            bscale = max(1.0, float(np.max(np.abs(b.values))))
-            if not np.max(interior_b) <= tol * bscale:
+            if not _no_interior_dip(-b.values, DEFAULT_RESIDUAL_TOL):
                 problems.append("b has a positive interior excursion")
-            tscale = max(1.0, float(np.max(np.abs(T.values))))
-            if not np.min(interior_T) >= -tol * tscale:
+            if not _no_interior_dip(T.values, DEFAULT_RESIDUAL_TOL):
                 problems.append("T has a negative interior excursion")
         if problems:
             raise CertificationError("; ".join(problems))
@@ -284,14 +294,11 @@ def _complete(delta: float, a: TimeCurve, A: TimeCurve, b: np.ndarray, em8: np.n
 
 
 def family_from_rate(
-    delta: float,
-    a: TimeCurve,
-    A: TimeCurve | None = None,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
+    delta: float, a: TimeCurve, residual_tol: float = DEFAULT_RESIDUAL_TOL
 ) -> WeightFamily:
-    """Complete a rate curve into a full family by solving for b and T."""
-    if A is None:
-        A = antiderivative(a)
+    """Complete a rate curve into a full family, with A = antiderivative(a),
+    by solving for b and T."""
+    A = antiderivative(a)
     em8 = np.exp(-8.0 * A.values)
     family = _complete(delta, a, A, solve_cross(a.values, em8, a.nodes, delta), em8)
     family.certify_equations(residual_tol)
@@ -356,40 +363,39 @@ def refine_pair(
     energy = int_b2 + stabilizer
     a_next = a + b**2 / (8.0 * energy)
     A_next = A + (np.log(energy) - math.log(energy[-1])) / 8.0
-    drift = np.abs(fd_derivative(A_next, h, 1) - a_next).max()
-    if not drift <= max(DEFAULT_RESIDUAL_TOL, 100 * DEFAULT_RESIDUAL_TOL * np.abs(a_next).max()):
+    drift, ok = _rate_drift(a_next, A_next, h)
+    if not ok:
         raise ValueError(f"consistency failure: |A_next' - a_next| = {drift:.3e}")
     return a_next, A_next
 
 
-def limit_rate(delta: float, m: int = DEFAULT_M, t_min: float = 1e-3) -> tuple[TimeCurve, TimeCurve, bool]:
+def limit_rate(delta: float, m: int = DEFAULT_M) -> tuple[TimeCurve, TimeCurve, bool]:
     """Closed-form limit rate a(t) = t / (4 (t^2 + R^2)) and its antiderivative.
 
     At delta = 2 the rate 1/(4t) is singular at t = 0, so the curves start at
-    ``t_min`` instead and the family is flagged singular.
+    ``LIMIT_T_MIN`` instead and the family is flagged singular.
     """
     if delta < 2.0:
         raise ValueError("need delta >= 2")
     r2 = delta**2 / 4.0 - 1.0
     singular = r2 == 0.0
-    t0 = t_min if singular else 0.0
-    if singular and not t_min > 0.0:
-        raise ValueError("need t_min > 0 for the singular limit family")
+    t0 = LIMIT_T_MIN if singular else 0.0
     t = t0 + (1.0 - t0) * np.arange(m + 1) / m
     a = TimeCurve(t / (4.0 * (t**2 + r2)), t0=t0)
     A = TimeCurve(np.log(4.0 * (t**2 + r2) / delta**2) / 8.0, t0=t0)
     return a, A, singular
 
 
-def limit_family(delta: float, m: int = DEFAULT_M, t_min: float = 1e-3) -> WeightFamily:
+def limit_family(delta: float, m: int = DEFAULT_M) -> WeightFamily:
     """The fixed-point family: b = 0, a e^{8A} = t/delta^2 at every node.
 
     The frequency coefficient degenerates to T = 0 here (its first integral is
     const/(t^2 + R^2) and the zero boundary values kill the constant).  For a
-    singular delta = 2 family the rate 1/(4t) is unresolvable near t_min on a
-    uniform grid, so :meth:`WeightFamily.certify_equations` is skipped there.
+    singular delta = 2 family the rate 1/(4t) is unresolvable near
+    ``LIMIT_T_MIN`` on a uniform grid, so
+    :meth:`WeightFamily.certify_equations` is skipped there.
     """
-    a, A, singular = limit_rate(delta, m, t_min)
+    a, A, singular = limit_rate(delta, m)
     relation = a.values * np.exp(8.0 * A.values) - a.nodes / delta**2
     if not np.max(np.abs(relation)) <= 1e-12:
         raise CertificationError("closed-form limit violates a e^{8A} = t/delta^2")
@@ -427,7 +433,6 @@ def run_refinement(
     max_steps: int,
     tol: float = 1e-5,
     m: int = DEFAULT_M,
-    recert_tol: float = DEFAULT_RECERT_TOL,
     store_every: int = 0,
 ) -> RefinementTrace:
     """Drive the refinement from the seed family until sup|b| <= tol.
@@ -436,7 +441,7 @@ def run_refinement(
     monotonicity, the ceiling 1/(delta^2 - 4) and the rate inequality
     a' + 4a^2 >= 0; a violation raises CertificationError.  The iterates
     steepen near t = 1 as the step count grows, so the per-step curvature
-    cross-check runs at ``recert_tol`` rather than the construction-time
+    cross-check runs at ``DEFAULT_RECERT_TOL`` rather than the construction-time
     residual tolerance.  If ``tol`` is not reached within ``max_steps`` the
     trace comes back with ``converged = False`` as a diagnostic rather than
     an error.  ``store_every`` = s > 0 keeps the families of step 1, every
@@ -467,7 +472,7 @@ def run_refinement(
         int_b2 = cross_energy(b, h)
         T = solve_freq(a, em8, int_b2, h, t)
         cols = _growth_columns(a, A, h)
-        cert = _certify(cols["ident"], cols["direct"], recert_tol)
+        cert = _certify(cols["ident"], cols["direct"], DEFAULT_RECERT_TOL)
         if cert.verdict != "positive":
             raise CertificationError(
                 f"convexity certificate failed at step {k}: {cert.verdict} (route gap "
@@ -475,10 +480,10 @@ def run_refinement(
                 f"bound recert_tol x scale = {cert.bound:.3e})"
             )
         # each check is written "not (value within bound)", so a NaN fails it
-        if not a.max() <= ceiling + recert_tol:
+        if not a.max() <= ceiling + DEFAULT_RECERT_TOL:
             raise CertificationError(f"chain ceiling exceeded at step {k}")
         margin = float((cols["ap"] + 4.0 * a**2).min())
-        if not margin >= -recert_tol:
+        if not margin >= -DEFAULT_RECERT_TOL:
             raise CertificationError(f"rate inequality a' + 4a^2 >= 0 failed at step {k}")
         if prev_a is not None and not (a[1:-1] - prev_a[1:-1]).min() >= 0.0:
             raise CertificationError(f"chain violation: a_{k} < a_{k-1} somewhere")

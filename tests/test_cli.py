@@ -42,6 +42,18 @@ def test_evolve_command_free_heat(tmp_path):
     assert (frames / manifest[1].split(",")[2]).exists()
 
 
+def test_evolve_command_fails_a_tail_above_the_config_tail_tol(tmp_path):
+    # by t = 1 the free datum holds about 5e-22 of its mass beyond 0.9 of the box
+    config = tmp_path / "tight.cfg"
+    config.write_text("tail_tol = 1e-30\n")
+    out = tmp_path / "ev"
+    assert run(["evolve", "--config", str(config), "--steps", "250", "--out", str(out)]) == 1
+    assert (out / "evolve" / "verdict.txt").read_text() == "FAIL max_violation=1\n"
+    manifest = (out / "evolve" / "manifest.txt").read_text().splitlines()
+    assert "tail_tol = 1e-30" in manifest
+    assert "tails_ok = false" in manifest
+
+
 def test_verify_convexity_command(tmp_path):
     out = tmp_path / "vc"
     assert run(["verify-convexity", "--potential", "none", "--out", str(out)]) == 0

@@ -288,7 +288,6 @@ NAN_ARGUMENTS = {
     "SpaceGrid half_width inf": (
         ValueError, "^half_width", lambda tr, fam: SpaceGrid(half_width=math.inf)
     ),
-    "evolve max_dt": (ValueError, "max_dt", lambda tr, fam: evolve_free(tr, max_dt=math.nan)),
     "evolve frame_times interior": (
         ValueError,
         "strictly increasing",
@@ -549,15 +548,30 @@ def test_appell_round_trip():
     assert worst < 1e-4
 
 
+def test_evolve_and_appell_transform_compute_no_tail_fraction(monkeypatch, gauss12):
+    calls = []
+    original = SpaceGrid.tail_fraction
+
+    def counting(self, values):
+        calls.append(np.shape(values))
+        return original(self, values)
+
+    monkeypatch.setattr(SpaceGrid, "tail_fraction", counting)
+    potential = gaussian_potential(0.5, imaginary=True)
+    traj = evolve(gauss12, zero_potential(), 0.0, 1.0, steps=64, n_frames=9)
+    evolve(gauss12, potential, 0.0, 1.0, steps=64, n_frames=9)
+    out = SpaceGrid(half_width=8.0, n=256)  # maps inside the source box for alpha, beta = 1, 1.5
+    appell_transform(traj, 1.0, 1.5, out, traj.times, potential=potential)
+    appell_transform(free_heat_gaussian, 1.0, 1.5, out, traj.times)
+    assert calls == []
+
+
 def stored_free_heat(n_frames=37):
     """Closed-form free heat frames on a uniform time grid, as a stored Trajectory."""
     grid = SpaceGrid(half_width=16.0, n=512)
     times = np.linspace(0.0, 1.0, n_frames)
     frames = np.array([free_heat_gaussian(grid.x, t) for t in times])
-    return Trajectory(
-        grid=grid, times=times, frames=frames,
-        tail_flags=np.ones(n_frames, dtype=bool), potential=zero_potential(),
-    )
+    return Trajectory(grid=grid, times=times, frames=frames, potential=zero_potential())
 
 
 def resample_then_combine(traj, alpha, beta, grid, times):
@@ -653,10 +667,7 @@ def test_interior_bound_on_critical_closed_form(grid12):
     frames = np.array([complex_gaussian(grid12.x, t, r) for t in times])
     from heatlab import Trajectory
 
-    traj = Trajectory(
-        grid=grid12, times=times, frames=frames,
-        tail_flags=np.ones(101, dtype=bool), potential=zero_potential(),
-    )
+    traj = Trajectory(grid=grid12, times=times, frames=frames, potential=zero_potential())
     report = verify_interior_bound(traj, r, check_tail=False)
     assert report.finite
     assert report.lhs_sup > 0.0
@@ -673,10 +684,7 @@ def test_interior_bound_marks_one_failing_interior_frame(grid12, gauss12):
     base = evolve(gauss12, zero_potential(), 0.0, 1.0, steps=500, n_frames=101)
     frames = base.frames.copy()
     frames[40, np.abs(grid12.x - 11.0) < 0.5] += 1e-3  # mass in frame 40's tail band
-    traj = Trajectory(
-        grid=grid12, times=base.times, frames=frames,
-        tail_flags=base.tail_flags, potential=base.potential,
-    )
+    traj = Trajectory(grid=grid12, times=base.times, frames=frames, potential=base.potential)
     r = 1.0
     report = verify_interior_bound(traj, r)
     assert np.isinf(report.weighted_norms[40])

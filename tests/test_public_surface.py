@@ -8,6 +8,7 @@ without changing either file.  The README's library example runs as written.
 
 import ast
 import importlib.util
+import inspect
 import json
 import re
 from pathlib import Path
@@ -61,7 +62,8 @@ def dotted(node):
     return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else None
 
 
-def test_every_heatlab_attribute_the_workloads_use_exists():
+def workloads():
+    """The parsed ``perfbench/workloads.py`` and the heatlab modules it imports, by local name."""
     tree = ast.parse((PERFBENCH / "workloads.py").read_text())
     modules = {
         alias.asname or alias.name: getattr(heatlab, alias.name)
@@ -70,6 +72,11 @@ def test_every_heatlab_attribute_the_workloads_use_exists():
         for alias in node.names
     }
     assert modules  # the workloads import heatlab's layer modules by name
+    return tree, modules
+
+
+def test_every_heatlab_attribute_the_workloads_use_exists():
+    tree, modules = workloads()
     chains = {
         tuple(chain)
         for node in ast.walk(tree)
@@ -86,6 +93,53 @@ def test_every_heatlab_attribute_the_workloads_use_exists():
                 break
             target = getattr(target, attr)
     assert missing == []
+
+
+def test_every_keyword_the_workloads_pass_binds_to_its_heatlab_callable():
+    tree, modules = workloads()
+
+    def resolve(chain, roots):
+        target = roots[chain[0]]
+        for attr in chain[1:]:
+            target = getattr(target, attr)
+        return target
+
+    def heatlab_call(node, roots):
+        """The attribute chain of a call on one of ``roots``, else None."""
+        chain = dotted(node.func) if isinstance(node, ast.Call) else None
+        return chain if chain is not None and chain[0] in roots else None
+
+    # a name bound to the result of a heatlab function stands for its declared return class,
+    # so ``family.validate(...)`` after ``family = wt.family_from_rate(...)`` is checked too
+    instances = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and (chain := heatlab_call(node.value, modules)):
+            func = resolve(chain, modules)
+            if inspect.isfunction(func):
+                cls = func.__globals__.get(func.__annotations__.get("return"))
+                for target in node.targets:
+                    if isinstance(cls, type) and isinstance(target, ast.Name):
+                        instances[target.id] = cls
+
+    roots = {**modules, **instances}
+    checked, unbound = [], []
+    for node in ast.walk(tree):
+        if not (chain := heatlab_call(node, roots)):
+            continue
+        # a method looked up on a class takes the instance as its first argument
+        args = [None] * (len(node.args) + (chain[0] in instances))
+        kwargs = dict.fromkeys(kw.arg for kw in node.keywords)
+        label = ".".join(chain)
+        checked.append((label, *kwargs))
+        try:
+            inspect.signature(resolve(chain, roots)).bind(*args, **kwargs)
+        except TypeError as exc:
+            unbound.append(f"{label}({', '.join(kwargs)}): {exc}")
+    assert unbound == []
+    # the check reaches module functions, classes and a method of a returned family
+    assert ("heat.evolve", "steps", "frame_times") in checked
+    assert ("gr.SpaceGrid", "half_width", "n") in checked
+    assert ("family.validate", "strict_signs") in checked
 
 
 def test_readme_library_example_runs(capsys):
