@@ -44,6 +44,9 @@ FLAGS = (
     "potential", "amplitude", "gamma_factor", "out", "plot",
 )
 CONVEXITY_FRAMES = 257  # frames per convexity run, one per 256th of [0, 1]
+POSITIVE_FIELDS = (
+    "R", "tol", "residual_tol", "slack_tol", "tail_tol", "box_L", "gamma_factor", "epsilon"
+)
 
 
 @dataclass(frozen=True)
@@ -76,27 +79,20 @@ class ScenarioConfig:
                 raise ConfigError(f"{f.name} must be finite")
         if self.delta <= 2.0:
             raise ConfigError("delta must exceed 2")
-        if self.R <= 0.0:
-            raise ConfigError("R must be positive")
-        if self.K < 1:
-            raise ConfigError("K must be >= 1")
-        for name in ("tol", "residual_tol", "slack_tol", "tail_tol", "epsilon"):
+        for name in POSITIVE_FIELDS:
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
+        for name in ("K", "steps"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.grid_M < 64:
             raise ConfigError("grid_M must be >= 64")
-        if self.box_L <= 0.0:
-            raise ConfigError("box_L must be positive")
         if self.grid_N < 256 or self.grid_N & (self.grid_N - 1) != 0:
             raise ConfigError("grid_N must be a power of two >= 256")
-        if self.steps < 1:
-            raise ConfigError("steps must be >= 1")
         if self.potential not in POTENTIALS:
             raise ConfigError(f"potential must be one of {POTENTIALS}")
         if self.amplitude < 0.0:
             raise ConfigError("amplitude must be nonnegative")
-        if self.gamma_factor <= 0.0:
-            raise ConfigError("gamma_factor must be positive")
         if command in ("verify-convexity", "all") and self.grid_M % (CONVEXITY_FRAMES - 1) != 0:
             raise ConfigError("grid_M must be a multiple of 256 for convexity runs")
 

@@ -23,12 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResidualError, TailViolation
+from .errors import ResidualError
 from .grid import DEFAULT_TAIL_TOL, Field, PotentialSpec, SpaceGrid, require_tail, zero_potential
 from .heat import Trajectory, conjugated_parts
 from .kernels import resample_periodic
 from .timecurve import (
-    TimeCurve, cumulative_integral, fd_derivative, time_derivative_chunks, weighted_sum
+    TimeCurve, _quartic_weights, cumulative_integral, fd_derivative, time_derivative_chunks,
+    weighted_sum,
 )
 from .weights import WeightFamily
 
@@ -132,7 +133,6 @@ class ConvexityReport:
     M: np.ndarray
     Nval: float
     slack: np.ndarray
-    epsilon: float
     conjugation_residual: float
     curvature_verdict: str
 
@@ -224,7 +224,6 @@ def check_log_convexity(
         M=M.values,
         Nval=Nval,
         slack=rhs - h_eps,
-        epsilon=epsilon,
         conjugation_residual=conj_rel,
         curvature_verdict=family.certificate().verdict,
     )
@@ -261,7 +260,8 @@ def appell_transform(
     band-limitedly in space and, when the mapped time falls between stored
     frames, interpolated by a local quartic in time.  Heat solutions map to
     heat solutions with the rescaled potential V~, whose sup norm is at most
-    max(alpha/beta, beta/alpha) ||V||.
+    max(alpha/beta, beta/alpha) ||V||.  V is a stored trajectory's own
+    potential, or ``potential`` (default V = 0) for a callable source.
     """
     if not (alpha > 0.0 and beta > 0.0):
         raise ValueError("need alpha, beta > 0")
@@ -270,6 +270,9 @@ def appell_transform(
     frames = np.empty((times.size, grid.n), dtype=complex)
 
     if isinstance(source, Trajectory):
+        if potential is not None:
+            raise TypeError("a stored trajectory carries its own potential; pass no potential=")
+        potential = source.potential
         src_l = source.grid.half_width
 
         def eval_source(y: np.ndarray, s: float) -> np.ndarray:
@@ -288,11 +291,7 @@ def appell_transform(
             if size < 5:
                 raise ValueError(f"off-frame s={s:g} needs the 5-frame quartic; only {size} stored")
             lo = min(max(j - 2, 0), size - 5)
-            ts = source.times[lo : lo + 5]
-            lk = [
-                np.prod([(s - ts[r]) / (ts[k] - ts[r]) for r in range(5) if r != k])
-                for k in range(5)
-            ]
+            lk = _quartic_weights(source.times[lo : lo + 5], s)
             return resample_periodic(weighted_sum(lk, source.frames[lo : lo + 5]), y, src_l)
 
     elif callable(source):
@@ -337,7 +336,6 @@ class BoundReport:
     rhs_data: float
     ratio: float
     finite: bool
-    R: float
 
 
 def verify_interior_bound(
@@ -377,7 +375,6 @@ def verify_interior_bound(
         rhs_data=rhs,
         ratio=lhs / rhs,
         finite=finite and np.isfinite(lhs),
-        R=R,
     )
 
 
@@ -385,9 +382,6 @@ def verify_interior_bound(
 class SharpnessReport:
     """Weighted norms of the closed-form solution on growing boxes."""
 
-    R: float
-    t: float
-    gamma_factor: float
     box_widths: np.ndarray
     norms: np.ndarray
     verdict: str  # "convergent" | "divergent"
@@ -426,12 +420,4 @@ def sharpness_probe(
     # Cauchy within tol = the tail increment has stabilized
     verdict = "convergent" if increments[-1] <= CAUCHY_TOL else "divergent"
     slope = float(np.polyfit(np.log(boxes), np.log(norms), 1)[0])
-    return SharpnessReport(
-        R=R,
-        t=t,
-        gamma_factor=gamma_factor,
-        box_widths=boxes,
-        norms=norms,
-        verdict=verdict,
-        growth_exponent=slope,
-    )
+    return SharpnessReport(box_widths=boxes, norms=norms, verdict=verdict, growth_exponent=slope)

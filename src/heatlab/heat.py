@@ -193,13 +193,12 @@ def evolve(
     return Trajectory(grid=grid, times=frame_times, frames=frames, potential=potential)
 
 
-def pde_residual(traj: Trajectory, potential: PotentialSpec | None = None) -> float:
-    """Worst relative residual of d_t u - Lap u - V u over interior frames."""
-    potential = traj.potential if potential is None else potential
+def pde_residual(traj: Trajectory) -> float:
+    """Worst relative residual of d_t u - Lap u - V u over interior frames, V = traj.potential."""
     dts = np.diff(traj.times)
     if not np.max(np.abs(dts - dts[0])) <= 1e-10:
         raise ValueError("pde_residual needs equispaced frames")
-    grid, x = traj.grid, traj.grid.x
+    grid, x, potential = traj.grid, traj.grid.x, traj.potential
     static = potential(x, float(traj.times[0])) if potential.time_independent else None
     rel = np.empty(traj.n_frames)
     for chunk, dudt in time_derivative_chunks(traj.frames, float(dts[0])):

@@ -164,6 +164,14 @@ def cumulative_integral(values: np.ndarray, h: float) -> np.ndarray:
     return np.multiply(out, h, out=out)
 
 
+def _quartic_weights(nodes, s: float) -> list:
+    """Lagrange weights of the quartic through five ``nodes``, evaluated at ``s``."""
+    return [
+        np.prod([(s - nodes[r]) / (nodes[k] - nodes[r]) for r in range(5) if r != k])
+        for k in range(5)
+    ]
+
+
 def lagrange_sample(values: np.ndarray, t0: float, h: float, times) -> np.ndarray:
     """Evaluate the local quartic interpolant of uniform samples at ``times``.
 
@@ -182,9 +190,7 @@ def lagrange_sample(values: np.ndarray, t0: float, h: float, times) -> np.ndarra
     out[exact] = values[base[exact]]
     for j in np.nonzero(~exact)[0]:
         start = min(max(base[j] - 2, 0), m - 4)
-        # barycentric form of the quartic through the five-node window
-        terms = np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / (pos[j] - np.arange(start, start + 5))
-        out[j] = (terms @ values[start : start + 5]) / terms.sum()
+        out[j] = np.dot(_quartic_weights(range(start, start + 5), pos[j]), values[start : start + 5])
     return float(out[0]) if scalar else out
 
 

@@ -186,10 +186,6 @@ class WeightFamily:
     T: TimeCurve
     singular: bool = False
 
-    @property
-    def R(self) -> float:
-        return math.sqrt(self.delta**2 / 4.0 - 1.0)
-
     @cached_property
     def derivatives(self) -> dict[str, np.ndarray]:
         """Read-only nodewise table, built once per family: a, b, T and their
@@ -409,7 +405,6 @@ def limit_family(delta: float, m: int = DEFAULT_M) -> WeightFamily:
 class RefinementTrace:
     """Per-step record of the fixed-point refinement."""
 
-    delta: float
     stabilizer: float
     converged: bool
     steps_run: int
@@ -477,7 +472,7 @@ def run_refinement(
             raise CertificationError(
                 f"convexity certificate failed at step {k}: {cert.verdict} (route gap "
                 f"{cert.max_route_gap:.3e}, interior minimum {cert.min_identity:.3e}, "
-                f"bound recert_tol x scale = {cert.bound:.3e})"
+                f"bound DEFAULT_RECERT_TOL x scale = {cert.bound:.3e})"
             )
         # each check is written "not (value within bound)", so a NaN fails it
         if not a.max() <= ceiling + DEFAULT_RECERT_TOL:
@@ -503,7 +498,7 @@ def run_refinement(
         a, A = refine_pair(a, A, b, int_b2, stabilizer, h)
 
     return RefinementTrace(
-        delta=delta, stabilizer=stabilizer, converged=converged, steps_run=k,
+        stabilizer=stabilizer, converged=converged, steps_run=k,
         sup_cross=np.array(sup_cross), rate_margin=np.array(margins),
         gap_to_limit=np.array(gaps), families=families, stored_steps=stored,
     )

@@ -6,7 +6,7 @@ import pytest
 
 from heatlab import cli, functionals as fn, weights as wt
 from heatlab.cli import Check, ScenarioConfig, load_config_file, main
-from heatlab.errors import CertificationError
+from heatlab.errors import CertificationError, ConfigError
 
 
 def run(args):
@@ -178,6 +178,28 @@ def test_scenario_config_validation():
     ScenarioConfig().validate()
 
 
+# each range rule of ScenarioConfig.validate: the value it refuses and its message
+RANGE_RULES = {
+    **{
+        name: (0.0, f"{name} must be positive")
+        for name in (
+            "R", "tol", "residual_tol", "slack_tol", "tail_tol", "box_L", "gamma_factor", "epsilon"
+        )
+    },
+    "K": (0, "K must be >= 1"),
+    "steps": (0, "steps must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("name", RANGE_RULES)
+def test_scenario_config_range_rules(name):
+    value, message = RANGE_RULES[name]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ScenarioConfig(**{name: value}).validate()
+    # a value just above the refused one passes
+    ScenarioConfig(**{name: value + (1 if isinstance(value, int) else 1e-300)}).validate()
+
+
 @pytest.mark.parametrize("flag, value", [("--gamma-factor", "nan"), ("--delta", "inf")])
 def test_non_finite_flag_is_exit_2(tmp_path, flag, value):
     out = tmp_path / "o"
@@ -294,7 +316,7 @@ def test_certification_error_is_a_named_fail(tmp_path, monkeypatch):
 
 
 def test_chain_certificate_failure_reports_its_numbers(tmp_path):
-    # at M = 64 the route gap of step 30 outgrows recert_tol times the curvature scale
+    # at M = 64 the route gap of step 30 outgrows DEFAULT_RECERT_TOL times the curvature scale
     out = tmp_path / "o"
     assert run(["iterate", "--grid-M", "64", "--out", str(out)]) == 1
     scenario = out / "iterate"
@@ -303,7 +325,8 @@ def test_chain_certificate_failure_reports_its_numbers(tmp_path):
     error = next(line for line in manifest if line.startswith("error = "))
     assert error.startswith("error = convexity certificate failed at step 30: failed (")
     found = re.search(
-        r"route gap (\S+), interior minimum (\S+), bound recert_tol x scale = (\S+)\)$", error
+        r"route gap (\S+), interior minimum (\S+), bound DEFAULT_RECERT_TOL x scale = (\S+)\)$",
+        error,
     )
     gap, minimum, bound = (float(value) for value in found.groups())
     assert bound >= wt.DEFAULT_RECERT_TOL  # the curvature scale is at least 1

@@ -548,6 +548,12 @@ def test_appell_round_trip():
     assert worst < 1e-4
 
 
+def evolved_under_gauss_imag(gauss12):
+    """Nine frames of the Gaussian datum evolved under V = 0.5i e^{-x^2}."""
+    potential = gaussian_potential(0.5, imaginary=True)
+    return evolve(gauss12, potential, 0.0, 1.0, steps=64, n_frames=9)
+
+
 def test_evolve_and_appell_transform_compute_no_tail_fraction(monkeypatch, gauss12):
     calls = []
     original = SpaceGrid.tail_fraction
@@ -557,13 +563,26 @@ def test_evolve_and_appell_transform_compute_no_tail_fraction(monkeypatch, gauss
         return original(self, values)
 
     monkeypatch.setattr(SpaceGrid, "tail_fraction", counting)
-    potential = gaussian_potential(0.5, imaginary=True)
-    traj = evolve(gauss12, zero_potential(), 0.0, 1.0, steps=64, n_frames=9)
-    evolve(gauss12, potential, 0.0, 1.0, steps=64, n_frames=9)
+    evolve(gauss12, zero_potential(), 0.0, 1.0, steps=64, n_frames=9)
+    traj = evolved_under_gauss_imag(gauss12)
     out = SpaceGrid(half_width=8.0, n=256)  # maps inside the source box for alpha, beta = 1, 1.5
-    appell_transform(traj, 1.0, 1.5, out, traj.times, potential=potential)
+    appell_transform(traj, 1.0, 1.5, out, traj.times)
     appell_transform(free_heat_gaussian, 1.0, 1.5, out, traj.times)
     assert calls == []
+
+
+def test_appell_image_of_a_trajectory_carries_its_rescaled_potential(gauss12):
+    traj, alpha, beta = evolved_under_gauss_imag(gauss12), 1.0, 1.5
+    image = appell_transform(traj, alpha, beta, SpaceGrid(half_width=8.0, n=256), traj.times)
+    assert image.potential.label == "appell(gauss-imag)"
+    assert image.potential.sup_norm == max(alpha / beta, beta / alpha) * 0.5
+
+
+def test_appell_refuses_a_second_potential_for_a_trajectory(gauss12):
+    traj = evolved_under_gauss_imag(gauss12)
+    out = SpaceGrid(half_width=8.0, n=256)
+    with pytest.raises(TypeError, match="carries its own potential"):
+        appell_transform(traj, 1.0, 1.5, out, traj.times, potential=traj.potential)
 
 
 def stored_free_heat(n_frames=37):

@@ -46,7 +46,7 @@ def digest(path: Path) -> str:
 
 def hash_trees(root: Path) -> dict[str, str]:
     """Run ``heatlab all --plot`` once per delta under ``root`` and hash every file written."""
-    from heatlab.cli import main
+    from heatlab.cli import main  # here: run as a script, src/ joins sys.path first
 
     for delta in DELTAS:
         main(["all", "--delta", delta, "--plot", "--out", str(root / f"delta-{delta}")])
