@@ -43,7 +43,7 @@ from .functionals import (
     verify_interior_bound,
     weighted_norm,
 )
-from .timecurve import TimeCurve, curve_from_callable
+from .timecurve import TimeCurve
 from .weights import (
     RefinementTrace,
     WeightFamily,

@@ -29,7 +29,7 @@ from .heat import Trajectory, conjugated_parts
 from .kernels import resample_periodic
 from .timecurve import (
     TimeCurve, _quartic_weights, cumulative_integral, fd_derivative, time_derivative_chunks,
-    weighted_sum,
+    uniform_grid, weighted_sum,
 )
 from .weights import WeightFamily
 
@@ -108,8 +108,7 @@ def solve_convexity_correction(gamma: TimeCurve, source: TimeCurve) -> TimeCurve
     weight = 1.0 / gamma.values
     c = cumulative_integral(accumulated * weight, h)[-1] / cumulative_integral(weight, h)[-1]
     mvals = cumulative_integral((c - accumulated) * weight, h)
-    tau = (gamma.nodes - gamma.t0) / (gamma.t1 - gamma.t0)
-    mvals = mvals - mvals[-1] * tau
+    mvals = mvals - mvals[-1] * uniform_grid(gamma.m)
     # boundary values are pinned exactly; the equation is certified on the
     # interior, away from the compounded one-sided stencil rows
     resid = (fd_derivative(gamma.values * fd_derivative(mvals, h, 1), h, 1) + source.values)[3:-3]

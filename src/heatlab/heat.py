@@ -39,7 +39,7 @@ import numpy as np
 
 from . import framecsv
 from .grid import Field, PotentialSpec, SpaceGrid
-from .timecurve import time_derivative_chunks
+from .timecurve import time_derivative_chunks, uniform_grid
 from .weights import WeightFamily
 
 DIMENSION = 1  # all coefficient formulas carry n symbolically; the lab runs n = 1
@@ -149,7 +149,7 @@ def evolve(
             n_frames = min(steps + 1, 257)
         if n_frames < 2 or (steps % (n_frames - 1)) != 0:
             raise ValueError("n_frames - 1 must divide steps")
-        frame_times = t0 + (t1 - t0) * np.arange(n_frames) / (n_frames - 1)
+        frame_times = uniform_grid(n_frames - 1, t0, t1).copy()  # writable: the trajectory owns it
     else:
         frame_times = np.asarray(frame_times, dtype=float)
         if not (abs(frame_times[0] - t0) <= 1e-12 and abs(frame_times[-1] - t1) <= 1e-12):

@@ -27,6 +27,14 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+@lru_cache(maxsize=64)
+def uniform_grid(m: int, t0: float = 0.0, t1: float = 1.0) -> np.ndarray:
+    """The m + 1 equispaced times t0 + (t1 - t0) k / m, cached and read-only:
+    the lab's only time-grid formula.  On [0, 1] node k is k / m correctly
+    rounded, the last one 1.0."""
+    return _read_only(t0 + (t1 - t0) * np.arange(m + 1) / m)
+
+
 @lru_cache(maxsize=None)
 def stencil_weights(offsets: tuple[int, ...], point: float, deriv: int) -> tuple[float, ...]:
     """Finite-difference weights on integer ``offsets`` for the ``deriv``-th
@@ -241,7 +249,7 @@ class TimeCurve:
     @property
     def nodes(self) -> np.ndarray:
         """The grid times, one read-only array shared by every curve on this grid."""
-        return _nodes(self.t0, self.t1, self.m)
+        return uniform_grid(self.m, self.t0, self.t1)
 
     def with_values(self, values: np.ndarray) -> "TimeCurve":
         return TimeCurve(values, self.t0, self.t1)
@@ -260,14 +268,3 @@ class TimeCurve:
         return int(near) if near.ndim == 0 else near.astype(int)
 
 
-@lru_cache(maxsize=64)
-def _nodes(t0: float, t1: float, m: int) -> np.ndarray:
-    return _read_only(t0 + (t1 - t0) / m * np.arange(m + 1))
-
-
-def uniform_grid(m: int, t0: float = 0.0, t1: float = 1.0) -> np.ndarray:
-    return t0 + (t1 - t0) * np.arange(m + 1) / m
-
-
-def curve_from_callable(fn, m: int, t0: float = 0.0, t1: float = 1.0) -> TimeCurve:
-    return TimeCurve(values=np.asarray(fn(uniform_grid(m, t0, t1)), dtype=float), t0=t0, t1=t1)

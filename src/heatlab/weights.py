@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CertificationError, ResidualError
-from .timecurve import TimeCurve, _read_only, cumulative_integral, fd_derivative
+from .timecurve import TimeCurve, _read_only, cumulative_integral, fd_derivative, uniform_grid
 
 DEFAULT_M = 512
 DEFAULT_RESIDUAL_TOL = 1e-6
@@ -68,7 +68,7 @@ def antiderivative(curve: TimeCurve) -> TimeCurve:
 
 def first_family_rate(delta: float, m: int = DEFAULT_M) -> TimeCurve:
     """The seed rate a(t) = t / (delta + 2 - 2t)^2 on [0, 1]."""
-    t = np.arange(m + 1) / m
+    t = uniform_grid(m)
     return TimeCurve(t / (delta + 2.0 - 2.0 * t) ** 2)
 
 
@@ -147,9 +147,7 @@ def solve_cross_bvp(a: TimeCurve, A: TimeCurve) -> TimeCurve:
     w = np.exp(8.0 * A.values)
     g = fd_derivative(w * a.values, a.h, 2)
     g2 = cumulative_integral(cumulative_integral(g, a.h), a.h)
-    tau = a.nodes - a.t0
-    c1 = -2.0 * g2[-1] / (a.t1 - a.t0)
-    return a.with_values((2.0 * g2 + c1 * tau) / w)
+    return a.with_values(2.0 * (g2 - g2[-1] * uniform_grid(a.m)) / w)
 
 
 def cross_energy(b: np.ndarray, h: float) -> np.ndarray:
@@ -157,11 +155,9 @@ def cross_energy(b: np.ndarray, h: float) -> np.ndarray:
     return cumulative_integral(b**2, h)
 
 
-def solve_freq(
-    a: np.ndarray, em8: np.ndarray, int_b2: np.ndarray, h: float, tau: np.ndarray
-) -> np.ndarray:
-    """Frequency coefficient T with T = 0 at both ends, from a, ``em8`` = e^{-8A},
-    ``int_b2`` = cross_energy(b) and tau = (t - t0) / (t1 - t0).
+def solve_freq(a: np.ndarray, em8: np.ndarray, int_b2: np.ndarray, h: float) -> np.ndarray:
+    """Frequency coefficient T with T = 0 at both ends, from a, ``em8`` = e^{-8A}
+    and ``int_b2`` = cross_energy(b) on a grid of spacing ``h``.
 
     First integral of the defining equation plus the boundary fit:
     T = 2 int b^2 - (a - a(t0)) - 8 int a^2 + C int e^{-8A}, with C chosen so
@@ -172,7 +168,7 @@ def solve_freq(
     int_em = cumulative_integral(em8, h)
     c = (a[-1] - a[0] - 2.0 * int_b2[-1] + 8.0 * int_a2[-1]) / int_em[-1]
     tvals = 2.0 * int_b2 - (a - a[0]) - 8.0 * int_a2 + c * int_em
-    return tvals - tvals[-1] * tau  # pin the endpoint exactly
+    return tvals - tvals[-1] * uniform_grid(a.size - 1)  # pin the endpoint exactly
 
 
 @dataclass(frozen=True)
@@ -212,24 +208,12 @@ class WeightFamily:
         return _certify(self.derivatives["ident"], self.derivatives["direct"], tol)
 
     def certify_equations(self, tol: float = DEFAULT_RESIDUAL_TOL) -> None:
-        """Check b and T against their defining equations, read from the table.
-
-        The residuals r1 = (e^{8A} b)'' - 2 (e^{8A} a)'' and
-        r2 = (e^{8A} T')' - 2 (e^{8A} b^2)' + (e^{8A} a)'', each product-rule
-        expanded so every derivative is one stencil pass, must stay within
-        ``grid_tol(tol, m)`` times the size of their terms (ResidualError); a
-        strictly negative interior dip of T signals inconsistent inputs
-        (CertificationError).
+        """Check b and T against their defining equations: each residual of
+        :func:`coefficient_residuals` must stay within ``grid_tol(tol, m)``
+        times the size of its two terms (ResidualError); a strictly negative
+        interior dip of T signals inconsistent inputs (CertificationError).
         """
-        d = self.derivatives
-        w, a, b, ident = d["w8"], d["a"], d["b"], d["ident"]
-        flux = w * (d["Tpp"] + 8.0 * a * d["Tp"])
-        pump = w * (16.0 * a * b**2 + 4.0 * b * d["bp"])
-        equations = (
-            ("cross", d["cross"] - 2.0 * ident, (d["cross"], 2.0 * ident)),
-            ("frequency", flux - pump + ident, (flux, pump, ident)),
-        )
-        for name, resid, terms in equations:
+        for name, (resid, terms) in _collapse_residuals(self).items():
             scale = max(1.0, *(float(np.max(np.abs(term))) for term in terms))
             if not float(np.max(np.abs(resid))) <= grid_tol(tol, self.a.m) * scale:
                 raise ResidualError(
@@ -284,8 +268,7 @@ class WeightFamily:
 def _complete(delta: float, a: TimeCurve, A: TimeCurve, b: np.ndarray, em8: np.ndarray,
               singular: bool = False) -> WeightFamily:
     """The family (a, A, b, T) with T solved from a, e^{-8A} and b."""
-    tau = (a.nodes - a.t0) / (a.t1 - a.t0)
-    T = solve_freq(a.values, em8, cross_energy(b, a.h), a.h, tau)
+    T = solve_freq(a.values, em8, cross_energy(b, a.h), a.h)
     return WeightFamily(delta, a, A, a.with_values(b), a.with_values(T), singular)
 
 
@@ -315,11 +298,18 @@ def quadratic_form_coefficients(
     would degrade one order at the one-sided/centered row junctions.
     """
     d = family.derivatives
-    a, b, w = d["a"], d["b"], d["w8"]
-    c_xx = d["direct"]
-    c_xxi = d["cross"]
-    c_xixi = w * (16.0 * a * b**2 + 4.0 * b * d["bp"] - d["Tpp"] - 8.0 * a * d["Tp"])
-    return c_xx, c_xxi, c_xixi
+    a, b = d["a"], d["b"]
+    c_xixi = d["w8"] * (16.0 * a * b**2 + 4.0 * b * d["bp"] - d["Tpp"] - 8.0 * a * d["Tp"])
+    return d["direct"], d["cross"], c_xixi
+
+
+def _collapse_residuals(family: WeightFamily) -> dict[str, tuple[np.ndarray, tuple]]:
+    """The two residuals of :func:`coefficient_residuals` by equation name,
+    each with the two terms it is the difference of."""
+    _, c_xxi, c_xixi = quadratic_form_coefficients(family)
+    ident = family.derivatives["ident"]
+    twice = 2.0 * ident
+    return {"cross": (c_xxi - twice, (c_xxi, twice)), "frequency": (c_xixi - ident, (c_xixi, ident))}
 
 
 def coefficient_residuals(family: WeightFamily) -> tuple[TimeCurve, TimeCurve]:
@@ -330,10 +320,7 @@ def coefficient_residuals(family: WeightFamily) -> tuple[TimeCurve, TimeCurve]:
     evaluated through the product-rule identity so the comparison carries
     genuine truncation error at the stencil order.
     """
-    c_xx, c_xxi, c_xixi = quadratic_form_coefficients(family)
-    ident = family.derivatives["ident"]
-    r1 = family.a.with_values(c_xxi - 2.0 * ident)
-    r2 = family.a.with_values(c_xixi - ident)
+    r1, r2 = (family.a.with_values(resid) for resid, _ in _collapse_residuals(family).values())
     return r1, r2
 
 
@@ -376,7 +363,7 @@ def limit_rate(delta: float, m: int = DEFAULT_M) -> tuple[TimeCurve, TimeCurve, 
     r2 = delta**2 / 4.0 - 1.0
     singular = r2 == 0.0
     t0 = LIMIT_T_MIN if singular else 0.0
-    t = t0 + (1.0 - t0) * np.arange(m + 1) / m
+    t = uniform_grid(m, t0, 1.0)
     a = TimeCurve(t / (4.0 * (t**2 + r2)), t0=t0)
     A = TimeCurve(np.log(4.0 * (t**2 + r2) / delta**2) / 8.0, t0=t0)
     return a, A, singular
@@ -448,7 +435,7 @@ def run_refinement(
     if max_steps < 1:
         raise ValueError("need max_steps >= 1")
     seed = first_family_rate(delta, m)
-    t, h = seed.nodes, seed.h  # on [0, 1], tau = t
+    t, h = seed.nodes, seed.h
     a, A = seed.values, antiderivative(seed).values
     a_lim = limit_rate(delta, m)[0].values
     ceiling = 1.0 / (delta**2 - 4.0)
@@ -465,7 +452,7 @@ def run_refinement(
         em8 = np.exp(-8.0 * A)  # shared by both solves
         b = solve_cross(a, em8, t, delta)
         int_b2 = cross_energy(b, h)
-        T = solve_freq(a, em8, int_b2, h, t)
+        T = solve_freq(a, em8, int_b2, h)
         cols = _growth_columns(a, A, h)
         cert = _certify(cols["ident"], cols["direct"], DEFAULT_RECERT_TOL)
         if cert.verdict != "positive":

@@ -175,8 +175,9 @@ def test_criterion_3_convergence_targets():
         f"(target 1e-5), {elapsed:.1f}s",
     )
     assert elapsed < 30.0
-    assert trace.final_gap <= 1e-4, (
-        f"harmonic convergence: gap after 50 steps is {trace.final_gap:.3e}; "
+    gap = trace.final_gap
+    assert gap <= 1e-4, (
+        f"harmonic convergence: gap after 50 steps is {gap:.3e}; "
         "reaching 1e-4 needs ~4e4 steps"
     )
     assert trace.final_sup_cross <= 1e-5

@@ -1,5 +1,8 @@
 """The output ledger: the sha256 of every file ``heatlab all --plot`` writes
-at delta = 3 and 9.9, committed as ``tests/golden/all.sha256``.
+at delta = 3 and 9.9, and ``construct-weights``, ``iterate`` and
+``verify-convexity`` write at delta = 3 on a grid of M = 768 intervals (not a
+power of two, where rounding of the time grid shows), committed as
+``tests/golden/all.sha256``.
 
 A byte that moves in any CSV, SVG, verdict, summary or manifest fails the
 test below, which names every moved file.  Manifests are hashed without
@@ -26,6 +29,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 LEDGER = ROOT / "tests" / "golden" / "all.sha256"
 DELTAS = ("3", "9.9")
+GRID_M_COMMANDS = ("construct-weights", "iterate", "verify-convexity")
+GRID_M = "768"
 
 
 def environment() -> list[str]:
@@ -45,11 +50,13 @@ def digest(path: Path) -> str:
 
 
 def hash_trees(root: Path) -> dict[str, str]:
-    """Run ``heatlab all --plot`` once per delta under ``root`` and hash every file written."""
+    """Run the ledger's commands under ``root`` and hash every file written."""
     from heatlab.cli import main  # here: run as a script, src/ joins sys.path first
 
     for delta in DELTAS:
         main(["all", "--delta", delta, "--plot", "--out", str(root / f"delta-{delta}")])
+    for command in GRID_M_COMMANDS:
+        main([command, "--delta", "3", "--grid-M", GRID_M, "--out", str(root / f"delta-3-M{GRID_M}")])
     files = sorted(path for path in root.rglob("*") if path.is_file())
     return {path.relative_to(root).as_posix(): digest(path) for path in files}
 
@@ -78,7 +85,10 @@ if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))  # as pytest's pythonpath setting does
     with tempfile.TemporaryDirectory() as scratch:
         hashes = hash_trees(Path(scratch))
-    head = "heatlab all --plot at delta = 3 and 9.9; python tests/test_output_ledger.py rewrites it"
+    head = (
+        f"heatlab all --plot at delta = 3 and 9.9, and {', '.join(GRID_M_COMMANDS)} at delta = 3"
+        f" --grid-M {GRID_M}; python tests/test_output_ledger.py rewrites it"
+    )
     lines = [f"# {line}" for line in [head, *environment()]]
     lines += [f"{sha}  {path}" for path, sha in hashes.items()]
     LEDGER.parent.mkdir(exist_ok=True)

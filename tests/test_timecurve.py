@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from heatlab import TimeCurve, curve_from_callable
+from heatlab import TimeCurve, evolve, first_family_rate, zero_potential
 from heatlab.errors import GridError
 from heatlab.timecurve import (
     STACK_CHUNK,
@@ -18,6 +18,10 @@ from heatlab.timecurve import (
     uniform_grid,
     write_csv,
 )
+
+
+def sampled(fn, m, t0=0.0, t1=1.0):
+    return TimeCurve(fn(uniform_grid(m, t0, t1)), t0, t1)
 
 
 def poly_curve(coeffs, m=128):
@@ -57,7 +61,7 @@ def test_antiderivative_matches_adaptive_quadrature():
     # seed rate at delta = 3, accumulated from the right so the final value is 0
     delta = 3.0
     fn = lambda s: s / (delta + 2.0 - 2.0 * s) ** 2
-    curve = curve_from_callable(fn, 512)
+    curve = sampled(fn, 512)
     acc = cumulative_integral(curve.values, curve.h)
     big_a = curve.with_values(acc - acc[-1])
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
@@ -70,7 +74,7 @@ def test_derivative_fourth_order_convergence():
     dfn = lambda x: 3.0 * np.cos(3.0 * x) * np.exp(np.sin(3.0 * x))
     errs = []
     for m in (64, 128, 256):
-        c = curve_from_callable(fn, m)
+        c = sampled(fn, m)
         errs.append(np.max(np.abs(fd_derivative(c.values, c.h, 1) - dfn(c.nodes))))
     assert errs[0] / errs[1] > 12.0
     assert errs[1] / errs[2] > 12.0
@@ -82,26 +86,26 @@ def test_grid_too_coarse_rejected():
 
 
 def test_round_trip_derivative_of_antiderivative():
-    c = curve_from_callable(lambda x: np.cos(2.0 * x) + x**2, 256)
+    c = sampled(lambda x: np.cos(2.0 * x) + x**2, 256)
     back = fd_derivative(cumulative_integral(c.values, c.h), c.h, 1)
     assert np.max(np.abs(back - c.values)) < 1e-9
 
 
 def test_interpolation_off_nodes():
-    c = curve_from_callable(np.sin, 512)
+    c = sampled(np.sin, 512)
     ts = np.array([0.1234, 0.5551, 0.999, 0.0003])
     assert np.max(np.abs(c.sample_at(ts) - np.sin(ts))) < 1e-12
 
 
 def test_node_index_requires_grid_time():
-    c = curve_from_callable(np.sin, 128)
+    c = sampled(np.sin, 128)
     assert c.node_index(0.5) == 64
     with pytest.raises(ValueError):
         c.node_index(0.5001)
 
 
 def test_node_index_of_an_array_is_an_index_array():
-    c = curve_from_callable(np.sin, 128)
+    c = sampled(np.sin, 128)
     assert np.array_equal(c.node_index(c.nodes[::4]), np.arange(0, 129, 4))
     with pytest.raises(ValueError, match="t=0.5001 is not a grid node"):
         c.node_index(np.array([0.0, 0.5001, 1.0]))
@@ -110,7 +114,7 @@ def test_node_index_of_an_array_is_an_index_array():
 
 
 def test_nodes_are_one_read_only_array_per_grid():
-    c = curve_from_callable(np.sin, 128, 0.25, 1.5)
+    c = sampled(np.sin, 128, 0.25, 1.5)
     other = c.with_values(np.cos(c.nodes))
     assert other.nodes is c.nodes
     assert TimeCurve(np.zeros(129), 0.25, 1.5).nodes is c.nodes
@@ -122,8 +126,21 @@ def test_nodes_are_one_read_only_array_per_grid():
     assert other_grid is not c.nodes and other_grid[0] == 0.0
 
 
+def test_nodes_seed_rate_and_frame_times_share_one_grid(gauss12):
+    # the last node is the interval's end at every M, not 1 - 1 ulp
+    assert [m for m in range(64, 5000) if TimeCurve(np.zeros(m + 1)).nodes[-1] != 1.0] == []
+    for m in (98, 768):
+        rate = first_family_rate(3.0, m)
+        t = rate.nodes
+        assert np.array_equal(rate.values, t / (5.0 - 2.0 * t) ** 2)
+    for t0, t1, n in ((0.0, 1.0, 99), (0.25, 1.5, 17)):
+        times = evolve(gauss12, zero_potential(), t0, t1, steps=2 * (n - 1), n_frames=n).times
+        assert times.tobytes() == uniform_grid(n - 1, t0, t1).tobytes()
+        assert times.flags.writeable  # a copy, not the cached grid
+
+
 def test_with_values_keeps_the_interval_and_rejects_a_stack():
-    c = curve_from_callable(np.sin, 128, 0.25, 1.5)
+    c = sampled(np.sin, 128, 0.25, 1.5)
     d = c.with_values(np.arange(129))
     assert (d.t0, d.t1) == (0.25, 1.5)
     assert d.values.dtype == float and np.array_equal(d.values, np.arange(129.0))
@@ -132,7 +149,7 @@ def test_with_values_keeps_the_interval_and_rejects_a_stack():
 
 
 def test_csv_round_trip(tmp_path):
-    c = curve_from_callable(lambda x: np.exp(-x) * np.sin(5 * x), 128)
+    c = sampled(lambda x: np.exp(-x) * np.sin(5 * x), 128)
     path = tmp_path / "curve.csv"
     write_csv(path, "t,value", c.nodes, c.values)
     text = path.read_text()
@@ -156,7 +173,7 @@ def test_write_csv_bytes_match_format_spec_rows(tmp_path):
 
 
 def test_general_interval_support():
-    c = curve_from_callable(np.exp, 128, t0=0.5, t1=1.0)
+    c = sampled(np.exp, 128, t0=0.5, t1=1.0)
     assert abs(c.h - 0.5 / 128) < 1e-15
     d = fd_derivative(c.values, c.h, 1)
     assert np.max(np.abs(d - c.values)) < 1e-9  # (e^t)' = e^t
@@ -251,7 +268,7 @@ def test_curve_calculus_rejects_a_stack(op):
 
 
 def test_sample_at_refuses_a_nan_time():
-    c = curve_from_callable(np.sin, 128)
+    c = sampled(np.sin, 128)
     with pytest.raises(ValueError, match="outside the curve interval"):
         c.sample_at(np.nan)
     with pytest.raises(ValueError, match="outside the curve interval"):

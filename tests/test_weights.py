@@ -93,7 +93,7 @@ def test_cross_residual_certificate(family3):
 def test_freq_zero_inputs_give_zero():
     m = 128
     zero = TimeCurve(np.zeros(m + 1))
-    T = solve_freq(zero.values, np.ones(m + 1), cross_energy(zero.values, zero.h), zero.h, zero.nodes)
+    T = solve_freq(zero.values, np.ones(m + 1), cross_energy(zero.values, zero.h), zero.h)
     assert np.max(np.abs(T)) < 1e-15
 
 
@@ -249,7 +249,7 @@ def reference_chain(delta: float, m: int, steps: int):
     for k in range(1, steps + 1):
         b = solve_cross(a, np.exp(-8.0 * big_a), t, delta)
         int_b2 = cross_energy(b, h)
-        T = solve_freq(a, np.exp(-8.0 * big_a), int_b2, h, t)
+        T = solve_freq(a, np.exp(-8.0 * big_a), int_b2, h)
         sup_cross.append(float(np.abs(b).max()))
         gaps.append(float(np.abs(a - a_lim).max()))
         families.append((a, big_a, b, T))
