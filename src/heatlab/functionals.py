@@ -53,28 +53,25 @@ class WeightSlice:
         return self.a * x**2 + self.b * x * self.xi - self.T * self.xi**2
 
 
-def _weighted_rows(grid: SpaceGrid, exponent, values, time: float, tol: float | None):
-    """Norms ||e^{exponent} u|| of the rows of ``values`` by the periodic
-    trapezoid rule, and the tail fractions of e^{exponent} |u| when ``tol`` is
-    not None (else None).  A weight that defeats the decay of ``u`` makes the
-    truncated quadrature meaningless, so a last row with more than ``tol`` of
-    its mass in the outer band raises TailViolation at ``time``."""
-    modulus = np.abs(values)
-    norms = np.sqrt(grid.dx * np.sum(np.exp(2.0 * exponent) * modulus**2, axis=-1))
-    if tol is None:
-        return norms, None
-    fractions = grid.tail_fraction(np.exp(exponent) * modulus)
+def _weighted_rows(grid: SpaceGrid, exponent, values, time: float, tol: float):
+    """Norms ||e^{exponent} u|| of the rows of ``values`` and the tail fractions
+    of e^{exponent} |u|, both through ``SpaceGrid``.  A weight that defeats the
+    decay of ``u`` makes the truncated quadrature meaningless, so a last row
+    with more than ``tol`` of its mass in the outer band raises TailViolation at
+    ``time``; ``tol = inf`` measures truncated norms regardless."""
+    weighted = np.exp(exponent) * np.abs(values)
+    fractions = grid.tail_fraction(weighted)
     cause = "the weighted norm is not finite at this truncation"
     require_tail(np.ravel(fractions)[-1], time, tol, cause)
-    return norms, fractions
+    return grid.norm(weighted), fractions
 
 
-def weighted_norm(field: Field, spec: WeightSlice, check_tail: bool = True) -> float:
-    """|| e^{a x^2 + b x xi - T xi^2} u || by the periodic trapezoid rule; with
-    ``check_tail`` an integrand holding more than ``DEFAULT_TAIL_TOL`` of its
-    mass in the outer band is rejected rather than silently truncated."""
-    grid, tol = field.grid, DEFAULT_TAIL_TOL if check_tail else None
-    return float(_weighted_rows(grid, spec.exponent(grid.x), field.values, field.time, tol)[0])
+def weighted_norm(field: Field, spec: WeightSlice) -> float:
+    """|| e^{a x^2 + b x xi - T xi^2} u || by the periodic trapezoid rule; an
+    integrand holding more than ``DEFAULT_TAIL_TOL`` of its mass in the outer
+    band is rejected rather than silently truncated."""
+    exponent = spec.exponent(field.grid.x)
+    return _weighted_rows(field.grid, exponent, field.values, field.time, DEFAULT_TAIL_TOL)[0]
 
 
 def interpolation_exponent(t, c: float, d: float, gamma: TimeCurve):
@@ -149,8 +146,6 @@ def check_log_convexity(
     family: WeightFamily,
     xi: float,
     epsilon: float = 1e-6,
-    c: float | None = None,
-    d: float | None = None,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> ConvexityReport:
     """Verify the interpolation inequality for one trajectory and weight family.
@@ -160,30 +155,20 @@ def check_log_convexity(
     the conjugation identity is asserted numerically, not assumed), solves for
     the corrections M (its equation and sign certified) and N, and returns the
     slack of the bound at every frame.  Frames must be equispaced and aligned
-    with the family grid.
+    with the family grid; a window [c, d] is the trajectory sliced to it.
     """
     potential, times = traj.potential, traj.times
-    bad = ~np.isfinite(times)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(f"frame {i} has non-finite time {times[i]}")
-    c = float(times[0]) if c is None else c
-    d = float(times[-1]) if d is None else d
-    if not (math.isfinite(c) and math.isfinite(d)):
-        raise ValueError(f"window [c, d] = [{c}, {d}] must be finite")
-    sel = np.nonzero((times >= c - 1e-12) & (times <= d + 1e-12))[0]
-    times = times[sel]
     if times.size < 65:
-        raise ValueError("need at least 65 stored frames in [c, d]")
+        raise ValueError("need at least 65 stored frames")
     dts = np.diff(times)
     if not np.max(np.abs(dts - dts[0])) <= 1e-10:
-        raise ValueError("frames must be equispaced in [c, d]")
+        raise ValueError("frames must be equispaced")
     dt = float(dts[0])
 
     grid, x = traj.grid, traj.grid.x
     rows = family.derivatives_at(times)
     weight = WeightSlice(a=rows["a"][:, None], b=rows["b"][:, None], T=rows["T"][:, None], xi=xi)
-    f = np.exp(weight.exponent(x)) * traj.frames[sel]
+    f = np.exp(weight.exponent(x)) * traj.frames
     require_tail(grid.tail_fraction(f), times, tail_tol)
     mass, scale = grid.mass(f)
     H = scale**2 * mass
@@ -341,31 +326,26 @@ def verify_interior_bound(
     traj: Trajectory,
     R: float,
     tail_tol: float = DEFAULT_TAIL_TOL,
-    check_tail: bool = True,
 ) -> BoundReport:
     """Supremum of ||e^{t x^2/4(t^2+R^2)} u(t)|| over frames, divided by
     ||u(0)|| + the final-time weighted norm.
 
     The final-time norm is the precondition: if its integrand defeats the
     truncation the whole report is refused.  An interior frame failing the
-    tail guard marks the report non-finite instead.  ``check_tail=False``
-    measures truncated norms regardless, which is how the critical closed-form
-    family (whose weighted integrand is constant in x) is probed.
+    tail guard gets an infinite norm, which marks the report non-finite.
+    ``tail_tol = inf`` measures truncated norms regardless, which is how the
+    critical closed-form family (whose weighted integrand is constant in x)
+    is probed.
     """
     if R <= 0.0:
         raise ValueError("need R > 0")
     grid, t = traj.grid, traj.times
     exponent = WeightSlice(a=(t / (4.0 * (t**2 + R**2)))[:, None]).exponent(grid.x)
-    tol = tail_tol if check_tail else None
-    norms, fraction = _weighted_rows(grid, exponent, traj.frames, t[-1], tol)
+    norms, fraction = _weighted_rows(grid, exponent, traj.frames, t[-1], tail_tol)
     rhs = grid.norm(traj.frames[0]) + float(norms[-1])
     if rhs == 0.0:
         raise ValueError("||u(0)|| + the final weighted norm is 0, so the bound is undefined")
-    finite = True
-    if check_tail:
-        bad = ~(fraction <= tail_tol)
-        norms[bad] = np.inf
-        finite = not np.any(bad)
+    norms[~(fraction <= tail_tol)] = np.inf
     lhs = float(np.max(norms))
     return BoundReport(
         times=traj.times.copy(),
@@ -373,7 +353,7 @@ def verify_interior_bound(
         lhs_sup=lhs,
         rhs_data=rhs,
         ratio=lhs / rhs,
-        finite=finite and np.isfinite(lhs),
+        finite=bool(np.isfinite(lhs)),
     )
 
 

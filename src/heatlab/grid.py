@@ -15,7 +15,7 @@ DEFAULT_HALF_WIDTH = 12.0
 DEFAULT_POINTS = 1024
 DEFAULT_TAIL_TOL = 1e-8
 TAIL_START = 0.9  # fraction of the half-width where the guard band begins
-HUGE_MODULUS = 1e150  # a row peaking above this is divided by its peak before squaring
+HUGE_MODULUS = 1e150  # a row peaking outside [1/this, this] is divided by its peak before squaring
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,13 @@ class SpaceGrid:
 
     def mass(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(mass, scale)`` of each row along the last axis: dx sum |values / scale|^2,
-        with scale the row's peak modulus where that is finite and above
-        ``HUGE_MODULUS``, else 1, so the norm ``scale * sqrt(mass)`` cannot overflow."""
+        with scale the row's peak modulus where that is finite, nonzero and above
+        ``HUGE_MODULUS`` or below its reciprocal, else 1, so the norm
+        ``scale * sqrt(mass)`` can neither overflow nor underflow to 0."""
         modulus = np.abs(values)
         peak = modulus.max(axis=-1, keepdims=True)  # NaN when the row holds one
-        scale = np.where((peak > HUGE_MODULUS) & (peak < np.inf), peak, 1.0)
+        extreme = (peak > HUGE_MODULUS) | (peak < 1.0 / HUGE_MODULUS)
+        scale = np.where(extreme & (peak > 0.0) & (peak < np.inf), peak, 1.0)
         modulus /= scale
         return self.dx * np.sum(np.square(modulus, out=modulus), axis=-1), scale[..., 0]
 

@@ -27,11 +27,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@lru_cache(maxsize=64)
 def uniform_grid(m: int, t0: float = 0.0, t1: float = 1.0) -> np.ndarray:
     """The m + 1 equispaced times t0 + (t1 - t0) k / m, cached and read-only:
     the lab's only time-grid formula.  On [0, 1] node k is k / m correctly
-    rounded, the last one 1.0."""
+    rounded, the last one 1.0.  Defaulted and spelled-out ends share one entry."""
+    return _cached_grid(m, t0, t1)
+
+
+@lru_cache(maxsize=64)
+def _cached_grid(m: int, t0: float, t1: float) -> np.ndarray:
     return _read_only(t0 + (t1 - t0) * np.arange(m + 1) / m)
 
 

@@ -308,18 +308,18 @@ NAN_ARGUMENTS = {
     ),
     "check_log_convexity times": (
         ValueError,
-        "^frame 64 has non-finite time nan$",
+        "^frames must be equispaced$",
         lambda tr, fam: check_log_convexity(with_nan_time(tr), fam, xi=1.0),
     ),
-    "check_log_convexity c": (
-        ValueError,
-        r"^window \[c, d\] = \[nan, ",
-        lambda tr, fam: check_log_convexity(tr, fam, xi=1.0, c=math.nan),
+    "check_log_convexity tail_tol": (
+        TailViolation,
+        "^tail mass fraction",
+        lambda tr, fam: check_log_convexity(tr, fam, xi=1.0, tail_tol=math.nan),
     ),
-    "check_log_convexity d": (
-        ValueError,
-        r"^window \[c, d\] = \[0.0, inf\]",
-        lambda tr, fam: check_log_convexity(tr, fam, xi=1.0, d=math.inf),
+    "verify_interior_bound tail_tol": (
+        TailViolation,
+        "^tail mass fraction",
+        lambda tr, fam: verify_interior_bound(tr, 1.0, tail_tol=math.nan),
     ),
 }
 
@@ -448,8 +448,23 @@ def test_log_convexity_constant_weight_matches_gaussian_closed_form(grid12, gaus
 
 def test_log_convexity_requires_aligned_frames(grid12, gauss12, family3):
     traj = evolve(gauss12, zero_potential(), 0.0, 1.0, steps=500, n_frames=101)
+    window = replace(traj, times=traj.times[:26], frames=traj.frames[:26])
     with pytest.raises(ValueError, match="at least 65|not a grid node"):
-        check_log_convexity(traj, family3, xi=0.0, c=0.0, d=0.25)
+        check_log_convexity(window, family3, xi=0.0)
+
+
+def test_log_convexity_on_a_sliced_trajectory_is_the_window(gauss12, family3):
+    # a window [c, d] is the trajectory sliced to it: frames 64..192 of 257
+    # give the full run's H on those frames, with theta running from 1 to 0
+    potential = gaussian_potential(0.5, imaginary=True)
+    traj = evolve(gauss12, potential, 0.0, 1.0, steps=1024, n_frames=257)
+    full = check_log_convexity(traj, family3, xi=1.0)
+    window = replace(traj, times=traj.times[64:193], frames=traj.frames[64:193])
+    report = check_log_convexity(window, family3, xi=1.0)
+    assert (report.times[0], report.times[-1]) == (0.25, 0.75)
+    assert report.H.tobytes() == full.H[64:193].tobytes()
+    assert (report.theta[0], report.theta[-1]) == (1.0, 0.0)
+    assert np.all(np.diff(report.theta) < 0.0)
 
 
 # ------------------------------------------------------------------ appell
@@ -687,12 +702,12 @@ def test_interior_bound_on_critical_closed_form(grid12):
     from heatlab import Trajectory
 
     traj = Trajectory(grid=grid12, times=times, frames=frames, potential=zero_potential())
-    report = verify_interior_bound(traj, r, check_tail=False)
+    report = verify_interior_bound(traj, r, tail_tol=math.inf)
     assert report.finite
     assert report.lhs_sup > 0.0
     # the guard rejects the same run when asked to certify the truncation
     with pytest.raises(TailViolation):
-        verify_interior_bound(traj, r, check_tail=True)
+        verify_interior_bound(traj, r)
     # the weight coefficient t/4(t^2+R^2) peaks at t = R inside [0, 1]
     tgrid = np.linspace(0.0, 1.0, 2001)
     coeff = tgrid / (4.0 * (tgrid**2 + r**2))
@@ -723,6 +738,19 @@ def test_interior_bound_names_a_zero_datum(grid12):
         verify_interior_bound(traj, 1.0)
 
 
+@pytest.mark.parametrize("k", [-1000, -600, -520, 0, 500, 520, 600, 1000])
+def test_interior_bound_ratio_is_scale_free(grid12, k):
+    # the datum 2^k e^{-x^2} scales every norm by 2^k, so the ratio keeps its
+    # bytes: a huge datum must not overflow, nor a tiny one read as zero
+    def ratio(scale):
+        datum = Field(grid12, scale * np.exp(-grid12.x**2) + 0j)
+        traj = evolve(datum, zero_potential(), 0.0, 1.0, steps=1000, n_frames=101)
+        return verify_interior_bound(traj, 2.5).ratio
+
+    with np.errstate(over="raise", invalid="raise"):
+        assert ratio(2.0**k).hex() == ratio(1.0).hex()
+
+
 def test_interior_bound_free_heat_stable_and_monotone_in_potential():
     ratios = []
     for amp in (0.0, 0.5, 1.0):
@@ -737,10 +765,7 @@ def test_interior_bound_blow_up_signature_as_time_floor_shrinks(grid12, gauss12)
     traj = evolve(gauss12, zero_potential(), 0.0, 1.0, steps=500, n_frames=101)
     norms = []
     for i, t in ((40, 0.4), (30, 0.3), (20, 0.2)):
-        field = Field(grid12, traj.frames[i], float(traj.times[i]))
-        norms.append(
-            weighted_norm(field, WeightSlice(a=1.0 / (4.0 * t)), check_tail=False)
-        )
+        norms.append(grid12.norm(np.exp(grid12.x**2 / (4.0 * t)) * np.abs(traj.frames[i])))
     assert norms[1] / norms[0] > 100.0
     assert norms[2] / norms[1] > 1e6
 

@@ -15,7 +15,9 @@ A change that moves bytes on purpose regenerates the ledger with
 
     python tests/test_output_ledger.py
 
-commits it, and lists each moved file in CHANGES.md.
+which, before it rewrites the ledger, prints each file that moved, is new or
+is no longer written against the committed one.  The change commits the new
+ledger and lists each moved file in CHANGES.md.
 """
 
 import hashlib
@@ -68,14 +70,20 @@ def read_ledger() -> tuple[list[str], dict[str, str]]:
     return header, {path: sha for sha, path in rows}
 
 
-def test_heatlab_all_writes_the_ledger_bytes(tmp_path):
-    header, want = read_ledger()
-    got = hash_trees(tmp_path)
-    moved = [
+def moved_files(want: dict[str, str], got: dict[str, str]) -> list[str]:
+    """Each path whose hash differs between ``want`` and ``got``, marked when
+    ``got`` lacks it (not written) or ``want`` does (new)."""
+    return [
         path + ("" if path in got else " (not written)") + ("" if path in want else " (new)")
         for path in sorted(want.keys() | got.keys())
         if want.get(path) != got.get(path)
     ]
+
+
+def test_heatlab_all_writes_the_ledger_bytes(tmp_path):
+    header, want = read_ledger()
+    got = hash_trees(tmp_path)
+    moved = moved_files(want, got)
     env = environment()
     note = "" if header == env else f"; ledger written under {header}, run under {env}"
     assert not moved, f"{len(moved)} files moved{note}:\n" + "\n".join(moved)
@@ -89,6 +97,8 @@ if __name__ == "__main__":
         f"heatlab all --plot at delta = 3 and 9.9, and {', '.join(GRID_M_COMMANDS)} at delta = 3"
         f" --grid-M {GRID_M}; python tests/test_output_ledger.py rewrites it"
     )
+    moved = moved_files(read_ledger()[1] if LEDGER.exists() else {}, hashes)
+    print(f"{len(moved)} files moved against the committed ledger", *moved, sep="\n  ")
     lines = [f"# {line}" for line in [head, *environment()]]
     lines += [f"{sha}  {path}" for path, sha in hashes.items()]
     LEDGER.parent.mkdir(exist_ok=True)

@@ -139,6 +139,11 @@ def test_nodes_seed_rate_and_frame_times_share_one_grid(gauss12):
         assert times.flags.writeable  # a copy, not the cached grid
 
 
+def test_defaulted_and_spelled_out_ends_share_one_cached_grid():
+    assert uniform_grid(512) is first_family_rate(3.0, 512).nodes
+    assert uniform_grid(777) is uniform_grid(777, 0.0, 1.0) is uniform_grid(777, t1=1.0)
+
+
 def test_with_values_keeps_the_interval_and_rejects_a_stack():
     c = sampled(np.sin, 128, 0.25, 1.5)
     d = c.with_values(np.arange(129))
