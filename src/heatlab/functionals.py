@@ -28,8 +28,8 @@ from .grid import DEFAULT_TAIL_TOL, Field, PotentialSpec, SpaceGrid, require_tai
 from .heat import Trajectory, conjugated_parts
 from .kernels import resample_periodic
 from .timecurve import (
-    TimeCurve, _quartic_weights, cumulative_integral, fd_derivative, time_derivative_chunks,
-    uniform_grid, weighted_sum,
+    STACK_CHUNK, TimeCurve, _quartic_weights, cumulative_integral, fd_derivative,
+    time_derivative_chunks, uniform_grid, weighted_sum,
 )
 from .weights import WeightFamily
 
@@ -259,38 +259,45 @@ def appell_transform(
         potential = source.potential
         src_l = source.grid.half_width
 
-        def eval_source(y: np.ndarray, s: float) -> np.ndarray:
+        def eval_source(y: np.ndarray, s: np.ndarray) -> np.ndarray:
             if np.max(np.abs(y)) > src_l * (1.0 + 1e-12):
                 raise ValueError(
                     f"mapped points reach |y| = {np.max(np.abs(y)):.3g} outside the "
                     f"source box [-{src_l:g}, {src_l:g}]"
                 )
-            gaps = np.abs(source.times - s)
-            j = int(np.argmin(gaps))
-            if gaps[j] < 1e-11:
-                return resample_periodic(source.frames[j], y, src_l)
-            # local quartic in time through the five nearest frames; resampling
-            # is linear, so interpolate the frames first and resample once
-            size = source.times.size
-            if size < 5:
-                raise ValueError(f"off-frame s={s:g} needs the 5-frame quartic; only {size} stored")
-            lo = min(max(j - 2, 0), size - 5)
-            lk = _quartic_weights(source.times[lo : lo + 5], s)
-            return resample_periodic(weighted_sum(lk, source.frames[lo : lo + 5]), y, src_l)
+            rows = np.empty((s.size, source.grid.n), dtype=complex)
+            for r, sr in enumerate(s):
+                gaps = np.abs(source.times - sr)
+                j = int(np.argmin(gaps))
+                if gaps[j] < 1e-11:
+                    rows[r] = source.frames[j]
+                    continue
+                # local quartic in time through the five nearest frames; resampling
+                # is linear, so interpolate the frames first and resample once
+                size = source.times.size
+                if size < 5:
+                    raise ValueError(
+                        f"off-frame s={sr:g} needs the 5-frame quartic; only {size} stored"
+                    )
+                lo = min(max(j - 2, 0), size - 5)
+                lk = _quartic_weights(source.times[lo : lo + 5], sr)
+                weighted_sum(lk, source.frames[lo : lo + 5], rows[r])
+            return resample_periodic(rows, y, src_l)
 
     elif callable(source):
-        def eval_source(y: np.ndarray, s: float) -> np.ndarray:
-            return np.asarray(source(y, s), dtype=complex)
+        def eval_source(y: np.ndarray, s: np.ndarray) -> np.ndarray:
+            return np.array([source(yr, float(sr)) for yr, sr in zip(y, s)], dtype=complex)
 
     else:
         raise TypeError("source must be a Trajectory or a callable u(x, s)")
 
     root = math.sqrt(alpha * beta)
-    for i, (t, s) in enumerate(zip(times, appell_time_map(alpha, beta, times))):
-        denom = alpha * (1.0 - t) + beta * t
-        y = root * x / denom
+    mapped = appell_time_map(alpha, beta, times)
+    for lo in range(0, times.size, STACK_CHUNK):  # one resampling call per chunk of output times
+        chunk = slice(lo, lo + STACK_CHUNK)
+        denom = alpha * (1.0 - times[chunk, None]) + beta * times[chunk, None]
         mult = (root / denom) ** 0.5 * np.exp((alpha - beta) * x**2 / (4.0 * denom))
-        frames[i] = mult * eval_source(y, float(s))
+        frames[chunk] = mult * eval_source(root * x / denom, mapped[chunk])
 
     if potential is not None and not potential.is_zero:
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import framecsv
 from .grid import Field, PotentialSpec, SpaceGrid
-from .timecurve import time_derivative_chunks, uniform_grid
+from .timecurve import STACK_CHUNK, time_derivative_chunks, uniform_grid
 from .weights import WeightFamily
 
 DIMENSION = 1  # all coefficient formulas carry n symbolically; the lab runs n = 1
@@ -163,8 +163,9 @@ def evolve(
     frames[0] = u = u0.values
     if potential.is_zero:
         spectrum = np.fft.fft(u)
-        for j in range(1, frame_times.size):
-            frames[j] = np.fft.ifft(np.exp(-(frame_times[j] - frame_times[0]) * xi2) * spectrum)
+        for lo in range(1, frame_times.size, STACK_CHUNK):
+            elapsed = frame_times[lo : lo + STACK_CHUNK, None] - frame_times[0]
+            frames[lo : lo + STACK_CHUNK] = np.fft.ifft(np.exp(-elapsed * xi2) * spectrum, axis=-1)
     else:
         x = grid.x
         static = potential(x, float(frame_times[0])) if potential.time_independent else None

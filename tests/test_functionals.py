@@ -36,7 +36,7 @@ from heatlab import functionals
 from heatlab import weights as wt
 from heatlab.errors import CertificationError, ResidualError, TailViolation
 from heatlab.kernels import resample_periodic
-from heatlab.timecurve import uniform_grid
+from heatlab.timecurve import STACK_CHUNK, uniform_grid
 from heatlab.weights import antiderivative
 
 
@@ -649,7 +649,22 @@ def test_appell_resamples_once_per_output_time(monkeypatch):
     monkeypatch.setattr(functionals, "resample_periodic", counting)
     times = np.linspace(0.0, 1.0, 17)  # the ends hit stored frames, the rest fall between
     appell_transform(stored_free_heat(), 1.0, 5.0 / 3.0, SpaceGrid(half_width=9.0, n=512), times)
-    assert calls == [(512,)] * times.size
+    # each output time is one row of one stacked call, STACK_CHUNK rows to a call
+    assert len(calls) == math.ceil(times.size / STACK_CHUNK)
+    assert sum(rows for rows, n in calls) == times.size
+    assert {n for rows, n in calls} == {512}
+
+
+def test_appell_memory_stays_bounded_by_the_chunk():
+    # the perfbench appell forward leg: 49 output times, 1024 points, L = 24 -> 16
+    alpha, beta = 1.0, 1.0 + 2.0 / 3.0
+    times = np.linspace(0.0, 1.0, 49)
+    src = gaussian_field(SpaceGrid(half_width=24.0, n=1024))
+    mapped = appell_time_map(alpha, beta, times)
+    traj = evolve(src, zero_potential(), 0.0, 1.0, steps=512, frame_times=mapped)
+    out = SpaceGrid(half_width=16.0, n=1024)
+    # STACK_CHUNK rows per kernel call; resampling all 49 rows at once would take ~11 MB
+    assert traced_peak(lambda: appell_transform(traj, alpha, beta, out, times)) < 8 * 2**20
 
 
 def test_appell_transformed_potential_bound(grid12):

@@ -77,6 +77,41 @@ def test_resample_reproduces_the_samples_on_the_grid():
     assert_round_off(resample_periodic(values, grid, L), values, values)
 
 
+def target_stack(m):
+    """One evenly spaced row per span: box, inner and reversed differ in spacing and direction."""
+    return np.array([np.linspace(*SPANS[span], m) for span in sorted(SPANS)])
+
+
+@pytest.mark.parametrize("m", [1, 257, 2048])
+@pytest.mark.parametrize("n", [256, 2048])
+def test_a_stack_resamples_as_its_rows_do(n, m):
+    values = np.array([samples(n, seed=n + m + i) for i in range(len(SPANS))])
+    targets = target_stack(m)
+    got = resample_periodic(values, targets, L)
+    assert got.shape == (len(SPANS), m)
+    for row, (v, y) in enumerate(zip(values, targets)):
+        assert_round_off(got[row], resample_periodic(v, y, L), v)
+
+
+def test_a_stack_with_one_uneven_row_is_refused():
+    targets = target_stack(300)
+    targets[1, 150] += 1e-6
+    with pytest.raises(ValueError, match="evenly spaced"):
+        resample_periodic(np.array([samples(256, seed=i) for i in range(3)]), targets, L)
+
+
+def test_a_stack_with_one_row_outside_the_box_is_refused():
+    targets = target_stack(10)
+    targets[2] = np.linspace(-L, 1.01 * L, 10)
+    with pytest.raises(ValueError, match="outside the periodic box"):
+        resample_periodic(np.array([samples(256, seed=i) for i in range(3)]), targets, L)
+
+
+def test_targets_must_hold_one_row_per_frame():
+    with pytest.raises(ValueError, match="do not match"):
+        resample_periodic(np.array([samples(256, seed=i) for i in range(3)]), target_stack(10)[:2], L)
+
+
 def test_uneven_targets_are_refused():
     targets = np.linspace(-L, L, 300)
     targets[150] += 1e-6
@@ -87,6 +122,11 @@ def test_uneven_targets_are_refused():
 def test_non_power_of_two_count_is_refused():
     with pytest.raises(ValueError, match="power of two"):
         resample_periodic(np.ones(1000), np.linspace(-L, L, 10), L)
+
+
+def test_a_single_sample_is_refused():
+    with pytest.raises(ValueError, match="power of two >= 2, got 1"):
+        resample_periodic(np.ones(1), np.linspace(-L, L, 10), L)
 
 
 @pytest.mark.parametrize("end", [1.01 * L, np.nan])
