@@ -302,9 +302,10 @@ def run_iterate(cfg: ScenarioConfig):
 
 def _evolve_gaussian(cfg: ScenarioConfig, n_frames: int, scale: int = 1) -> Trajectory:
     """The Gaussian datum evolved over [0, 1] under the config's potential, on
-    the config's box and point count times ``scale``, with ``scale`` times the
-    config's steps rounded up to a whole number per frame interval."""
-    grid = SpaceGrid(half_width=cfg.box_L * scale, n=cfg.grid_N * scale)
+    the config's box with ``scale`` times its point count and ``scale`` times
+    its steps, rounded up to a whole number per frame interval.  The box stays:
+    doubling it would lift |u(1)|'s round-off floor by e^{x^2/8} at the edge."""
+    grid = SpaceGrid(half_width=cfg.box_L, n=cfg.grid_N * scale)
     stride = n_frames - 1
     steps = ((cfg.steps * scale + stride - 1) // stride) * stride
     return evolve(

@@ -55,15 +55,14 @@ class WeightSlice:
 
 def _weighted_rows(grid: SpaceGrid, exponent, values, time: float, tol: float):
     """Norms ||e^{exponent} u|| of the rows of ``values`` and the tail fractions
-    of e^{exponent} |u|, both through ``SpaceGrid``.  A weight that defeats the
-    decay of ``u`` makes the truncated quadrature meaningless, so a last row
-    with more than ``tol`` of its mass in the outer band raises TailViolation at
-    ``time``; ``tol = inf`` measures truncated norms regardless."""
-    weighted = np.exp(exponent) * np.abs(values)
-    fractions = grid.tail_fraction(weighted)
+    of e^{exponent} |u|, both from one ``SpaceGrid.mass`` pass.  A weight that
+    defeats the decay of ``u`` makes the truncated quadrature meaningless, so a
+    last row with more than ``tol`` of its mass in the outer band raises
+    TailViolation at ``time``; ``tol = inf`` measures truncated norms regardless."""
+    mass, scale, fractions = grid.mass(np.exp(exponent) * np.abs(values))
     cause = "the weighted norm is not finite at this truncation"
     require_tail(np.ravel(fractions)[-1], time, tol, cause)
-    return grid.norm(weighted), fractions
+    return scale * np.sqrt(mass), fractions
 
 
 def weighted_norm(field: Field, spec: WeightSlice) -> float:
@@ -71,7 +70,8 @@ def weighted_norm(field: Field, spec: WeightSlice) -> float:
     integrand holding more than ``DEFAULT_TAIL_TOL`` of its mass in the outer
     band is rejected rather than silently truncated."""
     exponent = spec.exponent(field.grid.x)
-    return _weighted_rows(field.grid, exponent, field.values, field.time, DEFAULT_TAIL_TOL)[0]
+    norm, _ = _weighted_rows(field.grid, exponent, field.values, field.time, DEFAULT_TAIL_TOL)
+    return float(norm)
 
 
 def interpolation_exponent(t, c: float, d: float, gamma: TimeCurve):
@@ -169,8 +169,8 @@ def check_log_convexity(
     rows = family.derivatives_at(times)
     weight = WeightSlice(a=rows["a"][:, None], b=rows["b"][:, None], T=rows["T"][:, None], xi=xi)
     f = np.exp(weight.exponent(x)) * traj.frames
-    require_tail(grid.tail_fraction(f), times, tail_tol)
-    mass, scale = grid.mass(f)
+    mass, scale, tail = grid.mass(f)
+    require_tail(tail, times, tail_tol)
     H = scale**2 * mass
 
     # each chunk's d_t f, turned into the defect (d_t f - S f) - A f in place,

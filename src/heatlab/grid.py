@@ -49,42 +49,37 @@ class SpaceGrid:
         """L^2 pairing int f conj(g) by the periodic trapezoid rule."""
         return complex(self.dx * np.sum(f * np.conj(g)))
 
-    def mass(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(mass, scale)`` of each row along the last axis: dx sum |values / scale|^2,
-        with scale the row's peak modulus where that is finite, nonzero and above
-        ``HUGE_MODULUS`` or below its reciprocal, else 1, so the norm
-        ``scale * sqrt(mass)`` can neither overflow nor underflow to 0."""
+    def mass(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(mass, scale, tail)`` of each row along the last axis, from one pass.
+
+        ``mass`` is dx sum |values / scale|^2, with scale the row's peak modulus
+        where that is finite, nonzero and above ``HUGE_MODULUS`` or below its
+        reciprocal, else 1, so the norm ``scale * sqrt(mass)`` can neither
+        overflow nor underflow to 0.  ``tail`` is the fraction of that mass
+        beyond ``TAIL_START`` of the half-width: 0 for a zero row, and NaN,
+        which passes no tol, for a row holding a NaN or inf."""
         modulus = np.abs(values)
         peak = modulus.max(axis=-1, keepdims=True)  # NaN when the row holds one
         extreme = (peak > HUGE_MODULUS) | (peak < 1.0 / HUGE_MODULUS)
         scale = np.where(extreme & (peak > 0.0) & (peak < np.inf), peak, 1.0)
         modulus /= scale
-        return self.dx * np.sum(np.square(modulus, out=modulus), axis=-1), scale[..., 0]
+        np.square(modulus, out=modulus)
+        total = np.sum(modulus, axis=-1)
+        # compress keeps each row's band contiguous, so every row sums pairwise
+        band = np.compress(np.abs(self.x) > TAIL_START * self.half_width, modulus, axis=-1)
+        finite = np.isfinite(peak[..., 0])
+        tail = np.where(finite, 0.0, np.nan)
+        np.divide(np.sum(band, axis=-1), total, out=tail, where=finite & (total != 0.0))
+        return self.dx * total, scale[..., 0], tail
 
     def norm(self, f: np.ndarray):
         """The norm of each row along the last axis: a float for one row, else an array."""
-        mass, scale = self.mass(f)
+        mass, scale, _ = self.mass(f)
         return float(scale * np.sqrt(mass)) if np.ndim(f) == 1 else scale * np.sqrt(mass)
 
     def tail_fraction(self, values: np.ndarray) -> np.ndarray:
-        """Fraction of the mass |values|^2 that lies beyond ``TAIL_START`` of
-        the half-width, reduced along the last axis, so a ``(frames, n)``
-        stack gives one fraction per frame.  Each row is divided by its
-        largest modulus before squaring, so no finite value overflows.  A zero
-        row has fraction 0; a NaN or inf in a row makes it NaN, which passes
-        no tol."""
-        mass = np.abs(values)
-        peak = np.max(mass, axis=-1, keepdims=True)  # NaN when the row holds one
-        finite = np.isfinite(peak[..., 0])
-        np.divide(mass, peak, out=mass, where=finite[..., None] & (peak > 0.0))
-        mass[~finite] = 0.0
-        np.square(mass, out=mass)
-        total = np.sum(mass, axis=-1)
-        # compress keeps each row's band contiguous, so every row sums pairwise
-        band = np.compress(np.abs(self.x) > TAIL_START * self.half_width, mass, axis=-1)
-        outer = np.sum(band, axis=-1)
-        fraction = np.where(finite, 0.0, np.nan)
-        return np.divide(outer, total, out=fraction, where=total != 0.0)
+        """The ``tail`` of :meth:`mass`: one fraction per row along the last axis."""
+        return self.mass(values)[2]
 
 
 def require_tail(

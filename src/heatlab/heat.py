@@ -145,10 +145,13 @@ def evolve(
         raise ValueError("need steps >= 1")
     dt_target = (t1 - t0) / steps
     if frame_times is None:
+        hint = ""
         if n_frames is None:
             n_frames = min(steps + 1, 257)
+            hint = f"; the default n_frames is min(steps + 1, 257) = {n_frames}: pass n_frames"
+            hint += " or frame_times"
         if n_frames < 2 or (steps % (n_frames - 1)) != 0:
-            raise ValueError("n_frames - 1 must divide steps")
+            raise ValueError(f"n_frames - 1 must divide steps = {steps}{hint}")
         frame_times = uniform_grid(n_frames - 1, t0, t1).copy()  # writable: the trajectory owns it
     else:
         frame_times = np.asarray(frame_times, dtype=float)

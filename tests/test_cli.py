@@ -92,6 +92,18 @@ def test_verify_bound_closed_form_gap_can_fail(tmp_path, monkeypatch):
     assert verdict.startswith("FAIL max_violation=1e-09")
 
 
+def test_verify_bound_default_passes_and_refines_at_its_own_box(tmp_path):
+    # the refined run doubles the points and steps, not the box, so the default R = 1
+    # passes; at R = 0.5 the weight e^{x^2/5} cancels the decay of u(1) ~ e^{-x^2/5}
+    assert run(["verify-bound", "--out", str(tmp_path / "r1")]) == 0
+    manifest = (tmp_path / "r1" / "verify-bound" / "manifest.txt").read_text()
+    drift = float(re.search(r"ratio_drift = (\S+)", manifest).group(1))
+    assert drift <= 1e-12
+    assert run(["verify-bound", "--R", "0.5", "--out", str(tmp_path / "r05")]) == 1
+    verdict = (tmp_path / "r05" / "verify-bound" / "verdict.txt").read_text()
+    assert verdict.startswith("FAIL") and "TailViolation" in verdict
+
+
 SMALL = ["--grid-M", "256", "--K", "5", "--grid-N", "256", "--steps", "256"]
 
 

@@ -569,21 +569,45 @@ def evolved_under_gauss_imag(gauss12):
     return evolve(gauss12, potential, 0.0, 1.0, steps=64, n_frames=9)
 
 
+def count_grid_calls(monkeypatch):
+    """Record the argument shape of every ``SpaceGrid.mass`` and ``tail_fraction`` call."""
+    calls = {"mass": [], "tail_fraction": []}
+    for name in calls:
+
+        def counting(self, values, _name=name, _original=getattr(SpaceGrid, name)):
+            calls[_name].append(np.shape(values))
+            return _original(self, values)
+
+        monkeypatch.setattr(SpaceGrid, name, counting)
+    return calls
+
+
 def test_evolve_and_appell_transform_compute_no_tail_fraction(monkeypatch, gauss12):
-    calls = []
-    original = SpaceGrid.tail_fraction
-
-    def counting(self, values):
-        calls.append(np.shape(values))
-        return original(self, values)
-
-    monkeypatch.setattr(SpaceGrid, "tail_fraction", counting)
+    calls = count_grid_calls(monkeypatch)
     evolve(gauss12, zero_potential(), 0.0, 1.0, steps=64, n_frames=9)
     traj = evolved_under_gauss_imag(gauss12)
     out = SpaceGrid(half_width=8.0, n=256)  # maps inside the source box for alpha, beta = 1, 1.5
     appell_transform(traj, 1.0, 1.5, out, traj.times)
     appell_transform(free_heat_gaussian, 1.0, 1.5, out, traj.times)
-    assert calls == []
+    assert calls == {"mass": [], "tail_fraction": []}
+
+
+@pytest.mark.parametrize(
+    "verify",
+    [
+        lambda tr, fam: check_log_convexity(tr, fam, xi=1.0),
+        lambda tr, fam: verify_interior_bound(tr, 1.0),
+    ],
+    ids=["convexity", "interior_bound"],
+)
+def test_weighted_norms_and_tail_guard_share_one_mass_pass(monkeypatch, gauss12, family3, verify):
+    # the weighted stack is squared once, for its norms and its tail fractions alike;
+    # the other mass calls see one row or one STACK_CHUNK of defects
+    traj = evolve(gauss12, zero_potential(), 0.0, 1.0, steps=256, n_frames=65)
+    calls = count_grid_calls(monkeypatch)
+    verify(traj, family3)
+    assert calls["mass"].count(traj.frames.shape) == 1
+    assert calls["tail_fraction"] == []
 
 
 def test_appell_image_of_a_trajectory_carries_its_rescaled_potential(gauss12):

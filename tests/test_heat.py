@@ -419,6 +419,35 @@ def test_huge_finite_value_inside_the_tail_band_is_a_tail_violation():
         require_tail(field.tail_fraction(), field.time)
 
 
+def test_grid_mass_of_a_stack_gives_each_rows_mass_scale_and_tail():
+    # one pass keeps every row rule: a zero row, a NaN row, inf and 1e160 spikes inside
+    # and outside the tail band and a 1e-160 row, with no FloatingPointError on the way
+    grid = SpaceGrid(half_width=12.0, n=256)
+    gauss = gaussian_field(grid).values
+    spikes = [field_with_spike(x0, v).values for v in (np.inf, 1e160) for x0 in (0.0, -11.5)]
+    stack = np.array([gauss, np.zeros(grid.n), np.full(grid.n, np.nan), *spikes, 1e-160 * gauss])
+    with np.errstate(over="raise", invalid="raise"):
+        mass, scale, tail = grid.mass(stack)
+        for i, row in enumerate(stack):
+            assert np.array_equal(tail[i], Field(grid, row).tail_fraction(), equal_nan=True)
+            assert np.array_equal((mass[i], scale[i]), grid.mass(row)[:2], equal_nan=True)
+    assert tail[1] == 0.0 and mass[1] == 0.0
+    assert np.all(np.isnan(tail[2:5])) and not np.any(tail[2:5] <= DEFAULT_TAIL_TOL)
+    assert tail[5] <= DEFAULT_TAIL_TOL < tail[6]
+    assert np.array_equal(scale, [1.0, 1.0, 1.0, 1.0, 1.0, 1e160, 1e160, 1e-160])
+    assert tail[7] == pytest.approx(tail[0]) and mass[7] == pytest.approx(mass[0])
+
+
+def test_evolve_names_its_default_frame_count_when_it_misses_the_steps(gauss12):
+    # min(steps + 1, 257) = 257 frames need 256 | steps; 1000 steps are not a multiple
+    default = r"default n_frames is min\(steps \+ 1, 257\) = 257: pass n_frames or frame_times$"
+    with pytest.raises(ValueError, match=default):
+        evolve(gauss12, zero_potential(), 0.0, 1.0, steps=1000)
+    with pytest.raises(ValueError, match=r"^n_frames - 1 must divide steps = 1000$"):
+        evolve(gauss12, zero_potential(), 0.0, 1.0, steps=1000, n_frames=7)
+    assert evolve(gauss12, zero_potential(), 0.0, 1.0, steps=1024).n_frames == 257
+
+
 def test_grid_axes_are_read_only_and_built_once(monkeypatch):
     calls = []
     fftfreq = np.fft.fftfreq
