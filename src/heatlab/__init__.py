@@ -14,7 +14,6 @@ from .grid import (
     Field,
     PotentialSpec,
     SpaceGrid,
-    constant_potential,
     gaussian_field,
     gaussian_potential,
     zero_potential,

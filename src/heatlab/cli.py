@@ -13,8 +13,10 @@ manifest and verdict.  Floating-point overflow and invalid operations raise,
 and stop their scenario with such a FAIL.  Exit code 0 means every verdict
 passed, 1 means a verification or the arithmetic failed, 2 means the
 configuration could not be parsed, holds a non-finite number or does not fit
-the command; nothing is written then.  Reruns with identical config produce
-byte-identical CSV output.
+the command (``steps`` below 4 for ``evolve`` and ``all``, ``grid_M`` not a
+multiple of 256 for convexity runs); nothing is written then.  A scenario
+directory holding an earlier run's ``manifest.txt`` is replaced whole.  Reruns
+with identical config produce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import shutil
 import sys
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
@@ -95,6 +98,8 @@ class ScenarioConfig:
             raise ConfigError("amplitude must be nonnegative")
         if command in ("verify-convexity", "all") and self.grid_M % (CONVEXITY_FRAMES - 1) != 0:
             raise ConfigError("grid_M must be a multiple of 256 for convexity runs")
+        if command in ("evolve", "all") and self.steps < 4:
+            raise ConfigError("steps must be >= 4 for evolve: its pde residual needs 5 frames")
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclass_fields(ScenarioConfig)}
@@ -221,6 +226,8 @@ def scenario(name: str):
         @functools.wraps(body)
         def run(cfg: ScenarioConfig) -> bool:
             out = Path(cfg.out) / name
+            if (out / "manifest.txt").is_file():  # an earlier run's files must not outlive it
+                shutil.rmtree(out)
             out.mkdir(parents=True, exist_ok=True)
             try:
                 checks, info, files, *note = body(cfg)
@@ -317,9 +324,10 @@ def _evolve_gaussian(cfg: ScenarioConfig, n_frames: int, scale: int = 1) -> Traj
 def run_evolve(cfg: ScenarioConfig):
     traj = _evolve_gaussian(cfg, 251 if cfg.steps >= 250 else cfg.steps + 1)
     grid, potential = traj.grid, traj.potential
-    norms = traj.norms()
+    mass, scale, tail = grid.mass(traj.frames)
+    norms = scale * np.sqrt(mass)
     info = {
-        "tails_ok": bool(np.all(grid.tail_fraction(traj.frames) <= cfg.tail_tol)),
+        "tails_ok": bool(np.all(tail <= cfg.tail_tol)),
         "pde_residual": pde_residual(traj),
         "energy_slack": float(np.max(norms - np.exp(potential.sup_norm * traj.times) * norms[0])),
     }

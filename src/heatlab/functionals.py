@@ -74,18 +74,13 @@ def weighted_norm(field: Field, spec: WeightSlice) -> float:
     return float(norm)
 
 
-def interpolation_exponent(t, c: float, d: float, gamma: TimeCurve):
-    """The exponent theta(t) = int_t^d ds/gamma / int_c^d ds/gamma, a float
-    for a scalar ``t`` and an array for an array of times."""
-    points = np.append([c, d], t)
-    if not np.all((c <= points[2:]) & (points[2:] <= d)):
-        raise ValueError("need c <= t <= d")
+def interpolation_exponent(gamma: TimeCurve) -> np.ndarray:
+    """The exponent theta(t) = int_t^d ds/gamma / int_c^d ds/gamma at each node
+    of the clock ``gamma``, whose grid runs from c to d."""
     if not np.min(gamma.values) > 0.0:
         raise ValueError("gamma must be positive")
-    acc = gamma.with_values(cumulative_integral(1.0 / gamma.values, gamma.h))
-    at = acc.sample_at(points)
-    theta = (at[1] - at[2:]) / (at[1] - at[0])
-    return float(theta[0]) if np.ndim(t) == 0 else theta
+    acc = cumulative_integral(1.0 / gamma.values, gamma.h)
+    return (acc[-1] - acc) / (acc[-1] - acc[0])
 
 
 def solve_convexity_correction(gamma: TimeCurve, source: TimeCurve) -> TimeCurve:
@@ -199,7 +194,7 @@ def check_log_convexity(
     M = solve_convexity_correction(gamma, source)
     Nval = float(cumulative_integral(pairing / h_eps, dt)[-1])
 
-    theta = interpolation_exponent(times, gamma.t0, gamma.t1, gamma)
+    theta = interpolation_exponent(gamma)
     rhs = h_eps[0] ** theta * h_eps[-1] ** (1.0 - theta) * np.exp(M.values + 2.0 * Nval)
     return ConvexityReport(
         times=times,

@@ -77,10 +77,6 @@ class SpaceGrid:
         mass, scale, _ = self.mass(f)
         return float(scale * np.sqrt(mass)) if np.ndim(f) == 1 else scale * np.sqrt(mass)
 
-    def tail_fraction(self, values: np.ndarray) -> np.ndarray:
-        """The ``tail`` of :meth:`mass`: one fraction per row along the last axis."""
-        return self.mass(values)[2]
-
 
 def require_tail(
     fraction, time, tol: float = DEFAULT_TAIL_TOL, cause: str = "domain too small for this field"
@@ -116,15 +112,15 @@ class Field:
 
     def tail_fraction(self) -> float:
         """Mass fraction beyond 0.9 of the half-width."""
-        return float(self.grid.tail_fraction(self.values))
+        return float(self.grid.mass(self.values)[2])
 
     def to_csv(self, path) -> None:
         write_csv(path, "x,re,im", self.grid.x, self.values.real, self.values.imag)
 
 
-def gaussian_field(grid: SpaceGrid, rate: float = 1.0, time: float = 0.0) -> Field:
-    """The localized datum e^{-rate x^2}."""
-    return Field(grid=grid, values=np.exp(-rate * grid.x**2) + 0j, time=time)
+def gaussian_field(grid: SpaceGrid) -> Field:
+    """The localized datum e^{-x^2} at t = 0."""
+    return Field(grid=grid, values=np.exp(-grid.x**2) + 0j)
 
 
 @dataclass(frozen=True)
@@ -170,9 +166,3 @@ def gaussian_potential(amplitude: float, imaginary: bool = False) -> PotentialSp
     label = "gauss-imag" if imaginary else "gauss-real"
     return PotentialSpec(fn=fn, sup_norm=abs(amplitude), label=label, time_independent=True)
 
-
-def constant_potential(value: complex) -> PotentialSpec:
-    def fn(x, t):
-        return np.full_like(x, value, dtype=complex)
-
-    return PotentialSpec(fn=fn, sup_norm=abs(value), label="constant", time_independent=True)

@@ -76,9 +76,6 @@ class Trajectory:
     def n_frames(self) -> int:
         return self.times.size
 
-    def norms(self) -> np.ndarray:
-        return self.grid.norm(self.frames)
-
     def save(self, directory) -> None:
         """Write a ``Field.to_csv`` file per frame, then the ``frames.csv`` index.
 
@@ -137,7 +134,7 @@ def evolve(
     points of every step.  Frames come either as an equispaced
     count ``n_frames`` (default: every step, capped at 257) or as an explicit
     ``frame_times`` array starting at t0 and ending at t1.  A caller that
-    needs the tail guard applies :meth:`SpaceGrid.tail_fraction` to the frames.
+    needs the tail guard reads the ``tail`` of :meth:`SpaceGrid.mass` of the frames.
     """
     if not t1 > t0:
         raise ValueError("need t1 > t0")

@@ -214,14 +214,6 @@ def write_csv(path, header: str, *columns) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_csv(path, header: str) -> np.ndarray:
-    """The columns of a :func:`write_csv` file, one row of the result each."""
-    rows = Path(path).read_text().strip().splitlines()
-    if rows[0] != header:
-        raise ValueError(f"expected header {header!r}")
-    return np.array([[float(x) for x in row.split(",")] for row in rows[1:]]).T
-
-
 @dataclass(frozen=True)
 class TimeCurve:
     """Real samples of a smooth function on a uniform grid over ``[t0, t1]``."""

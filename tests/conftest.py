@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,27 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def count_grid_calls(monkeypatch) -> list:
+    """Record the argument shape of every ``SpaceGrid.mass`` call, the one route
+    to a norm or a tail fraction."""
+    calls = []
+    original = SpaceGrid.mass
+
+    def counting(self, values):
+        calls.append(np.shape(values))
+        return original(self, values)
+
+    monkeypatch.setattr(SpaceGrid, "mass", counting)
+    return calls
+
+
+def read_csv(path, header: str) -> np.ndarray:
+    """The columns of a ``write_csv`` file under ``header``, one row of the result each."""
+    rows = Path(path).read_text().strip().splitlines()
+    assert rows[0] == header
+    return np.array([[float(x) for x in row.split(",")] for row in rows[1:]]).T
 
 
 def pytest_configure(config):

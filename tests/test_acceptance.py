@@ -244,7 +244,7 @@ def test_criterion_4c_energy_inequality(grid12, gauss12):
         gaussian_potential(0.7, imaginary=False),
     ):
         traj = evolve(gauss12, potential, 0.0, 1.0, steps=1024)
-        norms = traj.norms()
+        norms = traj.grid.norm(traj.frames)
         worst = max(worst, float(np.max(norms - np.exp(potential.sup_norm * traj.times) * norms[0])))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 30.0

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import count_grid_calls
 from heatlab import cli, functionals as fn, weights as wt
 from heatlab.cli import Check, ScenarioConfig, load_config_file, main
 from heatlab.errors import CertificationError, ConfigError
@@ -140,12 +141,42 @@ def test_failed_scenario_writes_only_manifest_and_verdict(tmp_path, monkeypatch)
     def overflowing(traj):
         raise FloatingPointError("overflow encountered in multiply")
 
+    # a fresh --out, and one that holds a previous PASS run of the same scenario
+    fresh, reused = tmp_path / "o", tmp_path / "reused"
+    assert run(["evolve", "--potential", "none", "--steps", "500", "--plot", "--out", str(reused)]) == 0
     monkeypatch.setattr(cli, "pde_residual", overflowing)
+    for out in (fresh, reused):
+        assert run(["evolve", "--potential", "none", "--steps", "500", "--plot", "--out", str(out)]) == 1
+        scenario = out / "evolve"
+        assert sorted(p.name for p in scenario.iterdir()) == ["manifest.txt", "verdict.txt"]
+        verdict = (scenario / "verdict.txt").read_text().strip()
+        assert verdict == "FAIL max_violation=nan FloatingPointError"
+
+
+def test_a_rerun_replaces_only_the_directory_an_earlier_run_wrote(tmp_path):
     out = tmp_path / "o"
-    assert run(["evolve", "--potential", "none", "--steps", "500", "--plot", "--out", str(out)]) == 1
-    scenario = out / "evolve"
-    assert sorted(p.name for p in scenario.iterdir()) == ["manifest.txt", "verdict.txt"]
-    assert (scenario / "verdict.txt").read_text().strip() == "FAIL max_violation=nan FloatingPointError"
+    assert run(["evolve", "--out", str(out)]) == 0
+    assert len(list((out / "evolve" / "frames").iterdir())) == 252
+    (out / "keep.txt").write_text("not heatlab's\n")
+    assert run(["evolve", "--steps", "100", "--out", str(out)]) == 0
+    frames = out / "evolve" / "frames"
+    assert len((frames / "frames.csv").read_text().splitlines()) == 1 + 101
+    expected = {"frames.csv", *(f"frame_{i:04d}.csv" for i in range(101))}
+    assert {p.name for p in frames.iterdir()} == expected
+    assert (out / "keep.txt").read_text() == "not heatlab's\n"
+    # a directory without a manifest.txt was not written by heatlab and is never removed
+    stranger = tmp_path / "p" / "sharpness"
+    stranger.mkdir(parents=True)
+    (stranger / "notes.txt").write_text("mine\n")
+    assert run(["sharpness", "--gamma-factor", "0.5", "--out", str(tmp_path / "p")]) == 0
+    assert (stranger / "notes.txt").read_text() == "mine\n"
+
+
+def test_evolve_squares_its_frames_once(tmp_path, monkeypatch):
+    # the norms and the tail guard both come from one SpaceGrid.mass pass over the frames
+    calls = count_grid_calls(monkeypatch)
+    assert run(["evolve", "--out", str(tmp_path / "o")]) == 0
+    assert calls.count((251, 1024)) == 1
 
 
 def test_plot_flag_writes_svg(tmp_path):
@@ -208,8 +239,8 @@ def test_scenario_config_range_rules(name):
     value, message = RANGE_RULES[name]
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         ScenarioConfig(**{name: value}).validate()
-    # a value just above the refused one passes
-    ScenarioConfig(**{name: value + (1 if isinstance(value, int) else 1e-300)}).validate()
+    # a value just above the refused one passes; evolve's own steps floor has its own test
+    ScenarioConfig(**{name: value + (1 if isinstance(value, int) else 1e-300)}).validate("iterate")
 
 
 @pytest.mark.parametrize("flag, value", [("--gamma-factor", "nan"), ("--delta", "inf")])
@@ -376,6 +407,24 @@ def test_convexity_grid_is_validated_before_any_scenario_runs(tmp_path, command,
     assert not out.exists()
     assert "grid_M must be a multiple of 256" in capsys.readouterr().err
     ScenarioConfig(grid_M=320).validate("iterate")  # the other scenarios take any grid_M >= 64
+
+
+@pytest.mark.parametrize("command", ["evolve", "all"])
+def test_evolve_steps_are_validated_before_any_scenario_runs(tmp_path, command, capsys):
+    # pde_residual's five-point time stencil needs 5 frames, that is 4 steps
+    out = tmp_path / "o"
+    assert run([command, "--steps", "3", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "steps must be >= 4 for evolve: its pde residual needs 5 frames" in capsys.readouterr().err
+    ScenarioConfig(steps=4).validate(command)
+    ScenarioConfig(steps=3).validate("verify-bound")  # the other scenarios take any steps >= 1
+
+
+def test_evolve_at_the_smallest_steps_writes_a_verdict(tmp_path):
+    out = tmp_path / "o"
+    assert run(["evolve", "--steps", "4", "--out", str(out)]) in (0, 1)
+    assert (out / "evolve" / "frames" / "frames.csv").read_text().count("\n") == 1 + 5
+    assert (out / "evolve" / "verdict.txt").read_text().startswith(("PASS", "FAIL max_violation="))
 
 
 def test_floating_point_error_in_a_scenario_is_a_named_fail(tmp_path, monkeypatch):

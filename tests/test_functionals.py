@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import traced_peak
+from conftest import count_grid_calls, traced_peak
 from heatlab import (
     Field,
     PotentialSpec,
@@ -78,11 +78,12 @@ def test_supercritical_weight_is_rejected(grid12):
 
 def test_interpolation_exponent_constant_clock():
     gam = TimeCurve(np.ones(129))
-    assert abs(interpolation_exponent(0.3, 0.0, 1.0, gam) - 0.7) < 1e-14
-    assert interpolation_exponent(0.0, 0.0, 1.0, gam) == 1.0
-    assert interpolation_exponent(1.0, 0.0, 1.0, gam) == 0.0
+    theta = interpolation_exponent(gam)
+    assert np.max(np.abs(theta - (1.0 - gam.nodes))) < 1e-14
+    assert theta[0] == 1.0
+    assert theta[-1] == 0.0
     with pytest.raises(ValueError):
-        interpolation_exponent(0.5, 0.0, 1.0, gam.with_values(-np.ones(129)))
+        interpolation_exponent(gam.with_values(-np.ones(129)))
 
 
 def test_interpolation_exponent_refined_quadrature(family3):
@@ -90,10 +91,9 @@ def test_interpolation_exponent_refined_quadrature(family3):
     fine = TimeCurve(np.exp(8.0 * antiderivative(
         family3.a.with_values(np.interp(uniform_grid(5120), family3.a.nodes, family3.a.values))
     ).values))
-    for t in (0.2, 0.5, 0.9):
-        coarse = interpolation_exponent(t, 0.0, 1.0, gam)
-        refined = interpolation_exponent(t, 0.0, 1.0, fine)
-        assert abs(coarse - refined) < 1e-7
+    # every coarse node (M = 512) is every tenth fine node (M = 5120)
+    coarse, refined = interpolation_exponent(gam), interpolation_exponent(fine)[::10]
+    assert np.max(np.abs(coarse - refined)) < 1e-7
 
 
 def test_correction_zero_source_gives_zero():
@@ -229,7 +229,7 @@ NAN_GUARDS = {
         ValueError, "gamma", lambda fam: solve_convexity_correction(with_nan(clock(fam)), clock(fam))
     ),
     "theta gamma sign": (
-        ValueError, "gamma", lambda fam: interpolation_exponent(0.5, 0.0, 1.0, with_nan(clock(fam)))
+        ValueError, "gamma", lambda fam: interpolation_exponent(with_nan(clock(fam)))
     ),
     "limit_family relation": (CertificationError, "limit", limit_family_with_nan_rate),
     "refine_pair stabilizer": (
@@ -569,19 +569,6 @@ def evolved_under_gauss_imag(gauss12):
     return evolve(gauss12, potential, 0.0, 1.0, steps=64, n_frames=9)
 
 
-def count_grid_calls(monkeypatch):
-    """Record the argument shape of every ``SpaceGrid.mass`` and ``tail_fraction`` call."""
-    calls = {"mass": [], "tail_fraction": []}
-    for name in calls:
-
-        def counting(self, values, _name=name, _original=getattr(SpaceGrid, name)):
-            calls[_name].append(np.shape(values))
-            return _original(self, values)
-
-        monkeypatch.setattr(SpaceGrid, name, counting)
-    return calls
-
-
 def test_evolve_and_appell_transform_compute_no_tail_fraction(monkeypatch, gauss12):
     calls = count_grid_calls(monkeypatch)
     evolve(gauss12, zero_potential(), 0.0, 1.0, steps=64, n_frames=9)
@@ -589,7 +576,7 @@ def test_evolve_and_appell_transform_compute_no_tail_fraction(monkeypatch, gauss
     out = SpaceGrid(half_width=8.0, n=256)  # maps inside the source box for alpha, beta = 1, 1.5
     appell_transform(traj, 1.0, 1.5, out, traj.times)
     appell_transform(free_heat_gaussian, 1.0, 1.5, out, traj.times)
-    assert calls == {"mass": [], "tail_fraction": []}
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -606,8 +593,7 @@ def test_weighted_norms_and_tail_guard_share_one_mass_pass(monkeypatch, gauss12,
     traj = evolve(gauss12, zero_potential(), 0.0, 1.0, steps=256, n_frames=65)
     calls = count_grid_calls(monkeypatch)
     verify(traj, family3)
-    assert calls["mass"].count(traj.frames.shape) == 1
-    assert calls["tail_fraction"] == []
+    assert calls.count(traj.frames.shape) == 1
 
 
 def test_appell_image_of_a_trajectory_carries_its_rescaled_potential(gauss12):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import read_csv, traced_peak
 from heatlab import (
     Field,
     PotentialSpec,
@@ -18,7 +18,6 @@ from heatlab import (
     apply_symmetric,
     commutator_identity,
     complex_gaussian,
-    constant_potential,
     evolve,
     gaussian_field,
     gaussian_potential,
@@ -29,8 +28,16 @@ from heatlab import (
 from heatlab.errors import TailViolation
 from heatlab.grid import DEFAULT_TAIL_TOL, require_tail
 from heatlab.heat import conjugated_parts
-from heatlab.timecurve import read_csv, uniform_grid, write_csv
+from heatlab.timecurve import uniform_grid, write_csv
 from heatlab.weights import antiderivative
+
+
+def constant_potential(value: complex) -> PotentialSpec:
+    """V(x, t) = value, declared time-independent."""
+    return PotentialSpec(
+        fn=lambda x, t: np.full_like(x, value, dtype=complex),
+        sup_norm=abs(value), label="constant", time_independent=True,
+    )
 
 
 def zero_family(m=512):
@@ -116,7 +123,7 @@ def test_constant_potential_is_a_gauge_factor(grid12, gauss12):
 def test_energy_inequality_complex_potential(grid12, gauss12):
     potential = gaussian_potential(1.0, imaginary=True)
     traj = evolve(gauss12, potential, 0.0, 1.0, steps=1024)
-    norms = traj.norms()
+    norms = grid12.norm(traj.frames)
     slack = norms - np.exp(potential.sup_norm * traj.times) * norms[0]
     assert np.max(slack) <= 1e-6
 
@@ -233,7 +240,7 @@ def test_closed_form_solution_flags_tail_at_start(grid12):
     u0 = Field(grid12, complex_gaussian(grid12.x, 0.0, 1.0), 0.0)
     assert not u0.tail_fraction() <= DEFAULT_TAIL_TOL
     traj = evolve(u0, zero_potential(), 0.0, 1.0, steps=512)
-    assert not grid12.tail_fraction(traj.frames)[0] <= DEFAULT_TAIL_TOL
+    assert not grid12.mass(traj.frames)[2][0] <= DEFAULT_TAIL_TOL
 
 
 def test_solver_matches_closed_form_from_positive_start():
@@ -365,14 +372,14 @@ def test_nan_frame_is_never_hidden(grid12, gauss12):
     traj.frames[40, 100] = np.nan
     assert np.isnan(pde_residual(traj))
     with pytest.raises(TailViolation):
-        require_tail(grid12.tail_fraction(traj.frames[40]), traj.times[40])
+        require_tail(grid12.mass(traj.frames[40])[2], traj.times[40])
 
 
 def test_grid_tail_fraction_of_a_stack_matches_fields(grid12, gauss12):
     traj = evolve(gauss12, zero_potential(), 0.0, 0.5, steps=64, n_frames=5)
     frames = np.vstack([traj.frames, np.zeros(grid12.n), np.exp(-((grid12.x - 11.0) ** 2))])
     frames[2, 7] = np.nan
-    got = grid12.tail_fraction(frames)
+    got = grid12.mass(frames)[2]
     assert got.shape == (frames.shape[0],)
     for row, frac in zip(frames, got):
         field = Field(grid=grid12, values=row)
@@ -474,9 +481,9 @@ def test_norms_of_a_huge_datum_do_not_overflow():
     u0 = gaussian_field(grid)
     traj = evolve(u0, zero_potential(), 0.0, 0.5, steps=64, n_frames=5)
     huge = evolve(Field(grid, 1e160 * u0.values), zero_potential(), 0.0, 0.5, steps=64, n_frames=5)
-    norms = huge.norms()
+    norms = grid.norm(huge.frames)
     assert np.all(np.isfinite(norms))
-    assert np.max(np.abs(norms / (1e160 * traj.norms()) - 1.0)) <= 1e-14
+    assert np.max(np.abs(norms / (1e160 * grid.norm(traj.frames)) - 1.0)) <= 1e-14
     first, base = (Field(grid, tr.frames[0], float(tr.times[0])).norm() for tr in (huge, traj))
     assert abs(first / (1e160 * base) - 1.0) <= 1e-14
 
@@ -536,9 +543,9 @@ def test_saved_frames_are_write_csv_bytes(tmp_path, grid12, two_cpus, popen_spy)
         traj = evolve(u0, pot, 0.0, 0.5, steps=500, n_frames=n_frames)
         traj.save(tmp_path / f"run_{n_frames}")
         grid, _, frames = read_saved(tmp_path / f"run_{n_frames}")
-        tail_flags = grid.tail_fraction(frames) <= DEFAULT_TAIL_TOL
+        tail_flags = grid.mass(frames)[2] <= DEFAULT_TAIL_TOL
         assert not tail_flags[0]
-        assert np.array_equal(tail_flags, traj.grid.tail_fraction(traj.frames) <= DEFAULT_TAIL_TOL)
+        assert np.array_equal(tail_flags, traj.grid.mass(traj.frames)[2] <= DEFAULT_TAIL_TOL)
         # this process writes frames [0, half) and the helper frames [half, n_frames)
         half = (n_frames + 1) // 2
         special = replace(traj, frames=traj.frames.copy())

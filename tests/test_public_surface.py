@@ -4,6 +4,8 @@ The benchmark harness in ``perfbench/`` wraps heatlab from outside, so a
 removed name would otherwise surface only as a failed traced benchmark run;
 these tests load ``perfbench/tracer.py`` and read ``perfbench/workloads.py``
 without changing either file.  The README's library example runs as written.
+Every public name has a reader in the package or the harness, so a name that
+only tests call fails here.
 """
 
 import ast
@@ -148,3 +150,44 @@ def test_readme_library_example_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+# independent reference routes: each checks a quantity the package computes another way
+REFERENCE_ROUTES = {
+    "complex_gaussian",  # closed-form heat solution, the oracle for evolve
+    "limit_family",  # closed-form weight family, the oracle for the refinement chain
+    "commutator_identity",  # criterion 2: the commutator positivity on a field
+    "appell_mid_exponent",  # criterion 6: the Appell mid-time exponent (ROADMAP item 8)
+}
+LAYERS = ("timecurve", "weights", "grid", "heat", "functionals", "kernels")
+
+
+def public_surface():
+    """Every non-module name in ``heatlab.__all__`` and every public function or
+    class defined at module level in one of ``LAYERS``."""
+    names = {name for name in heatlab.__all__ if not inspect.ismodule(getattr(heatlab, name))}
+    for layer in LAYERS:
+        module = getattr(heatlab, layer)
+        names |= {
+            name
+            for name, obj in vars(module).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == module.__name__
+        }
+    return names
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    loads = set()
+    for path in (ROOT / "src" / "heatlab").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.add(node.attr)
+    harness = "\n".join(p.read_text() for p in [*PERFBENCH.glob("*.py"), ROOT / "BENCHMARK.json"])
+    named = set(re.findall(r"\w+", harness))
+    surface = public_surface()
+    assert REFERENCE_ROUTES <= surface
+    assert sorted(surface - loads - named - REFERENCE_ROUTES) == []
