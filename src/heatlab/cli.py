@@ -13,10 +13,11 @@ manifest and verdict.  Floating-point overflow and invalid operations raise,
 and stop their scenario with such a FAIL.  Exit code 0 means every verdict
 passed, 1 means a verification or the arithmetic failed, 2 means the
 configuration could not be parsed, holds a non-finite number or does not fit
-the command (``steps`` below 4 for ``evolve`` and ``all``, ``grid_M`` not a
-multiple of 256 for convexity runs); nothing is written then.  A scenario
-directory holding an earlier run's ``manifest.txt`` is replaced whole.  Reruns
-with identical config produce byte-identical CSV output.
+the command (``grid_M`` not a multiple of 256 for convexity runs); nothing is
+written then.  ``steps`` is a target in every scenario, which
+:func:`~heatlab.heat.evolve` rounds up to whole steps per frame interval.  A
+scenario directory holding an earlier run's ``manifest.txt`` is replaced whole.
+Reruns with identical config produce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -98,8 +99,6 @@ class ScenarioConfig:
             raise ConfigError("amplitude must be nonnegative")
         if command in ("verify-convexity", "all") and self.grid_M % (CONVEXITY_FRAMES - 1) != 0:
             raise ConfigError("grid_M must be a multiple of 256 for convexity runs")
-        if command in ("evolve", "all") and self.steps < 4:
-            raise ConfigError("steps must be >= 4 for evolve: its pde residual needs 5 frames")
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclass_fields(ScenarioConfig)}
@@ -309,20 +308,18 @@ def run_iterate(cfg: ScenarioConfig):
 
 def _evolve_gaussian(cfg: ScenarioConfig, n_frames: int, scale: int = 1) -> Trajectory:
     """The Gaussian datum evolved over [0, 1] under the config's potential, on
-    the config's box with ``scale`` times its point count and ``scale`` times
-    its steps, rounded up to a whole number per frame interval.  The box stays:
-    doubling it would lift |u(1)|'s round-off floor by e^{x^2/8} at the edge."""
+    the config's box with ``scale`` times its points and ``scale`` times its
+    target steps, which :func:`evolve` fits to whole steps per frame interval.
+    The box stays: doubling it lifts |u(1)|'s edge round-off floor by e^{x^2/8}."""
     grid = SpaceGrid(half_width=cfg.box_L, n=cfg.grid_N * scale)
-    stride = n_frames - 1
-    steps = ((cfg.steps * scale + stride - 1) // stride) * stride
     return evolve(
-        gaussian_field(grid), make_potential(cfg), 0.0, 1.0, steps=steps, n_frames=n_frames
+        gaussian_field(grid), make_potential(cfg), 0.0, 1.0, cfg.steps * scale, n_frames=n_frames
     )
 
 
 @scenario("evolve")
 def run_evolve(cfg: ScenarioConfig):
-    traj = _evolve_gaussian(cfg, 251 if cfg.steps >= 250 else cfg.steps + 1)
+    traj = _evolve_gaussian(cfg, 251)
     grid, potential = traj.grid, traj.potential
     mass, scale, tail = grid.mass(traj.frames)
     norms = scale * np.sqrt(mass)

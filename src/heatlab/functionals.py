@@ -339,8 +339,8 @@ def verify_interior_bound(
     critical closed-form family (whose weighted integrand is constant in x)
     is probed.
     """
-    if R <= 0.0:
-        raise ValueError("need R > 0")
+    if not 0.0 < R < math.inf:
+        raise ValueError("need 0 < R < inf")
     grid, t = traj.grid, traj.times
     exponent = WeightSlice(a=(t / (4.0 * (t**2 + R**2)))[:, None]).exponent(grid.x)
     norms, fraction = _weighted_rows(grid, exponent, traj.frames, t[-1], tail_tol)
@@ -384,6 +384,9 @@ def sharpness_probe(
     the relative increments stay below ``CAUCHY_TOL``; the growth exponent is
     the log-log slope over the boxes.
     """
+    for name, value in (("R", R), ("t", t)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"need 0 < {name} < inf")
     if not gamma_factor > 0.0:
         raise ValueError("need gamma_factor > 0")
     boxes = np.asarray(box_widths, dtype=float)

@@ -156,12 +156,13 @@ def test_failed_scenario_writes_only_manifest_and_verdict(tmp_path, monkeypatch)
 def test_a_rerun_replaces_only_the_directory_an_earlier_run_wrote(tmp_path):
     out = tmp_path / "o"
     assert run(["evolve", "--out", str(out)]) == 0
-    assert len(list((out / "evolve" / "frames").iterdir())) == 252
-    (out / "keep.txt").write_text("not heatlab's\n")
-    assert run(["evolve", "--steps", "100", "--out", str(out)]) == 0
     frames = out / "evolve" / "frames"
-    assert len((frames / "frames.csv").read_text().splitlines()) == 1 + 101
-    expected = {"frames.csv", *(f"frame_{i:04d}.csv" for i in range(101))}
+    assert len(list(frames.iterdir())) == 252
+    (out / "keep.txt").write_text("not heatlab's\n")
+    (frames / "frame_9999.csv").write_text("stale\n")
+    assert run(["evolve", "--steps", "100", "--out", str(out)]) == 0
+    assert len((frames / "frames.csv").read_text().splitlines()) == 1 + 251
+    expected = {"frames.csv", *(f"frame_{i:04d}.csv" for i in range(251))}
     assert {p.name for p in frames.iterdir()} == expected
     assert (out / "keep.txt").read_text() == "not heatlab's\n"
     # a directory without a manifest.txt was not written by heatlab and is never removed
@@ -239,7 +240,7 @@ def test_scenario_config_range_rules(name):
     value, message = RANGE_RULES[name]
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         ScenarioConfig(**{name: value}).validate()
-    # a value just above the refused one passes; evolve's own steps floor has its own test
+    # a value just above the refused one passes
     ScenarioConfig(**{name: value + (1 if isinstance(value, int) else 1e-300)}).validate("iterate")
 
 
@@ -409,22 +410,40 @@ def test_convexity_grid_is_validated_before_any_scenario_runs(tmp_path, command,
     ScenarioConfig(grid_M=320).validate("iterate")  # the other scenarios take any grid_M >= 64
 
 
-@pytest.mark.parametrize("command", ["evolve", "all"])
-def test_evolve_steps_are_validated_before_any_scenario_runs(tmp_path, command, capsys):
-    # pde_residual's five-point time stencil needs 5 frames, that is 4 steps
+@pytest.mark.parametrize(
+    "flags",
+    [["--steps", "1"], ["--steps", "4"], ["--steps", "64"], ["--potential", "gauss-imag", "--steps", "8"]],
+    ids=["steps1", "steps4", "steps64", "imag-steps8"],
+)
+def test_evolve_stores_251_frames_at_any_steps(tmp_path, flags):
+    # --steps is a target that evolve rounds up to whole steps per frame interval
     out = tmp_path / "o"
-    assert run([command, "--steps", "3", "--out", str(out)]) == 2
-    assert not out.exists()
-    assert "steps must be >= 4 for evolve: its pde residual needs 5 frames" in capsys.readouterr().err
-    ScenarioConfig(steps=4).validate(command)
-    ScenarioConfig(steps=3).validate("verify-bound")  # the other scenarios take any steps >= 1
+    assert run(["evolve", *flags, "--out", str(out)]) == 0
+    frames = out / "evolve" / "frames"
+    assert len((frames / "frames.csv").read_text().splitlines()) == 1 + 251
+    assert len(list(frames.iterdir())) == 1 + 251
+    assert (out / "evolve" / "verdict.txt").read_text().startswith("PASS")
 
 
-def test_evolve_at_the_smallest_steps_writes_a_verdict(tmp_path):
+@pytest.mark.parametrize(
+    "factor, check, bound",
+    [(2.0, "energy_slack", 1e-6), (np.exp(1e-3j), "closed_form_gap", 1e-6)],
+    ids=["doubled", "rotated"],
+)
+def test_a_wrong_last_frame_fails_evolve(tmp_path, monkeypatch, factor, check, bound):
+    evolve = cli.evolve
+
+    def scaled_last_frame(*args, **kwargs):
+        traj = evolve(*args, **kwargs)
+        traj.frames[-1] *= factor
+        return traj
+
+    monkeypatch.setattr(cli, "evolve", scaled_last_frame)
     out = tmp_path / "o"
-    assert run(["evolve", "--steps", "4", "--out", str(out)]) in (0, 1)
-    assert (out / "evolve" / "frames" / "frames.csv").read_text().count("\n") == 1 + 5
-    assert (out / "evolve" / "verdict.txt").read_text().startswith(("PASS", "FAIL max_violation="))
+    assert run(["evolve", "--out", str(out)]) == 1
+    assert (out / "evolve" / "verdict.txt").read_text().startswith("FAIL max_violation=")
+    manifest = (out / "evolve" / "manifest.txt").read_text()
+    assert float(re.search(rf"^{check} = (\S+)$", manifest, re.M).group(1)) > bound
 
 
 def test_floating_point_error_in_a_scenario_is_a_named_fail(tmp_path, monkeypatch):

@@ -813,6 +813,19 @@ def test_sharpness_verdicts_and_growth():
         sharpness_probe(1.0, 0.5, 0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "0", "-1"])
+def test_R_and_t_must_be_positive_and_finite(gauss12, value):
+    # an infinite R zeroes the weight yet reads as a finite ratio, and a NaN, 0
+    # or negative R or t gives NaN norms or divides by zero: each is refused by name
+    traj = evolve(gauss12, zero_potential(), 0.0, 1.0, steps=8, n_frames=9)
+    with pytest.raises(ValueError, match=r"^need 0 < R < inf$"):
+        verify_interior_bound(traj, value)
+    with pytest.raises(ValueError, match=r"^need 0 < R < inf$"):
+        sharpness_probe(value, 0.5, 1.1)
+    with pytest.raises(ValueError, match=r"^need 0 < t < inf$"):
+        sharpness_probe(1.0, value, 1.1)
+
+
 def test_sharpness_critical_norm_values():
     # at the critical factor the integrand modulus is exactly constant
     report = sharpness_probe(1.0, 0.5, 1.0, box_widths=(8.0, 32.0))

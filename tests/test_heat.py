@@ -211,8 +211,8 @@ def test_time_dependent_potential_stays_second_order(grid12, gauss12):
 
 
 def test_evolve_argument_guards(grid12, gauss12):
-    with pytest.raises(ValueError, match="n_frames"):
-        evolve(gauss12, zero_potential(), 0.0, 1.0, steps=100, n_frames=64)
+    with pytest.raises(ValueError, match="^need n_frames >= 2$"):
+        evolve(gauss12, zero_potential(), 0.0, 1.0, steps=100, n_frames=1)
     with pytest.raises(ValueError):
         evolve(gauss12, zero_potential(), 1.0, 0.0, steps=10)
 
@@ -445,14 +445,32 @@ def test_grid_mass_of_a_stack_gives_each_rows_mass_scale_and_tail():
     assert tail[7] == pytest.approx(tail[0]) and mass[7] == pytest.approx(mass[0])
 
 
-def test_evolve_names_its_default_frame_count_when_it_misses_the_steps(gauss12):
-    # min(steps + 1, 257) = 257 frames need 256 | steps; 1000 steps are not a multiple
-    default = r"default n_frames is min\(steps \+ 1, 257\) = 257: pass n_frames or frame_times$"
-    with pytest.raises(ValueError, match=default):
-        evolve(gauss12, zero_potential(), 0.0, 1.0, steps=1000)
-    with pytest.raises(ValueError, match=r"^n_frames - 1 must divide steps = 1000$"):
-        evolve(gauss12, zero_potential(), 0.0, 1.0, steps=1000, n_frames=7)
-    assert evolve(gauss12, zero_potential(), 0.0, 1.0, steps=1024).n_frames == 257
+def small_imaginary_run():
+    """The Gaussian datum on 256 points of [-12, 12) and V = 0.5i e^{-x^2}."""
+    return gaussian_field(SpaceGrid(half_width=12.0, n=256)), gaussian_potential(0.5, imaginary=True)
+
+
+@pytest.mark.parametrize("n_frames", [101, 251, 257])
+@pytest.mark.parametrize("steps", [1, 100, 1000])
+def test_evolve_fits_whole_steps_to_each_frame_interval(steps, n_frames):
+    # a target step count gives the bytes of the next multiple of the frame stride
+    u0, potential = small_imaginary_run()
+    stride = n_frames - 1
+    rounded = -(-steps // stride) * stride
+    got = evolve(u0, potential, 0.0, 1.0, steps=steps, n_frames=n_frames)
+    want = evolve(u0, potential, 0.0, 1.0, steps=rounded, n_frames=n_frames)
+    assert got.frames.tobytes() == want.frames.tobytes()
+    assert got.times.tobytes() == want.times.tobytes()
+
+
+def test_evolve_takes_any_steps_for_any_frame_count():
+    u0, potential = small_imaginary_run()
+    got = evolve(u0, potential, 0.0, 1.0, steps=100, n_frames=64)  # 63 intervals of 2 steps
+    want = evolve(u0, potential, 0.0, 1.0, steps=126, n_frames=64)
+    assert got.frames.tobytes() == want.frames.tobytes()
+    # the default frame count is min(steps + 1, 257), whether or not it divides the steps
+    assert evolve(u0, potential, 0.0, 1.0, steps=1000).n_frames == 257
+    assert evolve(u0, potential, 0.0, 1.0, steps=7).n_frames == 8
 
 
 def test_grid_axes_are_read_only_and_built_once(monkeypatch):

@@ -15,6 +15,9 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import heatlab
 import heatlab.cli  # noqa: F401  (the tracer reads every layer module)
 
@@ -53,6 +56,28 @@ def test_the_tracer_sees_every_step_of_the_chain():
     assert names.count("weights.solve_cross") == 5
     assert names.count("weights.solve_freq") == 5
     assert names.count("weights.refine_pair") == 4  # no iterate after the last step
+
+
+@pytest.mark.parametrize("n_frames", [101, 251, 257])
+@pytest.mark.parametrize("steps", [1, 100, 1000, 1024])
+def test_the_tracer_counts_the_steps_evolve_takes(monkeypatch, steps, n_frames):
+    # the static Strang path takes one forward FFT per step, so the
+    # benchmark's heat.evolve.substeps counter must count exactly those
+    ffts = []
+    fft = np.fft.fft
+
+    def counted(a, *args, **kwargs):
+        ffts.append(np.shape(a))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    args = (
+        heatlab.gaussian_field(heatlab.SpaceGrid(half_width=12.0, n=256)),
+        heatlab.gaussian_potential(0.5, imaginary=True),
+        0.0, 1.0, steps,
+    )
+    heatlab.evolve(*args, n_frames=n_frames)
+    assert load_tracer().evolve_substeps(*args, n_frames=n_frames) == len(ffts)
 
 
 def dotted(node):
