@@ -227,7 +227,6 @@ def appell_transform(
     beta: float,
     grid: SpaceGrid,
     times: np.ndarray,
-    potential: PotentialSpec | None = None,
 ) -> Trajectory:
     """Apply the parabolic change of variables
 
@@ -240,7 +239,7 @@ def appell_transform(
     frames, interpolated by a local quartic in time.  Heat solutions map to
     heat solutions with the rescaled potential V~, whose sup norm is at most
     max(alpha/beta, beta/alpha) ||V||.  V is a stored trajectory's own
-    potential, or ``potential`` (default V = 0) for a callable source.
+    potential; a callable source is a free solution, so V = 0 and V~ = 0.
     """
     if not (alpha > 0.0 and beta > 0.0):
         raise ValueError("need alpha, beta > 0")
@@ -249,9 +248,6 @@ def appell_transform(
     frames = np.empty((times.size, grid.n), dtype=complex)
 
     if isinstance(source, Trajectory):
-        if potential is not None:
-            raise TypeError("a stored trajectory carries its own potential; pass no potential=")
-        potential = source.potential
         src_l = source.grid.half_width
 
         def eval_source(y: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -294,20 +290,20 @@ def appell_transform(
         mult = (root / denom) ** 0.5 * np.exp((alpha - beta) * x**2 / (4.0 * denom))
         frames[chunk] = mult * eval_source(root * x / denom, mapped[chunk])
 
-    if potential is not None and not potential.is_zero:
+    new_potential = zero_potential()
+    if isinstance(source, Trajectory) and not source.potential.is_zero:
+        potential = source.potential
 
-        def v_fn(xv, tv, _p=potential):
+        def v_fn(xv, tv):
             dv = alpha * (1.0 - tv) + beta * tv
             sv = float(appell_time_map(alpha, beta, tv))
-            return (alpha * beta / dv**2) * _p(root * xv / dv, sv)
+            return (alpha * beta / dv**2) * potential(root * xv / dv, sv)
 
         new_potential = PotentialSpec(
             fn=v_fn,
             sup_norm=max(alpha / beta, beta / alpha) * potential.sup_norm,
             label=f"appell({potential.label})",
         )
-    else:
-        new_potential = zero_potential()
 
     return Trajectory(grid=grid, times=times, frames=frames, potential=new_potential)
 

@@ -141,7 +141,7 @@ class PotentialSpec:
             return np.zeros_like(x, dtype=complex)
         vals = np.asarray(self.fn(x, t), dtype=complex)
         peak = float(np.max(np.abs(vals)))
-        if peak > self.sup_norm * (1.0 + 1e-12) + 1e-300:
+        if not peak <= self.sup_norm * (1.0 + 1e-12) + 1e-300:  # a NaN peak fails
             raise ValueError(
                 f"potential exceeds its declared sup norm: {peak:g} > {self.sup_norm:g}"
             )

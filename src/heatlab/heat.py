@@ -61,7 +61,7 @@ def complex_gaussian(x, t: float, R: float) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Stored frames of one evolution run."""
+    """Stored frames of one evolution run; it owns a copy of the times it is given."""
 
     grid: SpaceGrid
     times: np.ndarray
@@ -69,7 +69,7 @@ class Trajectory:
     potential: PotentialSpec
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+        self.times = np.array(self.times, dtype=float)
         self.frames = np.ascontiguousarray(self.frames, dtype=complex)
 
     @property
@@ -146,7 +146,7 @@ def evolve(
             n_frames = min(steps + 1, 257)
         if n_frames < 2:
             raise ValueError("need n_frames >= 2")
-        frame_times = uniform_grid(n_frames - 1, t0, t1).copy()  # writable: the trajectory owns it
+        frame_times = uniform_grid(n_frames - 1, t0, t1)
     else:
         frame_times = np.asarray(frame_times, dtype=float)
         if not (abs(frame_times[0] - t0) <= 1e-12 and abs(frame_times[-1] - t1) <= 1e-12):

@@ -39,7 +39,6 @@ def _cached_grid(m: int, t0: float, t1: float) -> np.ndarray:
     return _read_only(t0 + (t1 - t0) * np.arange(m + 1) / m)
 
 
-@lru_cache(maxsize=None)
 def stencil_weights(offsets: tuple[int, ...], point: float, deriv: int) -> tuple[float, ...]:
     """Finite-difference weights on integer ``offsets`` for the ``deriv``-th
     derivative evaluated at ``point``, in units of the grid spacing.
@@ -57,7 +56,6 @@ def stencil_weights(offsets: tuple[int, ...], point: float, deriv: int) -> tuple
     return tuple(np.linalg.solve(vander, rhs))
 
 
-@lru_cache(maxsize=None)
 def interval_quadrature_weights(offsets: tuple[int, ...], left: int) -> tuple[float, ...]:
     """Weights integrating the degree ``len(offsets)-1`` interpolant over the
     unit interval ``[left, left+1]`` (offset units)."""

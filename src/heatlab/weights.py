@@ -36,7 +36,6 @@ from .timecurve import TimeCurve, _read_only, cumulative_integral, fd_derivative
 DEFAULT_M = 512
 DEFAULT_RESIDUAL_TOL = 1e-6
 DEFAULT_RECERT_TOL = 1e-4  # the chain's per-step curvature and rate tolerance
-LIMIT_T_MIN = 1e-3  # first node of the singular (delta = 2) limit curves
 
 
 def grid_tol(tol: float, m: int) -> float:
@@ -180,7 +179,6 @@ class WeightFamily:
     A: TimeCurve
     b: TimeCurve
     T: TimeCurve
-    singular: bool = False
 
     @cached_property
     def derivatives(self) -> dict[str, np.ndarray]:
@@ -240,11 +238,10 @@ class WeightFamily:
             problems.append("A does not vanish at the final node")
         if not _rate_drift(a.values, A.values, A.h)[1]:
             problems.append("A' differs from a beyond tolerance")
-        if not self.singular:
-            if not abs(a.values[0]) <= 1e-12:
-                problems.append("a(0) != 0")
-            if not abs(a.values[-1] - 1.0 / self.delta**2) <= 1e-9:
-                problems.append("a(1) != 1/delta^2")
+        if not abs(a.values[0]) <= 1e-12:
+            problems.append("a(0) != 0")
+        if not abs(a.values[-1] - 1.0 / self.delta**2) <= 1e-9:
+            problems.append("a(1) != 1/delta^2")
         for name, curve in (("b", b), ("T", T)):
             if not np.max(np.abs(curve.values[[0, -1]])) <= 1e-10:
                 problems.append(f"{name} does not vanish at the endpoints")
@@ -266,22 +263,23 @@ class WeightFamily:
 
 
 def _complete(delta: float, a: TimeCurve, A: TimeCurve, b: np.ndarray, em8: np.ndarray,
-              singular: bool = False) -> WeightFamily:
-    """The family (a, A, b, T) with T solved from a, e^{-8A} and b."""
+              tol: float = DEFAULT_RESIDUAL_TOL) -> WeightFamily:
+    """The family (a, A, b, T) with T solved from a, e^{-8A} and b, returned only
+    once :meth:`WeightFamily.certify_equations` passes at ``tol``."""
     T = solve_freq(a.values, em8, cross_energy(b, a.h), a.h)
-    return WeightFamily(delta, a, A, a.with_values(b), a.with_values(T), singular)
+    family = WeightFamily(delta, a, A, a.with_values(b), a.with_values(T))
+    family.certify_equations(tol)
+    return family
 
 
 def family_from_rate(
     delta: float, a: TimeCurve, residual_tol: float = DEFAULT_RESIDUAL_TOL
 ) -> WeightFamily:
     """Complete a rate curve into a full family, with A = antiderivative(a),
-    by solving for b and T."""
+    by solving for b and T; the family is certified at ``residual_tol``."""
     A = antiderivative(a)
     em8 = np.exp(-8.0 * A.values)
-    family = _complete(delta, a, A, solve_cross(a.values, em8, a.nodes, delta), em8)
-    family.certify_equations(residual_tol)
-    return family
+    return _complete(delta, a, A, solve_cross(a.values, em8, a.nodes, delta), em8, residual_tol)
 
 
 def quadratic_form_coefficients(
@@ -352,40 +350,31 @@ def refine_pair(
     return a_next, A_next
 
 
-def limit_rate(delta: float, m: int = DEFAULT_M) -> tuple[TimeCurve, TimeCurve, bool]:
-    """Closed-form limit rate a(t) = t / (4 (t^2 + R^2)) and its antiderivative.
-
-    At delta = 2 the rate 1/(4t) is singular at t = 0, so the curves start at
-    ``LIMIT_T_MIN`` instead and the family is flagged singular.
-    """
-    if delta < 2.0:
-        raise ValueError("need delta >= 2")
+def limit_rate(delta: float, m: int = DEFAULT_M) -> tuple[TimeCurve, TimeCurve]:
+    """Closed-form limit rate a(t) = t / (4 (t^2 + R^2)) on [0, 1] and its
+    antiderivative, for delta > 2 (R^2 = delta^2/4 - 1 > 0).  Hardy's threshold
+    delta = 2 is refused: there the rate 1/(4t) is unbounded at t = 0."""
+    if not delta > 2.0:
+        raise ValueError("need delta > 2")
     r2 = delta**2 / 4.0 - 1.0
-    singular = r2 == 0.0
-    t0 = LIMIT_T_MIN if singular else 0.0
-    t = uniform_grid(m, t0, 1.0)
-    a = TimeCurve(t / (4.0 * (t**2 + r2)), t0=t0)
-    A = TimeCurve(np.log(4.0 * (t**2 + r2) / delta**2) / 8.0, t0=t0)
-    return a, A, singular
+    t = uniform_grid(m)
+    a = TimeCurve(t / (4.0 * (t**2 + r2)))
+    A = TimeCurve(np.log(4.0 * (t**2 + r2) / delta**2) / 8.0)
+    return a, A
 
 
 def limit_family(delta: float, m: int = DEFAULT_M) -> WeightFamily:
     """The fixed-point family: b = 0, a e^{8A} = t/delta^2 at every node.
 
     The frequency coefficient degenerates to T = 0 here (its first integral is
-    const/(t^2 + R^2) and the zero boundary values kill the constant).  For a
-    singular delta = 2 family the rate 1/(4t) is unresolvable near
-    ``LIMIT_T_MIN`` on a uniform grid, so
-    :meth:`WeightFamily.certify_equations` is skipped there.
+    const/(t^2 + R^2) and the zero boundary values kill the constant).  It is
+    certified as :func:`family_from_rate` certifies; delta must exceed 2.
     """
-    a, A, singular = limit_rate(delta, m)
+    a, A = limit_rate(delta, m)
     relation = a.values * np.exp(8.0 * A.values) - a.nodes / delta**2
     if not np.max(np.abs(relation)) <= 1e-12:
         raise CertificationError("closed-form limit violates a e^{8A} = t/delta^2")
-    family = _complete(delta, a, A, np.zeros(m + 1), np.exp(-8.0 * A.values), singular)
-    if not singular:
-        family.certify_equations()
-    return family
+    return _complete(delta, a, A, np.zeros(m + 1), np.exp(-8.0 * A.values))
 
 
 @dataclass

@@ -460,3 +460,101 @@ def test_floating_point_error_in_a_scenario_is_a_named_fail(tmp_path, monkeypatc
     scenario = out / "sharpness-1" / "sharpness"
     assert (scenario / "verdict.txt").read_text().strip() == "FAIL max_violation=nan FloatingPointError"
     assert "error = overflow encountered in exp" in (scenario / "manifest.txt").read_text().splitlines()
+
+
+def corrupt(owner, name, change):
+    """A patch that passes each result of ``owner.name(*args)`` through ``change(result, *args)``."""
+    original = getattr(owner, name)
+
+    def patch(monkeypatch):
+        monkeypatch.setattr(owner, name, lambda *args, **kw: change(original(*args, **kw), *args))
+
+    return patch
+
+
+def refined_only(change):
+    """``change`` applied to verify-bound's refined report, whose run has twice the points."""
+    return lambda report, traj, *_: change(report) if traj.grid.n == 2 * ScenarioConfig.grid_N else report
+
+
+def with_residual_offset(which):
+    def change(residuals, *_):
+        r = list(residuals)
+        r[which] = r[which].with_values(r[which].values + 1e-3)
+        return tuple(r)
+
+    return change
+
+
+# one corruption per named check, each breaking that check alone: (scenario, check) -> (flags, patch)
+LIVENESS = {
+    ("construct-weights", "bvp_gap"): (
+        [], corrupt(wt, "solve_cross_bvp", lambda b, *_: b.with_values(1.01 * b.values))
+    ),
+    ("construct-weights", "sup_r1"): ([], corrupt(wt, "coefficient_residuals", with_residual_offset(0))),
+    ("construct-weights", "sup_r2"): ([], corrupt(wt, "coefficient_residuals", with_residual_offset(1))),
+    ("construct-weights", "curvature"): (
+        [], corrupt(wt.WeightFamily, "certificate", lambda c, *_: replace(c, verdict="nonnegative"))
+    ),
+    ("verify-convexity", "slack"): (
+        [], corrupt(fn, "check_log_convexity", lambda r, *_: replace(r, slack=r.slack - 1e-3 * r.h_scale))
+    ),
+    ("verify-convexity", "curvature"): (
+        [], corrupt(fn, "check_log_convexity", lambda r, *_: replace(r, curvature_verdict="nonnegative"))
+    ),
+    ("verify-bound", "finite"): (
+        [], corrupt(fn, "verify_interior_bound", refined_only(lambda r: replace(r, finite=False)))
+    ),
+    ("verify-bound", "ratio_drift"): (
+        [], corrupt(fn, "verify_interior_bound", refined_only(lambda r: replace(r, ratio=1.02 * r.ratio)))
+    ),
+    ("sharpness", "expected_verdict"): (
+        ["--gamma-factor", "1.0"],
+        corrupt(fn, "sharpness_probe", lambda r, *_: replace(r, verdict="convergent")),
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario_name, check", list(LIVENESS), ids=[f"{s}-{c}" for s, c in LIVENESS])
+def test_each_named_check_can_fail_alone(tmp_path, monkeypatch, scenario_name, check):
+    flags, patch = LIVENESS[scenario_name, check]
+    patch(monkeypatch)
+    args = [scenario_name, *flags, "--out", str(tmp_path / "o")]
+    assert run(args) == 1
+    scenario = tmp_path / "o" / scenario_name
+    assert (scenario / "verdict.txt").read_text().startswith("FAIL max_violation=")
+    checks = getattr(cli, "run_" + scenario_name.replace("-", "_")).__wrapped__(
+        cli.build_config(cli.build_parser().parse_args(args))
+    )[0]
+    failed = [c for c in checks if not c.passed]
+    assert [c.name for c in failed] == [check] and failed[0].value > failed[0].bound
+    # a check whose value is a manifest line reports the same failing value there
+    found = re.search(rf"^{check} = (\S+)$", (scenario / "manifest.txt").read_text(), re.M)
+    if found:
+        assert float(found.group(1)) == pytest.approx(failed[0].value, rel=1e-11)
+
+
+# named checks that other tests of this module corrupt, with the test that does it
+COVERED_ELSEWHERE = {
+    ("iterate", "final_sup_b"): "test_nan_residual_propagates_into_verdict",
+    ("iterate", "sup_b_rise"): "test_a_rising_refinement_trace_fails_iterate",
+    ("iterate", "gap_rise"): "test_a_rising_refinement_trace_fails_iterate",
+    ("iterate", "rate_margin"): "test_a_negative_rate_margin_fails_iterate",
+    ("evolve", "tails_ok"): "test_evolve_command_fails_a_tail_above_the_config_tail_tol",
+    ("evolve", "pde_residual"): "test_nan_residual_propagates_into_verdict",
+    ("evolve", "energy_slack"): "test_a_wrong_last_frame_fails_evolve",
+    ("evolve", "closed_form_gap"): "test_a_wrong_last_frame_fails_evolve",
+    ("verify-bound", "closed_form_gap"): "test_verify_bound_closed_form_gap_can_fail",
+}
+
+
+def test_every_named_check_has_a_liveness_corruption():
+    # V = 0 adds the closed-form checks, so the default potential names every check
+    cheap = ScenarioConfig(grid_M=256, K=5, grid_N=256, steps=256)
+    named = set()
+    for command, runner in cli.RUNNERS.items():
+        if command != "all":
+            named |= {(command, c.name) for c in runner.__wrapped__(cheap)[0]}
+    assert all(callable(globals().get(test)) for test in COVERED_ELSEWHERE.values())
+    assert named - LIVENESS.keys() - COVERED_ELSEWHERE.keys() == set()
+    assert LIVENESS.keys() | COVERED_ELSEWHERE.keys() <= named  # no entry names a lost check

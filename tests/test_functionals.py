@@ -135,8 +135,8 @@ def clock(fam):
 
 
 def limit_family_with_nan_rate(fam):
-    a, big_a, singular = wt.limit_rate(fam.delta)
-    with mock.patch.object(wt, "limit_rate", lambda *args: (with_nan(a), big_a, singular)):
+    a, big_a = wt.limit_rate(fam.delta)
+    with mock.patch.object(wt, "limit_rate", lambda *args: (with_nan(a), big_a)):
         wt.limit_family(fam.delta)
 
 
@@ -603,11 +603,15 @@ def test_appell_image_of_a_trajectory_carries_its_rescaled_potential(gauss12):
     assert image.potential.sup_norm == max(alpha / beta, beta / alpha) * 0.5
 
 
-def test_appell_refuses_a_second_potential_for_a_trajectory(gauss12):
-    traj = evolved_under_gauss_imag(gauss12)
-    out = SpaceGrid(half_width=8.0, n=256)
-    with pytest.raises(TypeError, match="carries its own potential"):
-        appell_transform(traj, 1.0, 1.5, out, traj.times, potential=traj.potential)
+def test_a_trajectory_owns_a_copy_of_its_times(gauss12):
+    times = np.linspace(0.0, 1.0, 9)
+    traj = evolve(gauss12, zero_potential(), 0.0, 1.0, steps=64, frame_times=times)
+    times[2] = 7.0
+    assert traj.times[2] == 0.25
+    times = np.linspace(0.0, 1.0, 9)
+    image = appell_transform(free_heat_gaussian, 1.0, 1.5, SpaceGrid(half_width=8.0, n=256), times)
+    times[2] = 7.0
+    assert image.times[2] == 0.25
 
 
 def stored_free_heat(n_frames=37):
@@ -677,15 +681,15 @@ def test_appell_memory_stays_bounded_by_the_chunk():
     assert traced_peak(lambda: appell_transform(traj, alpha, beta, out, times)) < 8 * 2**20
 
 
-def test_appell_transformed_potential_bound(grid12):
+def test_appell_transformed_potential_bound(gauss12):
     delta = 3.0
     alpha, beta = 1.0, 1.0 + 2.0 / delta
-    potential = gaussian_potential(1.0)
-    times = np.linspace(0.0, 1.0, 65)
-    tr = appell_transform(free_heat_gaussian, alpha, beta, grid12, times, potential=potential)
+    traj = evolve(gauss12, gaussian_potential(1.0), 0.0, 1.0, steps=64, n_frames=65)
+    out = SpaceGrid(half_width=8.0, n=256)
+    tr = appell_transform(traj, alpha, beta, out, np.linspace(0.0, 1.0, 65))
     assert abs(tr.potential.sup_norm - max(alpha / beta, beta / alpha)) < 1e-12
     sampled = max(
-        float(np.max(np.abs(tr.potential(grid12.x, t)))) for t in np.linspace(0, 1, 11)
+        float(np.max(np.abs(tr.potential(out.x, t)))) for t in np.linspace(0, 1, 11)
     )
     assert sampled <= tr.potential.sup_norm + 1e-12
 

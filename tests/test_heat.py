@@ -218,13 +218,14 @@ def test_evolve_argument_guards(grid12, gauss12):
 
 
 def test_potential_sup_norm_is_enforced(grid12, gauss12):
-    from heatlab import PotentialSpec
-
     lying = PotentialSpec(fn=lambda x, t: 2.0 * np.exp(-(x**2)), sup_norm=1.0, label="liar")
-    with pytest.raises(ValueError, match="sup norm"):
-        evolve(gauss12, lying, 0.0, 0.1, steps=100)
-    with pytest.raises(ValueError, match="sup norm"):
-        evolve(gauss12, replace(lying, time_independent=True), 0.0, 0.1, steps=100)
+    # a NaN peak compares False with any bound, so it must not pass as "not above" it
+    holed = PotentialSpec(fn=lambda x, t: np.where(np.abs(x) < 1.0, np.nan, 0.1), sup_norm=0.5)
+    for potential in (lying, holed):
+        with pytest.raises(ValueError, match="sup norm"):
+            evolve(gauss12, potential, 0.0, 0.1, steps=100)
+        with pytest.raises(ValueError, match="sup norm"):
+            evolve(gauss12, replace(potential, time_independent=True), 0.0, 0.1, steps=100)
 
 
 def test_complex_gaussian_modulus():

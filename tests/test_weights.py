@@ -149,7 +149,7 @@ def test_curvature_certificate_first_family(family3):
 
 def test_curvature_certificate_limit_family_is_borderline():
     # the fixed point satisfies a e^{8A} = t/delta^2, so the curvature collapses
-    a, big_a, _ = limit_rate(math.sqrt(5.0), 512)
+    a, big_a = limit_rate(math.sqrt(5.0), 512)
     cert = curvature_certificate(a, big_a)
     assert cert.verdict == "nonnegative"
     assert abs(cert.min_identity) < 1e-8
@@ -376,7 +376,7 @@ def test_run_refinement_chain_certificates_delta3():
         fam.validate(strict_signs=True)
         assert np.max(fam.a.values) <= 0.2 + 1e-9
     # the refinement target in closed form
-    a_lim, _, _ = limit_rate(3.0, 512)
+    a_lim, _ = limit_rate(3.0, 512)
     assert abs(float(a_lim.sample_at(0.5)) - 1.0 / 12.0) < 1e-15
     assert abs(a_lim.values[-1] - 1.0 / 9.0) < 1e-15
 
@@ -410,17 +410,15 @@ def test_run_refinement_near_critical_stress():
 
 
 def test_limit_family_values():
-    fam2 = limit_family(2.0)
-    assert fam2.singular
-    assert fam2.a.values[-1] == 0.25
-    assert np.max(np.abs(fam2.a.values * 4.0 * fam2.a.nodes - 1.0)) < 1e-12
     fam3 = limit_family(3.0)
-    assert not fam3.singular
     assert abs(float(fam3.a.sample_at(0.5)) - 1.0 / 12.0) < 1e-15
     relation = fam3.a.values * fam3.derivatives["w8"] - fam3.a.nodes / 9.0
     assert np.max(np.abs(relation)) < 1e-12
-    with pytest.raises(ValueError):
-        limit_family(1.5)
+    # Hardy's threshold delta = 2 and below build no family
+    for delta in (1.5, 2.0):
+        for build in (limit_family, limit_rate):
+            with pytest.raises(ValueError, match="^need delta > 2$"):
+                build(delta)
 
 
 def test_validate_flags_sign_corruption(family3):
