@@ -309,12 +309,11 @@ def run_iterate(cfg: ScenarioConfig):
 def _evolve_gaussian(cfg: ScenarioConfig, n_frames: int, scale: int = 1) -> Trajectory:
     """The Gaussian datum evolved over [0, 1] under the config's potential, on
     the config's box with ``scale`` times its points and ``scale`` times its
-    target steps, which :func:`evolve` fits to whole steps per frame interval.
+    target steps, at least one per frame interval so that ``scale`` always refines dt.
     The box stays: doubling it lifts |u(1)|'s edge round-off floor by e^{x^2/8}."""
     grid = SpaceGrid(half_width=cfg.box_L, n=cfg.grid_N * scale)
-    return evolve(
-        gaussian_field(grid), make_potential(cfg), 0.0, 1.0, cfg.steps * scale, n_frames=n_frames
-    )
+    steps = max(cfg.steps, n_frames - 1) * scale
+    return evolve(gaussian_field(grid), make_potential(cfg), 0.0, 1.0, steps, n_frames=n_frames)
 
 
 @scenario("evolve")

@@ -28,7 +28,7 @@ from .grid import DEFAULT_TAIL_TOL, Field, PotentialSpec, SpaceGrid, require_tai
 from .heat import Trajectory, conjugated_parts
 from .kernels import resample_periodic
 from .timecurve import (
-    STACK_CHUNK, TimeCurve, _quartic_weights, cumulative_integral, fd_derivative,
+    STACK_CHUNK, TimeCurve, cumulative_integral, fd_derivative, stencil_weights,
     time_derivative_chunks, uniform_grid, weighted_sum,
 )
 from .weights import WeightFamily
@@ -263,7 +263,8 @@ def appell_transform(
                 if gaps[j] < 1e-11:
                     rows[r] = source.frames[j]
                     continue
-                # local quartic in time through the five nearest frames; resampling
+                # local quartic through the five nearest frames, their times measured
+                # from sr in mean spacings to keep the moment solve well scaled; resampling
                 # is linear, so interpolate the frames first and resample once
                 size = source.times.size
                 if size < 5:
@@ -271,7 +272,8 @@ def appell_transform(
                         f"off-frame s={sr:g} needs the 5-frame quartic; only {size} stored"
                     )
                 lo = min(max(j - 2, 0), size - 5)
-                lk = _quartic_weights(source.times[lo : lo + 5], sr)
+                nodes = source.times[lo : lo + 5]
+                lk = stencil_weights((nodes - sr) / (nodes[4] - nodes[0]) * 4, 0.0, 0)
                 weighted_sum(lk, source.frames[lo : lo + 5], rows[r])
             return resample_periodic(rows, y, src_l)
 
@@ -325,8 +327,8 @@ def verify_interior_bound(
     R: float,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> BoundReport:
-    """Supremum of ||e^{t x^2/4(t^2+R^2)} u(t)|| over frames, divided by
-    ||u(0)|| + the final-time weighted norm.
+    """Supremum of ||e^{t x^2/4(t^2+R^2)} u(t)|| over frames starting at t = 0,
+    divided by ||u(0)|| + the final-time weighted norm.
 
     The final-time norm is the precondition: if its integrand defeats the
     truncation the whole report is refused.  An interior frame failing the
@@ -340,7 +342,7 @@ def verify_interior_bound(
     grid, t = traj.grid, traj.times
     exponent = WeightSlice(a=(t / (4.0 * (t**2 + R**2)))[:, None]).exponent(grid.x)
     norms, fraction = _weighted_rows(grid, exponent, traj.frames, t[-1], tail_tol)
-    rhs = grid.norm(traj.frames[0]) + float(norms[-1])
+    rhs = float(norms[0] + norms[-1])  # the weight at t = 0 is e^0 = 1: norms[0] = ||u(0)||
     if rhs == 0.0:
         raise ValueError("||u(0)|| + the final weighted norm is 0, so the bound is undefined")
     norms[~(fraction <= tail_tol)] = np.inf

@@ -166,15 +166,17 @@ def evolve(
     else:
         x = grid.x
         static = potential(x, float(frame_times[0])) if potential.time_independent else None
-        t = float(frame_times[0])
+        t, dt = float(frame_times[0]), None
         for j, target in enumerate(frame_times[1:], start=1):
             span = target - t
             nsub = max(1, int(np.ceil(span / dt_target - 1e-12)))
-            dt = span / nsub
-            diffusion = np.exp(-dt * xi2)
+            if span / nsub != dt:  # intervals of one step size share their multipliers
+                dt = span / nsub
+                diffusion = np.exp(-dt * xi2)
+                if static is not None:
+                    half = np.exp(0.5 * dt * static)
+                    full = half * half
             if static is not None:
-                half = np.exp(0.5 * dt * static)
-                full = half * half
                 u = u * half
                 for _ in range(nsub - 1):
                     u = np.fft.ifft(diffusion * np.fft.fft(u)) * full

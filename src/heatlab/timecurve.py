@@ -39,32 +39,30 @@ def _cached_grid(m: int, t0: float, t1: float) -> np.ndarray:
     return _read_only(t0 + (t1 - t0) * np.arange(m + 1) / m)
 
 
-def stencil_weights(offsets: tuple[int, ...], point: float, deriv: int) -> tuple[float, ...]:
-    """Finite-difference weights on integer ``offsets`` for the ``deriv``-th
-    derivative evaluated at ``point``, in units of the grid spacing.
+def _solve_moments(nodes, moments) -> tuple[float, ...]:
+    """Weights w with sum_k w_k nodes[k]^r = moments[r] for r < len(nodes): the
+    one Vandermonde solve behind every stencil, quadrature and interpolation row."""
+    vander = np.vstack([np.asarray(nodes, dtype=float) ** r for r in range(len(nodes))])
+    return tuple(np.linalg.solve(vander, moments))
 
-    Solved from the Vandermonde moment conditions, so the weights are exact on
-    polynomials of degree ``len(offsets) - 1``.
+
+def stencil_weights(offsets, point: float, deriv: int) -> tuple[float, ...]:
+    """Weights on the nodes ``offsets`` (in units of their spacing, so O(1) apart)
+    for the ``deriv``-th derivative at ``point``; ``deriv = 0`` gives interpolation
+    weights.  Solved from the Vandermonde moment conditions on ``offsets - point``,
+    so the weights are exact on polynomials of degree ``len(offsets) - 1``.
     """
-    n = len(offsets)
-    if deriv >= n:
+    if deriv >= len(offsets):
         raise ValueError("not enough points for requested derivative")
-    shifted = np.asarray(offsets, dtype=float) - point
-    vander = np.vstack([shifted**r for r in range(n)])
-    rhs = np.zeros(n)
-    rhs[deriv] = math.factorial(deriv)
-    return tuple(np.linalg.solve(vander, rhs))
+    rhs = np.eye(len(offsets))[deriv] * math.factorial(deriv)
+    return _solve_moments(np.asarray(offsets, dtype=float) - point, rhs)
 
 
 def interval_quadrature_weights(offsets: tuple[int, ...], left: int) -> tuple[float, ...]:
     """Weights integrating the degree ``len(offsets)-1`` interpolant over the
     unit interval ``[left, left+1]`` (offset units)."""
-    n = len(offsets)
-    vander = np.vstack([np.asarray(offsets, dtype=float) ** r for r in range(n)])
-    moments = np.array(
-        [((left + 1.0) ** (r + 1) - float(left) ** (r + 1)) / (r + 1) for r in range(n)]
-    )
-    return tuple(np.linalg.solve(vander, moments))
+    moments = [((left + 1.0) ** (r + 1) - float(left) ** (r + 1)) / (r + 1) for r in range(len(offsets))]
+    return _solve_moments(offsets, moments)
 
 
 @lru_cache(maxsize=None)
@@ -174,14 +172,6 @@ def cumulative_integral(values: np.ndarray, h: float) -> np.ndarray:
     return np.multiply(out, h, out=out)
 
 
-def _quartic_weights(nodes, s: float) -> list:
-    """Lagrange weights of the quartic through five ``nodes``, evaluated at ``s``."""
-    return [
-        np.prod([(s - nodes[r]) / (nodes[k] - nodes[r]) for r in range(5) if r != k])
-        for k in range(5)
-    ]
-
-
 def lagrange_sample(values: np.ndarray, t0: float, h: float, times) -> np.ndarray:
     """Evaluate the local quartic interpolant of uniform samples at ``times``.
 
@@ -200,7 +190,7 @@ def lagrange_sample(values: np.ndarray, t0: float, h: float, times) -> np.ndarra
     out[exact] = values[base[exact]]
     for j in np.nonzero(~exact)[0]:
         start = min(max(base[j] - 2, 0), m - 4)
-        out[j] = np.dot(_quartic_weights(range(start, start + 5), pos[j]), values[start : start + 5])
+        out[j] = np.dot(stencil_weights(range(start, start + 5), pos[j], 0), values[start : start + 5])
     return float(out[0]) if scalar else out
 
 

@@ -172,7 +172,7 @@ def solve_freq(a: np.ndarray, em8: np.ndarray, int_b2: np.ndarray, h: float) -> 
 
 @dataclass(frozen=True)
 class WeightFamily:
-    """A certified quadruple (a, A, b, T) for one value of delta."""
+    """A certified quadruple (a, A, b, T) for one delta, built only by ``_complete``."""
 
     delta: float
     a: TimeCurve
@@ -379,7 +379,8 @@ def limit_family(delta: float, m: int = DEFAULT_M) -> WeightFamily:
 
 @dataclass
 class RefinementTrace:
-    """Per-step record of the fixed-point refinement."""
+    """Per-step record of the fixed-point refinement; ``families`` holds the
+    stored iterates, each certified by its equations at ``DEFAULT_RECERT_TOL``."""
 
     stabilizer: float
     converged: bool
@@ -416,8 +417,9 @@ def run_refinement(
     residual tolerance.  If ``tol`` is not reached within ``max_steps`` the
     trace comes back with ``converged = False`` as a diagnostic rather than
     an error.  ``store_every`` = s > 0 keeps the families of step 1, every
-    s-th step after it and the last step; by default none are kept.  Steps
-    run on bare arrays; no iterate is formed after the last step.
+    s-th step after it and the last step, each certified by its equations at
+    ``DEFAULT_RECERT_TOL``; by default none are kept.  Steps run on bare
+    arrays; no iterate is formed after the last step.
     """
     if delta <= 2.0:
         raise ValueError("need delta > 2 for the refinement chain")
@@ -463,7 +465,8 @@ def run_refinement(
         gaps.append(float(np.abs(a - a_lim).max()))
         converged = sup_cross[-1] <= tol
         if store_every > 0 and ((k - 1) % store_every == 0 or converged or k == max_steps):
-            families.append(WeightFamily(delta, *(seed.with_values(v) for v in (a, A, b, T))))
+            curves = (seed.with_values(a), seed.with_values(A))
+            families.append(_complete(delta, *curves, b, em8, DEFAULT_RECERT_TOL))
             stored.append(k)
         if converged:
             break

@@ -105,6 +105,24 @@ def test_verify_bound_default_passes_and_refines_at_its_own_box(tmp_path):
     assert verdict.startswith("FAIL") and "TailViolation" in verdict
 
 
+def test_verify_bound_refined_run_halves_dt_below_one_step_per_frame(tmp_path, monkeypatch):
+    # 101 frames: at --steps 10 the base run takes one Strang step per frame interval,
+    # and the refined run, on twice the points, must take two
+    lengths = []
+    fft = np.fft.fft
+
+    def counting(u, *args, **kwargs):
+        lengths.append(np.shape(u)[-1])
+        return fft(u, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting)
+    flags = ["--potential", "gauss-imag", "--steps", "10", "--out", str(tmp_path / "o")]
+    assert run(["verify-bound", *flags]) == 0
+    n = ScenarioConfig().grid_N
+    assert lengths.count(n) == 100
+    assert lengths.count(2 * n) == 2 * lengths.count(n)
+
+
 SMALL = ["--grid-M", "256", "--K", "5", "--grid-N", "256", "--steps", "256"]
 
 

@@ -349,3 +349,23 @@ def test_stack_rows_blocks_match_the_whole_stack_bytes(dtype, n, deriv):
     for lo, hi in [*ranges, (1, 3), (n - 3, n - 1)]:
         block = stack_rows(values, deriv, lo, hi, np.empty_like(values[lo:hi]), scratch)
         assert (block / h**deriv).tobytes() == whole[lo:hi].tobytes()
+
+
+@pytest.mark.parametrize("window", ["integer offsets", "appell frame times"])
+def test_interpolation_is_the_zeroth_derivative_stencil(window):
+    # lagrange_sample passes integer offsets; appell_transform passes frame times
+    # measured from s in units of their mean spacing
+    rng = np.random.default_rng(30)
+    quartic = np.polynomial.Polynomial(rng.standard_normal(5))
+    if window == "integer offsets":
+        times = np.arange(3.0, 8.0)
+    else:
+        times = 0.3 + np.sort(rng.uniform(0.0, 0.05, 5))
+    for s in rng.uniform(times[0], times[-1], 20):
+        if window == "integer offsets":
+            weights = np.array(stencil_weights(tuple(range(3, 8)), s, 0))
+        else:
+            weights = np.array(stencil_weights((times - s) / (times[4] - times[0]) * 4, 0.0, 0))
+        assert abs(weights.sum() - 1.0) <= 1e-13
+        scale = np.max(np.abs(quartic(times)))
+        assert abs(weights @ quartic(times) - quartic(s)) <= 1e-12 * scale

@@ -1,5 +1,7 @@
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -459,3 +461,40 @@ def test_derivatives_at_array_matches_scalar_rows(family3):
         family3.derivatives_at(np.array([0.5, 0.5 + 1e-4]))
     with pytest.raises(ValueError, match="not a grid node"):
         family3.derivatives_at(np.nan)
+
+
+def test_weight_family_is_constructed_only_in_complete():
+    # _complete certifies every family it builds, so no other call site may exist
+    sites = []
+
+    class Calls(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope = [module]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Call(self, node):
+            if getattr(node.func, "id", getattr(node.func, "attr", None)) == "WeightFamily":
+                sites.append(".".join(self.scope))
+            self.generic_visit(node)
+
+    for path in sorted(Path(wt.__file__).parent.glob("*.py")):
+        Calls(path.stem).visit(ast.parse(path.read_text()))
+    assert sites == ["weights._complete"]
+
+
+def test_every_stored_chain_family_is_certified(monkeypatch):
+    tols = []
+    certify = WeightFamily.certify_equations
+
+    def counting(self, tol=wt.DEFAULT_RESIDUAL_TOL):
+        tols.append(tol)
+        return certify(self, tol)
+
+    monkeypatch.setattr(WeightFamily, "certify_equations", counting)
+    trace = run_refinement(3.0, 5, store_every=1)
+    assert len(trace.families) == 5
+    assert tols == [wt.DEFAULT_RECERT_TOL] * 5
