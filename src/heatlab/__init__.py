@@ -31,7 +31,6 @@ from .functionals import (
     BoundReport,
     ConvexityReport,
     SharpnessReport,
-    WeightSlice,
     appell_mid_exponent,
     appell_time_map,
     appell_transform,

@@ -442,6 +442,8 @@ def run_all(cfg: ScenarioConfig) -> bool:
     passed = all(results.values())
     out.mkdir(parents=True, exist_ok=True)
     lines = [f"{name} = {'PASS' if ok else 'FAIL'}" for name, ok in sorted(results.items())]
+    for stale in ("summary.txt", "verdict.txt"):  # a new file writes faster than a truncated one
+        (out / stale).unlink(missing_ok=True)
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
     write_verdict(out, passed, 0.0 if passed else 1.0, "suite")
     return passed

@@ -39,20 +39,6 @@ POINTS_PER_UNIT = 48.0  # sharpness probe grid density: at least this many point
 CAUCHY_TOL = 1e-6  # relative box-to-box increment below which a probe is convergent
 
 
-@dataclass(frozen=True)
-class WeightSlice:
-    """Gaussian weight exp(a x^2 + b x xi - T xi^2) frozen at one time; column
-    arrays of ``a, b, T`` give one exponent row per time."""
-
-    a: float
-    b: float = 0.0
-    T: float = 0.0
-    xi: float = 0.0
-
-    def exponent(self, x: np.ndarray) -> np.ndarray:
-        return self.a * x**2 + self.b * x * self.xi - self.T * self.xi**2
-
-
 def _weighted_rows(grid: SpaceGrid, exponent, values, time: float, tol: float):
     """Norms ||e^{exponent} u|| of the rows of ``values`` and the tail fractions
     of e^{exponent} |u|, both from one ``SpaceGrid.mass`` pass.  A weight that
@@ -65,11 +51,11 @@ def _weighted_rows(grid: SpaceGrid, exponent, values, time: float, tol: float):
     return scale * np.sqrt(mass), fractions
 
 
-def weighted_norm(field: Field, spec: WeightSlice) -> float:
-    """|| e^{a x^2 + b x xi - T xi^2} u || by the periodic trapezoid rule; an
-    integrand holding more than ``DEFAULT_TAIL_TOL`` of its mass in the outer
-    band is rejected rather than silently truncated."""
-    exponent = spec.exponent(field.grid.x)
+def weighted_norm(field: Field, a: float) -> float:
+    """|| e^{a x^2} u || by the periodic trapezoid rule; an integrand holding
+    more than ``DEFAULT_TAIL_TOL`` of its mass in the outer band is rejected
+    rather than silently truncated."""
+    exponent = a * field.grid.x**2
     norm, _ = _weighted_rows(field.grid, exponent, field.values, field.time, DEFAULT_TAIL_TOL)
     return float(norm)
 
@@ -162,8 +148,8 @@ def check_log_convexity(
 
     grid, x = traj.grid, traj.grid.x
     rows = family.derivatives_at(times)
-    weight = WeightSlice(a=rows["a"][:, None], b=rows["b"][:, None], T=rows["T"][:, None], xi=xi)
-    f = np.exp(weight.exponent(x)) * traj.frames
+    a, b, T = (rows[name][:, None] for name in ("a", "b", "T"))
+    f = np.exp(a * x**2 + b * x * xi - T * xi**2) * traj.frames
     mass, scale, tail = grid.mass(f)
     require_tail(tail, times, tail_tol)
     H = scale**2 * mass
@@ -327,8 +313,8 @@ def verify_interior_bound(
     R: float,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> BoundReport:
-    """Supremum of ||e^{t x^2/4(t^2+R^2)} u(t)|| over frames starting at t = 0,
-    divided by ||u(0)|| + the final-time weighted norm.
+    """Supremum of ||e^{t x^2/4(t^2+R^2)} u(t)|| over the frames, divided by
+    ||u(0)|| + the final-time weighted norm; the first frame must be at t = 0.
 
     The final-time norm is the precondition: if its integrand defeats the
     truncation the whole report is refused.  An interior frame failing the
@@ -339,8 +325,10 @@ def verify_interior_bound(
     """
     if not 0.0 < R < math.inf:
         raise ValueError("need 0 < R < inf")
+    if not traj.times[0] == 0.0:
+        raise ValueError("need the first frame at t = 0")
     grid, t = traj.grid, traj.times
-    exponent = WeightSlice(a=(t / (4.0 * (t**2 + R**2)))[:, None]).exponent(grid.x)
+    exponent = (t / (4.0 * (t**2 + R**2)))[:, None] * grid.x**2
     norms, fraction = _weighted_rows(grid, exponent, traj.frames, t[-1], tail_tol)
     rhs = float(norms[0] + norms[-1])  # the weight at t = 0 is e^0 = 1: norms[0] = ||u(0)||
     if rhs == 0.0:

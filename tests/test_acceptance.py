@@ -25,7 +25,6 @@ import pytest
 from heatlab import (
     Field,
     SpaceGrid,
-    WeightSlice,
     appell_mid_exponent,
     appell_time_map,
     appell_transform,
@@ -294,21 +293,19 @@ def test_criterion_6_appell_identities():
     grid = SpaceGrid(half_width=16.0, n=2048)
     times = np.linspace(0.0, 1.0, 129)
     tr = appell_transform(u_closed, alpha, beta, grid, times)
-    left = weighted_norm(Field(grid, tr.frames[0], float(tr.times[0])), WeightSlice(a=gamma))
-    right = weighted_norm(Field(grid, tr.frames[128], float(tr.times[128])), WeightSlice(a=gamma))
-    u0 = weighted_norm(Field(grid=grid, values=u_closed(grid.x, 0.0)), WeightSlice(a=0.0))
-    u1 = weighted_norm(
-        Field(grid=grid, values=u_closed(grid.x, 1.0)), WeightSlice(a=1.0 / delta**2)
-    )
+    left = weighted_norm(Field(grid, tr.frames[0], float(tr.times[0])), gamma)
+    right = weighted_norm(Field(grid, tr.frames[128], float(tr.times[128])), gamma)
+    u0 = weighted_norm(Field(grid=grid, values=u_closed(grid.x, 0.0)), 0.0)
+    u1 = weighted_norm(Field(grid=grid, values=u_closed(grid.x, 1.0)), 1.0 / delta**2)
     anchor_err = max(abs(left - u0) / u0, abs(right - u1) / u1)
 
     worst_mid = 0.0
     for i, t in enumerate(times):
         s = float(appell_time_map(alpha, beta, t))
-        lhs = weighted_norm(Field(grid, tr.frames[i], float(t)), WeightSlice(a=gamma))
+        lhs = weighted_norm(Field(grid, tr.frames[i], float(t)), gamma)
         rhs = weighted_norm(
             Field(grid=grid, values=u_closed(grid.x, s)),
-            WeightSlice(a=appell_mid_exponent(alpha, beta, gamma, s)),
+            appell_mid_exponent(alpha, beta, gamma, s),
         )
         worst_mid = max(worst_mid, abs(lhs - rhs) / rhs)
     elapsed = time.perf_counter() - start

@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +192,25 @@ def test_a_rerun_replaces_only_the_directory_an_earlier_run_wrote(tmp_path):
     assert (stranger / "notes.txt").read_text() == "mine\n"
 
 
+def test_a_suite_rerun_writes_only_new_files(tmp_path, monkeypatch):
+    # replacing a file in place can cost a flush, so a rerun into the same --out
+    # unlinks summary.txt and verdict.txt first; every byte stays the same
+    out = tmp_path / "o"
+    assert run(["all", *SMALL, "--out", str(out)]) == 0
+    first = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    replaced, write_text = [], Path.write_text
+
+    def spy(path, *args, **kwargs):
+        if path.exists():
+            replaced.append(path.relative_to(out).as_posix())
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", spy)
+    assert run(["all", *SMALL, "--out", str(out)]) == 0
+    assert replaced == []
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == first
+
+
 def test_evolve_squares_its_frames_once(tmp_path, monkeypatch):
     # the norms and the tail guard both come from one SpaceGrid.mass pass over the frames
     calls = count_grid_calls(monkeypatch)
@@ -215,6 +235,19 @@ def test_malformed_config_value_is_exit_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("K = not-a-number\n")
     assert run(["iterate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_config_file_reads_bool_and_str_values(tmp_path):
+    cfg = tmp_path / "kinds.cfg"
+    cfg.write_text("plot = yes\npotential = gauss-imag\n")
+    assert load_config_file(cfg) == {"plot": True, "potential": "gauss-imag"}
+    out = tmp_path / "o"
+    assert run(["sharpness", "--config", str(cfg), "--gamma-factor", "0.5", "--out", str(out)]) == 0
+    manifest = (out / "sharpness" / "manifest.txt").read_text().splitlines()
+    assert "plot = true" in manifest and "potential = gauss-imag" in manifest
+    cfg.write_text("plot = maybe\n")
+    assert run(["sharpness", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 2
+    assert not (tmp_path / "p").exists()
 
 
 def test_out_of_range_flag_is_exit_2(tmp_path):

@@ -15,7 +15,6 @@ from heatlab import (
     TimeCurve,
     Trajectory,
     WeightFamily,
-    WeightSlice,
     appell_mid_exponent,
     appell_time_map,
     appell_transform,
@@ -50,7 +49,7 @@ def free_heat_gaussian(y, s):
 
 def test_plain_l2_norm_of_gaussian(grid12):
     f = Field(grid=grid12, values=np.exp(-grid12.x**2) + 0j)
-    assert abs(weighted_norm(f, WeightSlice(a=0.0)) - (math.pi / 2.0) ** 0.25) < 1e-12
+    assert abs(weighted_norm(f, 0.0) - (math.pi / 2.0) ** 0.25) < 1e-12
 
 
 @given(
@@ -63,14 +62,14 @@ def test_weighted_gaussian_norm_formula(lam, frac):
     a = frac * lam
     f = Field(grid=grid, values=np.exp(-lam * grid.x**2) + 0j)
     expected = (math.pi / (2.0 * (lam - a))) ** 0.25
-    assert abs(weighted_norm(f, WeightSlice(a=a)) - expected) < 1e-9 * expected
+    assert abs(weighted_norm(f, a) - expected) < 1e-9 * expected
 
 
 def test_supercritical_weight_is_rejected(grid12):
     t, r = 0.5, 1.0
     f = Field(grid=grid12, values=complex_gaussian(grid12.x, t, r), time=t)
     with pytest.raises(TailViolation):
-        weighted_norm(f, WeightSlice(a=1.01 * t / (4.0 * (t**2 + r**2))))
+        weighted_norm(f, 1.01 * t / (4.0 * (t**2 + r**2)))
 
 
 # --------------------------------------------------------- theta and correction
@@ -337,7 +336,7 @@ def test_weighted_norm_rejects_a_nan_integrand(grid12):
     values = np.exp(-grid12.x**2) + 0j
     values[500] = np.nan
     with pytest.raises(TailViolation):
-        weighted_norm(Field(grid=grid12, values=values), WeightSlice(a=0.0))
+        weighted_norm(Field(grid=grid12, values=values), 0.0)
 
 
 # ------------------------------------------------------------- log-convexity
@@ -425,6 +424,16 @@ def test_log_convexity_certifies_its_correction_term(gauss12, family3, monkeypat
         check_log_convexity(traj, family3, xi=1.0)
 
 
+def test_log_convexity_certifies_the_conjugation_identity(gauss12, family3):
+    # free-heat frames declared to carry an imaginary potential: d_t f - Sf - Af
+    # is 0 on them, not V f, and the check stops before it solves for M
+    free = evolve(gauss12, zero_potential(), 0.0, 1.0, steps=256, n_frames=257)
+    potential = gaussian_potential(0.5, imaginary=True)
+    declared = Trajectory(grid=free.grid, times=free.times, frames=free.frames, potential=potential)
+    with pytest.raises(ResidualError, match=r"^conjugation identity residual .* exceeds 5\.0e-03$"):
+        check_log_convexity(declared, family3, xi=1.0)
+
+
 def test_log_convexity_constant_weight_matches_gaussian_closed_form(grid12, gauss12):
     # constant weight, b = T = 0, xi = 0: classical log-convexity of
     # ||e^{c x^2} u|| for free heat, with H(t) known in closed form
@@ -490,12 +499,10 @@ def test_appell_endpoint_norm_identities():
     grid = SpaceGrid(half_width=16.0, n=2048)
     times = np.linspace(0.0, 1.0, 65)
     tr = appell_transform(free_heat_gaussian, alpha, beta, grid, times)
-    left = weighted_norm(Field(grid, tr.frames[0], float(tr.times[0])), WeightSlice(a=gamma))
-    right = weighted_norm(Field(grid, tr.frames[64], float(tr.times[64])), WeightSlice(a=gamma))
-    u0 = weighted_norm(Field(grid=grid, values=free_heat_gaussian(grid.x, 0.0)), WeightSlice(a=0.0))
-    u1 = weighted_norm(
-        Field(grid=grid, values=free_heat_gaussian(grid.x, 1.0)), WeightSlice(a=1.0 / delta**2)
-    )
+    left = weighted_norm(Field(grid, tr.frames[0], float(tr.times[0])), gamma)
+    right = weighted_norm(Field(grid, tr.frames[64], float(tr.times[64])), gamma)
+    u0 = weighted_norm(Field(grid=grid, values=free_heat_gaussian(grid.x, 0.0)), 0.0)
+    u1 = weighted_norm(Field(grid=grid, values=free_heat_gaussian(grid.x, 1.0)), 1.0 / delta**2)
     assert abs(left - u0) < 1e-10 * u0
     assert abs(right - u1) < 1e-10 * u1
 
@@ -509,11 +516,9 @@ def test_appell_mid_time_identity_closed_form():
     worst = 0.0
     for i, t in enumerate(times):
         s = float(appell_time_map(alpha, beta, t))
-        lhs = weighted_norm(Field(grid, tr.frames[i], float(t)), WeightSlice(a=gamma))
+        lhs = weighted_norm(Field(grid, tr.frames[i], float(t)), gamma)
         q = appell_mid_exponent(alpha, beta, gamma, s)
-        rhs = weighted_norm(
-            Field(grid=grid, values=free_heat_gaussian(grid.x, s)), WeightSlice(a=q)
-        )
+        rhs = weighted_norm(Field(grid=grid, values=free_heat_gaussian(grid.x, s)), q)
         worst = max(worst, abs(lhs - rhs) / rhs)
     assert worst < 1e-6
 
@@ -756,8 +761,16 @@ def test_interior_bound_marks_one_failing_interior_frame(grid12, gauss12):
     rates = traj.times / (4.0 * (traj.times**2 + r**2))
     for i in np.delete(np.arange(traj.n_frames), 40):
         field = Field(grid12, traj.frames[i], float(traj.times[i]))
-        frame_norm = weighted_norm(field, WeightSlice(a=float(rates[i])))
+        frame_norm = weighted_norm(field, float(rates[i]))
         assert np.array_equal(report.weighted_norms[i], frame_norm)
+
+
+def test_interior_bound_refuses_a_trajectory_that_starts_after_zero(gauss12):
+    # the data norm ||u(0)|| is read from the first frame; from t0 = 0.5 it
+    # would be the weighted norm at 0.5 (ratio 0.5457), so the run is refused
+    traj = evolve(gauss12, zero_potential(), 0.5, 1.0, 200, n_frames=101)
+    with pytest.raises(ValueError, match=r"^need the first frame at t = 0$"):
+        verify_interior_bound(traj, 1.0)
 
 
 def test_interior_bound_names_a_zero_datum(grid12):

@@ -399,6 +399,16 @@ def test_storing_families_does_not_change_the_chain():
     assert stored.stabilizer == default.stabilizer
 
 
+@pytest.mark.parametrize("tol, steps, stored", [(1.0, 1, [1]), (0.082, 3, [1, 3])])
+def test_run_refinement_stops_and_stores_at_convergence(tol, steps, stored):
+    # sup|b| reads 0.0845, 0.0831, 0.0817 over the first steps at delta = 3, so
+    # these tolerances stop the chain early; the converged step is stored
+    trace = run_refinement(3.0, 50, tol=tol, store_every=10)
+    assert trace.converged and trace.steps_run == steps
+    assert trace.stored_steps == stored and len(trace.families) == len(stored)
+    assert trace.sup_cross[-1] <= tol < trace.sup_cross[:-1].min(initial=math.inf)
+
+
 def test_run_refinement_ceiling_delta10():
     trace = run_refinement(10.0, 30, tol=1e-5, store_every=10)
     for fam in trace.families:
@@ -430,6 +440,39 @@ def test_validate_flags_sign_corruption(family3):
     )
     with pytest.raises(CertificationError):
         flipped.validate(strict_signs=True)
+
+
+def nudged(curve, node, by):
+    values = curve.values.copy()
+    values[node] += by
+    return curve.with_values(values)
+
+
+# one corrupted curve each: the problems validate names, in its order
+VALIDATE_PROBLEMS = {
+    "A(1) != 0": (
+        lambda fam: replace(fam, A=fam.A.with_values(fam.A.values + 1e-3)),
+        ["A does not vanish at the final node"],
+    ),
+    "a(0) != 0": (lambda fam: replace(fam, a=nudged(fam.a, 0, 1e-6)), ["a(0) != 0"]),
+    "a(1) off": (
+        lambda fam: replace(fam, a=nudged(fam.a, -1, 1e-6)),
+        ["a(1) != 1/delta^2", "curvature certificate failed"],
+    ),
+    "A' drift": (
+        lambda fam: replace(fam, A=fam.A.with_values(fam.A.values + 1e-4 * (fam.A.nodes - 1.0))),
+        ["A' differs from a beyond tolerance", "curvature certificate failed"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(VALIDATE_PROBLEMS))
+def test_validate_names_each_structural_problem(family3, case):
+    corrupt, problems = VALIDATE_PROBLEMS[case]
+    family3.validate()
+    with pytest.raises(CertificationError) as exc:
+        corrupt(family3).validate()
+    assert [problem.split(" (")[0] for problem in str(exc.value).split("; ")] == problems
 
 
 @given(
