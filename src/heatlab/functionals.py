@@ -28,8 +28,8 @@ from .grid import DEFAULT_TAIL_TOL, Field, PotentialSpec, SpaceGrid, require_tai
 from .heat import Trajectory, conjugated_parts
 from .kernels import resample_periodic
 from .timecurve import (
-    STACK_CHUNK, TimeCurve, cumulative_integral, fd_derivative, stencil_weights,
-    time_derivative_chunks, uniform_grid, weighted_sum,
+    STACK_CHUNK, TimeCurve, cumulative_integral, fd_derivative, lagrange_sample,
+    time_derivative_chunks, uniform_grid,
 )
 from .weights import WeightFamily
 
@@ -219,10 +219,10 @@ def appell_transform(
         u~(x, t) = (sqrt(ab)/D)^{1/2} u(sqrt(ab) x / D, beta t / D)
                    * exp((alpha - beta) x^2 / (4 D)),   D = alpha(1-t) + beta t,
 
-    producing frames of u~ on ``grid`` at ``times``.  ``source`` is either a
-    callable u(x, s) or a stored Trajectory; trajectory frames are resampled
-    band-limitedly in space and, when the mapped time falls between stored
-    frames, interpolated by a local quartic in time.  Heat solutions map to
+    producing frames of u~ on ``grid`` at ``times``.  ``source`` is a callable
+    u(x, s) or a stored Trajectory, whose frames are resampled band-limitedly in
+    space and, between stored frames, by ``lagrange_sample``'s quartic in time;
+    a mapped point or time outside the source is refused.  Heat solutions map to
     heat solutions with the rescaled potential V~, whose sup norm is at most
     max(alpha/beta, beta/alpha) ||V||.  V is a stored trajectory's own
     potential; a callable source is a free solution, so V = 0 and V~ = 0.
@@ -237,31 +237,8 @@ def appell_transform(
         src_l = source.grid.half_width
 
         def eval_source(y: np.ndarray, s: np.ndarray) -> np.ndarray:
-            if np.max(np.abs(y)) > src_l * (1.0 + 1e-12):
-                raise ValueError(
-                    f"mapped points reach |y| = {np.max(np.abs(y)):.3g} outside the "
-                    f"source box [-{src_l:g}, {src_l:g}]"
-                )
-            rows = np.empty((s.size, source.grid.n), dtype=complex)
-            for r, sr in enumerate(s):
-                gaps = np.abs(source.times - sr)
-                j = int(np.argmin(gaps))
-                if gaps[j] < 1e-11:
-                    rows[r] = source.frames[j]
-                    continue
-                # local quartic through the five nearest frames, their times measured
-                # from sr in mean spacings to keep the moment solve well scaled; resampling
-                # is linear, so interpolate the frames first and resample once
-                size = source.times.size
-                if size < 5:
-                    raise ValueError(
-                        f"off-frame s={sr:g} needs the 5-frame quartic; only {size} stored"
-                    )
-                lo = min(max(j - 2, 0), size - 5)
-                nodes = source.times[lo : lo + 5]
-                lk = stencil_weights((nodes - sr) / (nodes[4] - nodes[0]) * 4, 0.0, 0)
-                weighted_sum(lk, source.frames[lo : lo + 5], rows[r])
-            return resample_periodic(rows, y, src_l)
+            # resampling is linear, so interpolate the frames in time first and resample once
+            return resample_periodic(lagrange_sample(source.frames, source.times, s), y, src_l)
 
     elif callable(source):
         def eval_source(y: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -376,6 +353,8 @@ def sharpness_probe(
     if not gamma_factor > 0.0:
         raise ValueError("need gamma_factor > 0")
     boxes = np.asarray(box_widths, dtype=float)
+    if boxes.size < 2:
+        raise ValueError("need at least two box widths")
     # |u_R|^2 = (t^2+R^2)^{-1/2} e^{-t x^2/2(t^2+R^2)}, so the weighted
     # integrand is amp * exp(net x^2); combining the exponents first keeps the
     # supercritical probes finite in float arithmetic.

@@ -71,6 +71,8 @@ class Trajectory:
     def __post_init__(self):
         self.times = np.array(self.times, dtype=float)
         self.frames = np.ascontiguousarray(self.frames, dtype=complex)
+        if self.frames.shape != (expected := (self.times.size, self.grid.n)):
+            raise ValueError(f"frames {self.frames.shape} do not match (times, points) {expected}")
 
     @property
     def n_frames(self) -> int:

@@ -41,7 +41,8 @@ def resample_periodic(
         raise ValueError(f"sample count must be a power of two >= 2, got {n}")
     shape, stack, targets = (*values.shape[:-1], m), values.reshape(-1, n), targets.reshape(-1, m)
     if not np.all(np.abs(targets) <= half_width * (1.0 + 1e-12)):
-        raise ValueError("resample target outside the periodic box")
+        reach, box = np.max(np.abs(targets)), f"[-{half_width:g}, {half_width:g}]"
+        raise ValueError(f"resample targets reach |y| = {reach:.3g} outside the periodic box {box}")
     y0 = targets[:, :1]
     dy = (targets[:, -1:] - y0) / max(m - 1, 1)
     k = np.arange(m)

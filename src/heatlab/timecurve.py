@@ -172,26 +172,32 @@ def cumulative_integral(values: np.ndarray, h: float) -> np.ndarray:
     return np.multiply(out, h, out=out)
 
 
-def lagrange_sample(values: np.ndarray, t0: float, h: float, times) -> np.ndarray:
-    """Evaluate the local quartic interpolant of uniform samples at ``times``.
-
-    Scalar input returns a float, array input an array.
-    """
-    values = np.asarray(values, dtype=float)
-    m = values.size - 1
-    scalar = np.ndim(times) == 0
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    pos = (times - t0) / h
-    if not np.all((pos >= -1e-9) & (pos <= m + 1e-9)):  # a NaN time fails too
-        raise ValueError("sample time outside the curve interval")
-    base = np.clip(np.rint(pos).astype(int), 0, m)
-    out = np.empty(times.size)
-    exact = np.abs(pos - base) < 1e-12
-    out[exact] = values[base[exact]]
-    for j in np.nonzero(~exact)[0]:
-        start = min(max(base[j] - 2, 0), m - 4)
-        out[j] = np.dot(stencil_weights(range(start, start + 5), pos[j], 0), values[start : start + 5])
-    return float(out[0]) if scalar else out
+def lagrange_sample(values: np.ndarray, nodes, times) -> np.ndarray:
+    """Rows of a real curve or a complex frame stack given along axis 0 at increasing ``nodes``,
+    at ``times`` in their span (a scalar time gives one row): a node's own row within 1e-11 of
+    it, else the quartic through the five nearest nodes, weighted by the zeroth-derivative
+    stencil on them in quarters of the window width from the time, elementwise with no BLAS."""
+    values, nodes = np.asarray(values), np.asarray(nodes, dtype=float)
+    span = np.asarray(times, dtype=float).ravel()
+    inside = (span >= nodes[0] - 1e-11) & (span <= nodes[-1] + 1e-11)
+    if not np.all(inside):  # a NaN time fails too
+        t = span[np.argmin(inside)]
+        raise ValueError(f"time {t:g} outside the curve interval [{nodes[0]:g}, {nodes[-1]:g}]")
+    rows = values.reshape(len(values), -1)
+    out = np.empty((span.size, rows.shape[1]), dtype=np.result_type(values, float))
+    for r, s in enumerate(span):
+        gaps = np.abs(nodes - s)
+        j = int(np.argmin(gaps))
+        if gaps[j] < 1e-11:
+            out[r] = rows[j]
+            continue
+        if nodes.size < 5:
+            raise ValueError(f"time {s:g} needs the 5-frame quartic; only {len(nodes)} stored")
+        lo = min(max(j - 2, 0), nodes.size - 5)
+        window = nodes[lo : lo + 5]
+        weights = stencil_weights((window - s) / (window[4] - window[0]) * 4, 0.0, 0)
+        weighted_sum(weights, rows[lo : lo + 5], out[r])
+    return out.reshape(np.shape(times) + values.shape[1:])[()]  # a curve's row: a scalar
 
 
 def write_csv(path, header: str, *columns) -> None:
@@ -239,7 +245,7 @@ class TimeCurve:
         return TimeCurve(values, self.t0, self.t1)
 
     def sample_at(self, times) -> np.ndarray:
-        return lagrange_sample(self.values, self.t0, self.h, times)
+        return lagrange_sample(self.values, self.nodes, times)
 
     def node_index(self, t):
         """Index of the node at time ``t``, or an index array for an array of

@@ -704,8 +704,21 @@ def test_appell_rejects_out_of_domain_targets():
     src_grid = SpaceGrid(half_width=12.0, n=512)
     traj = evolve(gaussian_field(src_grid), zero_potential(), 0.0, 1.0, steps=128, n_frames=65)
     big_out = SpaceGrid(half_width=12.0, n=512)  # needs sqrt(ab)*12 > 12 at t=0
-    with pytest.raises(ValueError, match="outside the source box"):
+    with pytest.raises(ValueError, match="outside the periodic box"):
         appell_transform(traj, alpha, beta, big_out, np.linspace(0.0, 1.0, 65))
+
+
+def test_appell_refuses_mapped_times_past_the_stored_frames():
+    # frames up to t = 0.5 while the output times map onto s up to 1: the quartic
+    # through the last five frames would extrapolate, 1.3e-2 off the exact image at s = 1
+    src = evolve(gaussian_field(SpaceGrid(24.0, 1024)), zero_potential(), 0.0, 0.5, steps=64, n_frames=65)
+    out, times = SpaceGrid(9.0, 512), np.linspace(0.0, 1.0, 49)
+    with pytest.raises(ValueError, match=r"time 0\.52\d* outside the curve interval \[0, 0\.5\]"):
+        appell_transform(src, 1.0, 2.0, out, times)
+    inside = times[appell_time_map(1.0, 2.0, times) <= 0.5]
+    image = appell_transform(src, 1.0, 2.0, out, inside)
+    exact = appell_transform(free_heat_gaussian, 1.0, 2.0, out, inside)
+    assert np.max(np.abs(image.frames - exact.frames)) < 1e-6
 
 
 def test_appell_names_the_quartic_when_a_short_trajectory_lacks_frames():
@@ -828,6 +841,12 @@ def test_sharpness_verdicts_and_growth():
     assert np.all(np.diff(log_ratio) > 0.0)
     with pytest.raises(ValueError):
         sharpness_probe(1.0, 0.5, 0.0)
+
+
+def test_sharpness_probe_needs_two_boxes():
+    # the verdict reads the increment between the last two boxes
+    with pytest.raises(ValueError, match="^need at least two box widths$"):
+        sharpness_probe(1.0, 0.5, 0.5, box_widths=(8.0,))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "0", "-1"])

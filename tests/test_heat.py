@@ -583,6 +583,17 @@ def test_a_one_frame_trajectory_is_saved_in_process(tmp_path, grid12, gauss12, t
     assert popen_spy == []
 
 
+def test_a_trajectory_refuses_frames_that_do_not_match_its_times(grid12, gauss12):
+    # readers pair frame j with time j: 33 times over 65 frames would misplace every frame
+    traj = evolve(gauss12, zero_potential(), 0.0, 0.5, steps=64, n_frames=65)
+    with pytest.raises(ValueError, match=r"^frames \(65, 1024\) do not match \(times, points\) \(33, 1024\)$"):
+        Trajectory(grid12, traj.times[::2], traj.frames, traj.potential)
+    with pytest.raises(ValueError, match=r"^frames \(65, 512\) do not match \(times, points\) \(65, 1024\)$"):
+        Trajectory(grid12, traj.times, traj.frames[:, ::2], traj.potential)
+    with pytest.raises(ValueError, match=r"^frames \(1024,\) do not match \(times, points\) \(1, 1024\)$"):
+        Trajectory(grid12, [0.0], gauss12.values, zero_potential())
+
+
 def test_one_cpu_saves_every_frame_in_process(tmp_path, gauss12, popen_spy, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     traj = evolve(gauss12, zero_potential(), 0.0, 0.5, steps=64, n_frames=5)

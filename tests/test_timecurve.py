@@ -11,6 +11,7 @@ from heatlab.timecurve import (
     cumulative_integral,
     fd_derivative,
     interval_quadrature_weights,
+    lagrange_sample,
     stack_rows,
     stencil_weights,
     time_derivative_chunks,
@@ -281,6 +282,45 @@ def test_sample_at_refuses_a_nan_time():
         c.sample_at(1.5)
 
 
+def nonuniform_stack(rng, n=40):
+    """A complex frame stack on increasing, unevenly spaced times."""
+    nodes = np.cumsum(rng.uniform(0.01, 0.05, n))
+    return nodes, rng.standard_normal((n, 7)) + 1j * rng.standard_normal((n, 7))
+
+
+def test_a_stack_row_is_its_columns_sampled_as_real_curves():
+    rng = np.random.default_rng(32)
+    nodes, stack = nonuniform_stack(rng)
+    times = np.concatenate([nodes[[0, 3, -1]], rng.uniform(nodes[0], nodes[-1], 50)])
+    rows = lagrange_sample(stack, nodes, times)
+    assert rows.shape == (times.size, 7) and rows.dtype == complex
+    for col in range(7):
+        for part in (np.real, np.imag):
+            curve = lagrange_sample(part(stack[:, col]), nodes, times)
+            assert curve.dtype == float
+            assert part(rows[:, col]).tobytes() == curve.tobytes()
+
+
+def test_a_node_time_copies_its_row_and_a_scalar_time_gives_one_row():
+    rng = np.random.default_rng(33)
+    nodes, stack = nonuniform_stack(rng)
+    assert lagrange_sample(stack, nodes, nodes).tobytes() == stack.tobytes()
+    row = lagrange_sample(stack, nodes, nodes[5])
+    assert row.shape == (7,) and row.tobytes() == stack[5].tobytes()
+    s = 0.5 * (nodes[5] + nodes[6])
+    assert lagrange_sample(stack, nodes, s).tobytes() == lagrange_sample(stack, nodes, [s])[0].tobytes()
+    assert np.ndim(lagrange_sample(stack[:, 0].real, nodes, s)) == 0
+
+
+@pytest.mark.parametrize("where", ["nan", "before", "after"])
+def test_a_stack_refuses_a_time_outside_its_nodes(where):
+    rng = np.random.default_rng(34)
+    nodes, stack = nonuniform_stack(rng)
+    t = {"nan": np.nan, "before": nodes[0] - 1e-6, "after": nodes[-1] + 1e-6}[where]
+    with pytest.raises(ValueError, match="outside the curve interval"):
+        lagrange_sample(stack, nodes, np.array([nodes[2], t]))
+
+
 def stack_derivative(values, h, deriv=1):
     """The whole stack's derivative along its first axis, from one stack_rows call."""
     rows = stack_rows(values, deriv, 0, len(values), np.empty_like(values), np.empty_like(values))
@@ -353,7 +393,7 @@ def test_stack_rows_blocks_match_the_whole_stack_bytes(dtype, n, deriv):
 
 @pytest.mark.parametrize("window", ["integer offsets", "appell frame times"])
 def test_interpolation_is_the_zeroth_derivative_stencil(window):
-    # lagrange_sample passes integer offsets; appell_transform passes frame times
+    # integer offsets are a uniform window; lagrange_sample passes the window's times
     # measured from s in units of their mean spacing
     rng = np.random.default_rng(30)
     quartic = np.polynomial.Polynomial(rng.standard_normal(5))
