@@ -37,7 +37,7 @@ from .errors import CertificationError, ConfigError, ResidualError, TailViolatio
 from .grid import SpaceGrid, gaussian_field, gaussian_potential, zero_potential
 from .heat import Trajectory, evolve, pde_residual
 from .svgplot import write_line_plot
-from .timecurve import write_csv
+from .timecurve import MIN_INTERVALS, write_csv
 from . import functionals as fn
 from . import weights as wt
 
@@ -51,6 +51,7 @@ CONVEXITY_FRAMES = 257  # frames per convexity run, one per 256th of [0, 1]
 POSITIVE_FIELDS = (
     "R", "tol", "residual_tol", "slack_tol", "tail_tol", "box_L", "gamma_factor", "epsilon"
 )
+RUNNERS = {}  # command name -> runner, filled by @scenario in definition order, then "all"
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,8 @@ class ScenarioConfig:
         for name in ("K", "steps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.grid_M < 64:
-            raise ConfigError("grid_M must be >= 64")
+        if self.grid_M < MIN_INTERVALS:
+            raise ConfigError(f"grid_M must be >= {MIN_INTERVALS}")
         if self.grid_N < 256 or self.grid_N & (self.grid_N - 1) != 0:
             raise ConfigError("grid_N must be a power of two >= 256")
         if self.potential not in POTENTIALS:
@@ -208,8 +209,8 @@ def indicator(name: str, ok: bool) -> Check:
 
 
 def scenario(name: str):
-    """Turn ``body(cfg) -> (checks, manifest_info, files[, note])`` into a
-    runner ``run(cfg) -> bool`` that writes every file into ``cfg.out/name``.
+    """Turn ``body(cfg) -> (checks, manifest_info, files[, note])`` into the
+    runner ``RUNNERS[name](cfg) -> bool`` that writes every file into ``cfg.out/name``.
 
     ``files`` maps a file name to a ``(header, *columns)`` CSV table, a dict
     of :func:`write_line_plot` arguments (written only under ``--plot``) or a
@@ -246,15 +247,20 @@ def scenario(name: str):
             write_verdict(out, passed, max_violation(*(check.value for check in checks)), *note)
             return passed
 
+        RUNNERS[name] = run
         return run
 
     return decorate
 
 
+def _family(cfg: ScenarioConfig) -> wt.WeightFamily:
+    """The first family at the config's delta and grid_M, certified at its residual_tol."""
+    return wt.family_from_rate(cfg.delta, wt.first_family_rate(cfg.delta, cfg.grid_M), cfg.residual_tol)
+
+
 @scenario("construct-weights")
 def run_construct_weights(cfg: ScenarioConfig):
-    a = wt.first_family_rate(cfg.delta, cfg.grid_M)
-    family = wt.family_from_rate(cfg.delta, a, residual_tol=cfg.residual_tol)
+    family = _family(cfg)
     family.validate(strict_signs=True)
     b_bvp = wt.solve_cross_bvp(family.a, family.A)
     gap = float(np.max(np.abs(b_bvp.values - family.b.values)))
@@ -348,7 +354,7 @@ def run_evolve(cfg: ScenarioConfig):
 @scenario("verify-convexity")
 def run_verify_convexity(cfg: ScenarioConfig):
     traj = _evolve_gaussian(cfg, CONVEXITY_FRAMES)
-    family = wt.family_from_rate(cfg.delta, wt.first_family_rate(cfg.delta, cfg.grid_M))
+    family = _family(cfg)
     report = fn.check_log_convexity(
         traj, family, xi=cfg.xi, epsilon=cfg.epsilon, tail_tol=cfg.tail_tol
     )
@@ -449,15 +455,7 @@ def run_all(cfg: ScenarioConfig) -> bool:
     return passed
 
 
-RUNNERS = {
-    "construct-weights": run_construct_weights,
-    "iterate": run_iterate,
-    "evolve": run_evolve,
-    "verify-convexity": run_verify_convexity,
-    "verify-bound": run_verify_bound,
-    "sharpness": run_sharpness,
-    "all": run_all,
-}
+RUNNERS["all"] = run_all
 
 
 def build_parser() -> argparse.ArgumentParser:

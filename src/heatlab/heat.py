@@ -197,13 +197,10 @@ def evolve(
 
 def pde_residual(traj: Trajectory) -> float:
     """Worst relative residual of d_t u - Lap u - V u over interior frames, V = traj.potential."""
-    dts = np.diff(traj.times)
-    if not np.max(np.abs(dts - dts[0])) <= 1e-10:
-        raise ValueError("pde_residual needs equispaced frames")
     grid, x, potential = traj.grid, traj.grid.x, traj.potential
     static = potential(x, float(traj.times[0])) if potential.time_independent else None
     rel = np.empty(traj.n_frames)
-    for chunk, dudt in time_derivative_chunks(traj.frames, float(dts[0])):
+    for chunk, dudt in time_derivative_chunks(traj.frames, traj.times):
         u = traj.frames[chunk]
         lap = _laplacian(grid, np.fft.fft(u))
         v = static if static is not None else [potential(x, float(t)) for t in traj.times[chunk]]

@@ -1,8 +1,8 @@
 """Scalar functions of time on a uniform grid, with high-order calculus services.
 
 A :class:`TimeCurve` holds samples of a smooth real function on an equispaced
-grid over ``[t0, t1]`` and provides differentiation, cumulative integration and
-local interpolation, all with fourth-order (or better) accuracy.  Endpoint rows
+grid over ``[t0, t1]``; the functions here differentiate, integrate and locally
+interpolate such samples, all with fourth-order (or better) accuracy.  Endpoint rows
 use one-sided stencils of matching order, so every operation reproduces
 polynomials of degree <= 4 exactly at the nodes.
 """
@@ -120,10 +120,14 @@ def stack_rows(values: np.ndarray, deriv: int, lo: int, hi: int, out, scratch) -
     return out
 
 
-def time_derivative_chunks(stack: np.ndarray, dt: float):
-    """Yield ``(chunk, d)`` for each slice ``chunk`` of STACK_CHUNK frames of
-    ``stack``, ``d`` holding those rows of its first time derivative at frame
-    spacing ``dt``, in one block that the next chunk overwrites."""
+def time_derivative_chunks(stack: np.ndarray, times: np.ndarray):
+    """Yield ``(chunk, d)`` for each slice ``chunk`` of STACK_CHUNK frames of ``stack``, ``d``
+    holding those rows of its first time derivative at the spacing of the frame ``times``, which
+    must be equispaced within 1e-10 (a NaN time is not), in one block the next chunk overwrites."""
+    dts = np.diff(times)
+    if not np.max(np.abs(dts - dts[0])) <= 1e-10:
+        raise ValueError("frames must be equispaced")
+    dt = float(dts[0])
     block, scratch = np.empty((2, STACK_CHUNK, *stack.shape[1:]), dtype=stack.dtype)
     for lo in range(0, len(stack), STACK_CHUNK):
         hi = min(lo + STACK_CHUNK, len(stack))
@@ -178,6 +182,8 @@ def lagrange_sample(values: np.ndarray, nodes, times) -> np.ndarray:
     it, else the quartic through the five nearest nodes, weighted by the zeroth-derivative
     stencil on them in quarters of the window width from the time, elementwise with no BLAS."""
     values, nodes = np.asarray(values), np.asarray(nodes, dtype=float)
+    if not np.all(np.diff(nodes) > 0.0):  # a NaN node fails too
+        raise ValueError("curve nodes must strictly increase")
     span = np.asarray(times, dtype=float).ravel()
     inside = (span >= nodes[0] - 1e-11) & (span <= nodes[-1] + 1e-11)
     if not np.all(inside):  # a NaN time fails too
@@ -243,9 +249,6 @@ class TimeCurve:
 
     def with_values(self, values: np.ndarray) -> "TimeCurve":
         return TimeCurve(values, self.t0, self.t1)
-
-    def sample_at(self, times) -> np.ndarray:
-        return lagrange_sample(self.values, self.nodes, times)
 
     def node_index(self, t):
         """Index of the node at time ``t``, or an index array for an array of

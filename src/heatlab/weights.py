@@ -88,7 +88,6 @@ class CurvatureCertificate:
     """Nodewise record of (e^{8A} a)'' computed along two independent routes."""
 
     min_identity: float
-    min_direct: float
     max_route_gap: float
     verdict: str  # "positive" | "nonnegative" | "failed"
     bound: float  # tol times the curvature scale, which the gap and the minimum are held to
@@ -111,7 +110,7 @@ def _certify(ident: np.ndarray, direct: np.ndarray, tol: float) -> CurvatureCert
     verdict = "failed"
     if gap <= bound and min_ident >= -bound:
         verdict = "positive" if min_ident > bound else "nonnegative"
-    return CurvatureCertificate(min_ident, float(direct.min()), gap, verdict, bound)
+    return CurvatureCertificate(min_ident, gap, verdict, bound)
 
 
 def curvature_certificate(

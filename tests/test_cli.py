@@ -255,6 +255,49 @@ def test_out_of_range_flag_is_exit_2(tmp_path):
     assert run(["evolve", "--grid-N", "1000", "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "flag, config, message",
+    [
+        (["--grid-M", "32"], "", "grid_M must be >= 64"),
+        ([], "amplitude = -1\n", "amplitude must be nonnegative"),
+        ([], "potential = foo\n", "potential must be one of"),
+        ([], "delta 3\n", "expected 'key = value', got 'delta 3'"),
+    ],
+    ids=["grid-M-32", "negative-amplitude", "unknown-potential", "line-without-equals"],
+)
+def test_a_refused_config_exits_2_and_writes_nothing(tmp_path, capsys, flag, config, message):
+    cfg = tmp_path / "refused.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "o"
+    assert run(["sharpness", "--config", str(cfg), *flag, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_config_file_reads_plot_off_as_false(tmp_path):
+    cfg = tmp_path / "off.cfg"
+    cfg.write_text("plot = off\n")
+    assert load_config_file(cfg) == {"plot": False}
+
+
+def test_verify_convexity_certifies_its_family_at_the_config_residual_tol(tmp_path):
+    # at 1e-12 the first family's residuals fail: both scenarios that build it say so
+    cfg = tmp_path / "tight.cfg"
+    cfg.write_text("residual_tol = 1e-12\n")
+    out = tmp_path / "o"
+    for command in ("construct-weights", "verify-convexity"):
+        assert run([command, "--config", str(cfg), *SMALL, "--out", str(out)]) == 1
+        verdict = (out / command / "verdict.txt").read_text()
+        assert verdict == "FAIL max_violation=nan ResidualError\n"
+
+
+def test_runners_are_the_scenarios_in_definition_order_then_all():
+    # @scenario fills the table, so --help lists the commands in this order
+    assert list(cli.RUNNERS) == [
+        "construct-weights", "iterate", "evolve", "verify-convexity", "verify-bound", "sharpness", "all",
+    ]
+
+
 def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "base.cfg"
     cfg.write_text("# comment line\ndelta = 3.5\nK = 5\ntol = 1e-4\n")

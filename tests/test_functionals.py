@@ -33,7 +33,7 @@ from heatlab import (
 )
 from heatlab import functionals
 from heatlab import weights as wt
-from heatlab.errors import CertificationError, ResidualError, TailViolation
+from heatlab.errors import CertificationError, GridError, ResidualError, TailViolation
 from heatlab.kernels import resample_periodic
 from heatlab.timecurve import STACK_CHUNK, uniform_grid
 from heatlab.weights import antiderivative
@@ -176,7 +176,7 @@ def nan_at(values, node=100):
 def chain_with(fam, **patches):
     # three steps of the chain with its curvature certificate passing, so the
     # NaN reaches the chain's own checks
-    positive = wt.CurvatureCertificate(0.0, 0.0, 0.0, "positive", 1.0)
+    positive = wt.CurvatureCertificate(0.0, 0.0, "positive", 1.0)
     with mock.patch.multiple(wt, _certify=lambda *args: positive, **patches):
         wt.run_refinement(fam.delta, 3)
 
@@ -307,7 +307,7 @@ NAN_ARGUMENTS = {
     ),
     "check_log_convexity times": (
         ValueError,
-        "^frames must be equispaced$",
+        "is not a grid node$",
         lambda tr, fam: check_log_convexity(with_nan_time(tr), fam, xi=1.0),
     ),
     "check_log_convexity tail_tol": (
@@ -460,6 +460,25 @@ def test_log_convexity_requires_aligned_frames(grid12, gauss12, family3):
     window = replace(traj, times=traj.times[:26], frames=traj.frames[:26])
     with pytest.raises(ValueError, match="at least 65|not a grid node"):
         check_log_convexity(window, family3, xi=0.0)
+
+
+def test_log_convexity_refuses_unequally_spaced_family_nodes(gauss12, family3):
+    # 129 frames on nodes k/512 of the family grid, with node 64 left out
+    times = uniform_grid(512)[np.delete(np.arange(130), 64)]
+    traj = evolve(gauss12, zero_potential(), 0.0, times[-1], steps=129, frame_times=times)
+    with pytest.raises(ValueError, match="^frames must be equispaced$"):
+        check_log_convexity(traj, family3, xi=1.0)
+
+
+def test_log_convexity_refuses_33_frames_before_weighting_any(gauss12, family3, monkeypatch):
+    # the clock gamma is a TimeCurve, so fewer than 64 intervals stop the engine
+    # before a frame is weighted or differenced
+    traj = evolve(gauss12, zero_potential(), 0.0, 1.0, steps=32, n_frames=33)
+    masses = count_grid_calls(monkeypatch)
+    monkeypatch.setattr(functionals, "time_derivative_chunks", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(GridError, match="^grid too coarse: 32 intervals < 64$"):
+        check_log_convexity(traj, family3, xi=1.0)
+    assert masses == []
 
 
 def test_log_convexity_on_a_sliced_trajectory_is_the_window(gauss12, family3):
@@ -737,6 +756,21 @@ def test_appell_names_the_quartic_when_a_short_trajectory_lacks_frames():
     assert np.max(np.abs(on_frames.frames - exact.frames)) < 1e-10
     same = appell_transform(traj, 1.0, 1.0, out, traj.times)
     assert same.n_frames == 3 and np.all(np.isfinite(same.frames))
+
+
+def test_appell_refuses_a_source_that_is_neither_trajectory_nor_callable():
+    with pytest.raises(TypeError, match="^source must be a Trajectory or a callable u\\(x, s\\)$"):
+        appell_transform(42, 1.0, 2.0, SpaceGrid(9.0, 512), np.array([0.0, 1.0]))
+
+
+def test_appell_refuses_a_trajectory_whose_times_do_not_increase():
+    # the quartic reads the stored times as its nodes, so they must increase
+    src = evolve(gaussian_field(SpaceGrid(24.0, 1024)), zero_potential(), 0.0, 1.0, steps=16, n_frames=17)
+    order = np.arange(17)
+    order[[5, 9]] = order[[9, 5]]
+    shuffled = replace(src, times=src.times[order], frames=src.frames[order])
+    with pytest.raises(ValueError, match="^curve nodes must strictly increase$"):
+        appell_transform(shuffled, 1.0, 2.0, SpaceGrid(9.0, 512), np.linspace(0.05, 0.95, 5))
 
 
 # --------------------------------------------------------------- bound report

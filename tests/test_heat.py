@@ -217,6 +217,18 @@ def test_evolve_argument_guards(grid12, gauss12):
         evolve(gauss12, zero_potential(), 1.0, 0.0, steps=10)
 
 
+def test_evolve_refuses_zero_steps(gauss12):
+    with pytest.raises(ValueError, match="^need steps >= 1$"):
+        evolve(gauss12, zero_potential(), 0.0, 1.0, steps=0)
+
+
+def test_grid_and_field_guards(grid12):
+    with pytest.raises(ValueError, match="^n must be a power of two >= 256$"):
+        SpaceGrid(n=300)
+    with pytest.raises(ValueError, match="^values must match the grid point count$"):
+        Field(grid12, np.zeros(grid12.n + 1))
+
+
 def test_potential_sup_norm_is_enforced(grid12, gauss12):
     lying = PotentialSpec(fn=lambda x, t: 2.0 * np.exp(-(x**2)), sup_norm=1.0, label="liar")
     # a NaN peak compares False with any bound, so it must not pass as "not above" it

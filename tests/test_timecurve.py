@@ -66,7 +66,7 @@ def test_antiderivative_matches_adaptive_quadrature():
     big_a = curve.with_values(acc - acc[-1])
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
         oracle = -quad(fn, t, 1.0, epsabs=1e-13, epsrel=1e-13)[0]
-        assert abs(float(big_a.sample_at(t)) - oracle) < 1e-10
+        assert abs(float(lagrange_sample(big_a.values, big_a.nodes, t)) - oracle) < 1e-10
 
 
 def test_derivative_fourth_order_convergence():
@@ -94,7 +94,7 @@ def test_round_trip_derivative_of_antiderivative():
 def test_interpolation_off_nodes():
     c = sampled(np.sin, 512)
     ts = np.array([0.1234, 0.5551, 0.999, 0.0003])
-    assert np.max(np.abs(c.sample_at(ts) - np.sin(ts))) < 1e-12
+    assert np.max(np.abs(lagrange_sample(c.values, c.nodes, ts) - np.sin(ts))) < 1e-12
 
 
 def test_node_index_requires_grid_time():
@@ -275,11 +275,11 @@ def test_curve_calculus_rejects_a_stack(op):
 def test_sample_at_refuses_a_nan_time():
     c = sampled(np.sin, 128)
     with pytest.raises(ValueError, match="outside the curve interval"):
-        c.sample_at(np.nan)
+        lagrange_sample(c.values, c.nodes, np.nan)
     with pytest.raises(ValueError, match="outside the curve interval"):
-        c.sample_at(np.array([0.25, np.nan]))
+        lagrange_sample(c.values, c.nodes, np.array([0.25, np.nan]))
     with pytest.raises(ValueError, match="outside the curve interval"):
-        c.sample_at(1.5)
+        lagrange_sample(c.values, c.nodes, 1.5)
 
 
 def nonuniform_stack(rng, n=40):
@@ -321,21 +321,68 @@ def test_a_stack_refuses_a_time_outside_its_nodes(where):
         lagrange_sample(stack, nodes, np.array([nodes[2], t]))
 
 
+def unordered_nodes(case):
+    """11 nodes on [0, 1] with t = 0.3 and 0.7 swapped, reversed, repeated or holding a NaN."""
+    nodes = np.linspace(0.0, 1.0, 11)
+    if case == "swapped":
+        nodes[[3, 7]] = nodes[[7, 3]]
+    elif case == "repeated":
+        nodes[4] = nodes[3]
+    elif case == "nan":
+        nodes[5] = np.nan
+    return nodes[::-1] if case == "reversed" else nodes
+
+
+@pytest.mark.parametrize("case", ["swapped", "reversed", "repeated", "nan"])
+def test_lagrange_sample_refuses_nodes_that_do_not_increase(case):
+    # sampled on the swapped nodes sin(3t) at 0.33 was 1.0e-4 off, against 1.3e-5 in order
+    nodes = unordered_nodes(case)
+    with pytest.raises(ValueError, match="^curve nodes must strictly increase$"):
+        lagrange_sample(np.sin(3.0 * nodes), nodes, 0.33)
+
+
+def test_time_curve_and_stencil_argument_guards():
+    for t0, t1 in ((1.0, 1.0), (1.0, 0.5), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="^need t1 > t0$"):
+            TimeCurve(np.zeros(65), t0, t1)
+    with pytest.raises(ValueError, match="^not enough points for requested derivative$"):
+        stencil_weights((0, 1), 0.0, 2)
+
+
 def stack_derivative(values, h, deriv=1):
     """The whole stack's derivative along its first axis, from one stack_rows call."""
     rows = stack_rows(values, deriv, 0, len(values), np.empty_like(values), np.empty_like(values))
     return rows / h**deriv
 
 
-def chunked_time_derivative(values, dt):
+def chunked_time_derivative(values, times):
     """The first time derivative gathered from time_derivative_chunks' reused block."""
-    return np.concatenate([d.copy() for _, d in time_derivative_chunks(values, dt)])
+    return np.concatenate([d.copy() for _, d in time_derivative_chunks(values, times)])
+
+
+@pytest.mark.parametrize("where", [1, 20, 39])
+@pytest.mark.parametrize("shift", [2e-10, np.nan])
+def test_time_derivative_chunks_refuses_unequal_frame_spacing(where, shift):
+    # a step off by more than 1e-10, or a NaN time, anywhere among 40 frames
+    times = np.linspace(0.0, 1.0, 40)
+    times[where] += shift
+    with pytest.raises(ValueError, match="^frames must be equispaced$"):
+        next(time_derivative_chunks(np.ones((40, 3), dtype=complex), times))
+
+
+def test_time_derivative_chunks_takes_the_first_step_as_the_spacing():
+    # steps within 1e-10 of the first are one spacing: times[1] - times[0]
+    times = np.arange(40) / 39.0
+    times[-1] += 5e-11
+    frames = np.array([(t**3 - 2 * t + 1) * np.ones(4) + 1j * t**2 for t in times])
+    h = times[1] - times[0]
+    assert chunked_time_derivative(frames, times).tobytes() == stack_derivative(frames, h).tobytes()
 
 
 def test_fd_derivative_exact_on_cubic_frame_stacks():
     times = np.linspace(0.0, 1.0, 9)
     frames = np.array([(t**3 - 2 * t + 1) * np.ones(4) + 1j * t**2 for t in times])
-    got = chunked_time_derivative(frames, times[1] - times[0])
+    got = chunked_time_derivative(frames, times)
     exact = np.array([(3 * t**2 - 2) * np.ones(4) + 2j * t for t in times])
     assert np.max(np.abs(got - exact)) < 1e-12
 
@@ -346,7 +393,7 @@ def test_fd_derivative_exact_on_cubic_frame_stacks_across_chunks():
     frames = np.array([(t**3 - 2 * t + 1) * np.ones(4) + 1j * t**2 for t in times])
     h = times[1] - times[0]
     exact = np.array([(3 * t**2 - 2) * np.ones(4) + 2j * t for t in times])
-    assert np.max(np.abs(chunked_time_derivative(frames, h) - exact)) < 1e-12
+    assert np.max(np.abs(chunked_time_derivative(frames, times) - exact)) < 1e-12
     second = np.array([6 * t * np.ones(4) + 2j for t in times])
     assert np.max(np.abs(stack_derivative(frames, h, 2) - second)) < 1e-9
 
@@ -383,7 +430,7 @@ def test_stack_rows_blocks_match_the_whole_stack_bytes(dtype, n, deriv):
     h = 1.0 / (n - 1)
     whole = stack_derivative(values, h, deriv)
     if deriv == 1:
-        assert chunked_time_derivative(values, h).tobytes() == whole.tobytes()
+        assert chunked_time_derivative(values, np.arange(n) * h).tobytes() == whole.tobytes()
     ranges = [(lo, min(lo + STACK_CHUNK, n)) for lo in range(0, n, STACK_CHUNK)]
     scratch = np.empty_like(values[:STACK_CHUNK])
     for lo, hi in [*ranges, (1, 3), (n - 3, n - 1)]:

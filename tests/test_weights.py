@@ -29,7 +29,7 @@ from heatlab import (
 )
 from heatlab import weights as wt
 from heatlab.errors import CertificationError, ResidualError
-from heatlab.timecurve import fd_derivative, uniform_grid
+from heatlab.timecurve import fd_derivative, lagrange_sample, uniform_grid
 from heatlab.weights import limit_rate
 
 
@@ -78,7 +78,7 @@ def test_cross_closed_form_value_against_quadrature(family3):
     rate = lambda s: s / (delta + 2.0 - 2.0 * s) ** 2
     big_a_half = -quad(rate, 0.5, 1.0, epsabs=1e-13)[0]
     expected = 2.0 * (rate(0.5) - 0.5 * math.exp(-8.0 * big_a_half) / delta**2)
-    got = float(family3.b.sample_at(0.5))
+    got = float(lagrange_sample(family3.b.values, family3.b.nodes, 0.5))
     assert abs(got - expected) < 1e-10
 
 
@@ -119,7 +119,7 @@ def test_freq_against_refined_midpoint_quadrature(family3):
     int_em = midpoint_cum(np.exp(-8.0 * big_a.values))
     c = (a.values[-1] - 2.0 * int_b2[-1] + 8.0 * int_a2[-1]) / int_em[-1]
     t_oracle = 2.0 * int_b2 - a.values - 8.0 * int_a2 + c * int_em
-    coarse_on_fine = family3.T.sample_at(a.nodes)
+    coarse_on_fine = lagrange_sample(family3.T.values, family3.T.nodes, a.nodes)
     assert np.max(np.abs(coarse_on_fine - t_oracle)) < 1e-8
 
 
@@ -155,7 +155,8 @@ def test_curvature_certificate_limit_family_is_borderline():
     cert = curvature_certificate(a, big_a)
     assert cert.verdict == "nonnegative"
     assert abs(cert.min_identity) < 1e-8
-    assert abs(cert.min_direct) < 1e-8
+    direct = fd_derivative(np.exp(8 * big_a.values) * a.values, a.h, 2)[1:-1]
+    assert abs(direct.min()) < 1e-8
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-4])
@@ -292,6 +293,13 @@ def test_certify_equations_rejects_a_scaled_coefficient(family3, name, pattern):
         bad.certify_equations()
 
 
+def test_certify_equations_rejects_an_interior_dip_of_T(family3):
+    # both residuals read only T' and T'', so a shifted T passes them and fails the sign
+    shifted = replace(family3, T=family3.T.with_values(family3.T.values - 1.0))
+    with pytest.raises(CertificationError, match=r"^sign failure: interior minimum -9\.998e-01 < 0"):
+        shifted.certify_equations()
+
+
 def test_near_critical_limit_family_fails_the_cross_equation():
     # the limit curvature is unresolved at delta = 2.01 on 512 nodes; r1 is
     # checked first, so it names the cross equation
@@ -352,12 +360,12 @@ def test_refine_fixed_point_is_unchanged():
 
 
 def test_refine_step_monotone_and_boundary_exact(family3):
-    assert float(family3.a.sample_at(0.5)) == 0.5 / 16.0
+    assert float(lagrange_sample(family3.a.values, family3.a.nodes, 0.5)) == 0.5 / 16.0
     a, b, h = family3.a, family3.b.values, family3.a.h
     int_b2 = cross_energy(b, h)
     stab = minimal_stabilizer(b, family3.T.values, int_b2)
     a2 = a.with_values(refine_pair(a.values, family3.A.values, b, int_b2, stab, h)[0])
-    assert float(a2.sample_at(0.5)) > 0.03125
+    assert float(lagrange_sample(a2.values, a2.nodes, 0.5)) > 0.03125
     assert a2.values[0] == 0.0
     assert a2.values[-1] == family3.a.values[-1] == 1.0 / 9.0
     assert np.all(a2.values[1:-1] > family3.a.values[1:-1])
@@ -379,7 +387,7 @@ def test_run_refinement_chain_certificates_delta3():
         assert np.max(fam.a.values) <= 0.2 + 1e-9
     # the refinement target in closed form
     a_lim, _ = limit_rate(3.0, 512)
-    assert abs(float(a_lim.sample_at(0.5)) - 1.0 / 12.0) < 1e-15
+    assert abs(float(lagrange_sample(a_lim.values, a_lim.nodes, 0.5)) - 1.0 / 12.0) < 1e-15
     assert abs(a_lim.values[-1] - 1.0 / 9.0) < 1e-15
 
 
@@ -421,9 +429,16 @@ def test_run_refinement_near_critical_stress():
     assert trace.steps_run == 20
 
 
+def test_run_refinement_argument_guards():
+    with pytest.raises(ValueError, match="^need delta > 2 for the refinement chain$"):
+        run_refinement(2.0, 5)
+    with pytest.raises(ValueError, match="^need max_steps >= 1$"):
+        run_refinement(3.0, 0)
+
+
 def test_limit_family_values():
     fam3 = limit_family(3.0)
-    assert abs(float(fam3.a.sample_at(0.5)) - 1.0 / 12.0) < 1e-15
+    assert abs(float(lagrange_sample(fam3.a.values, fam3.a.nodes, 0.5)) - 1.0 / 12.0) < 1e-15
     relation = fam3.a.values * fam3.derivatives["w8"] - fam3.a.nodes / 9.0
     assert np.max(np.abs(relation)) < 1e-12
     # Hardy's threshold delta = 2 and below build no family
