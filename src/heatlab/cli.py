@@ -11,9 +11,9 @@ PASS/FAIL and the largest check value as the maximal violation, or names the
 exception class that stopped the scenario, which then writes only its
 manifest and verdict.  Floating-point overflow and invalid operations raise,
 and stop their scenario with such a FAIL.  Exit code 0 means every verdict
-passed, 1 means a verification or the arithmetic failed, 2 means the
-configuration could not be parsed, holds a non-finite number or does not fit
-the command (``grid_M`` not a multiple of 256 for convexity runs); nothing is
+passed, 1 means a verification or the arithmetic failed, 2 means the config
+could not be read or parsed, holds a non-finite number or does not fit the
+command (``grid_M`` not a multiple of 256 for convexity runs); nothing is
 written then.  ``steps`` is a target in every scenario, which
 :func:`~heatlab.heat.evolve` rounds up to whole steps per frame interval.  A
 scenario directory holding an earlier run's ``manifest.txt`` is replaced whole.
@@ -125,9 +125,13 @@ def _coerce(key: str, raw: str):
 
 
 def load_config_file(path) -> dict:
-    """Parse a flat ``key = value`` file; unknown keys are rejected."""
+    """Parse a flat ``key = value`` UTF-8 file; an unreadable file and unknown keys are rejected."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -464,18 +468,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verification lab for Gaussian-weight convexity bounds on heat evolutions.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser.add_argument("command", choices=list(RUNNERS), help="the scenario to run")
     special = {
+        "config": {"metavar": "FILE", "help": "flat key = value config file"},
         "potential": {"choices": POTENTIALS},
         "out": {"metavar": "DIR"},
         "plot": {"action": "store_true"},
     }
-    for name in RUNNERS:
-        p = sub.add_parser(name, help=f"run the {name} scenario")
-        p.add_argument("--config", metavar="FILE", help="flat key = value config file")
-        for key in FLAGS:
-            kind = {"type": int if _FIELD_TYPES[key] == "int" else float}
-            p.add_argument("--" + key.replace("_", "-"), **special.get(key, kind))
+    for key in ("config", *FLAGS):
+        kind = {"type": int if _FIELD_TYPES.get(key) == "int" else float}
+        parser.add_argument("--" + key.replace("_", "-"), **special.get(key, kind))
     return parser
 
 

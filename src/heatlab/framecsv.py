@@ -12,19 +12,17 @@ def frame_name(index: int) -> str:
     return f"frame_{index:04d}.csv"
 
 
-def frame_template(x) -> str:
-    """The bytes of ``write_csv(path, "x,re,im", x, re, im)``, a ``%.12g`` slot per re and im."""
-    return "x,re,im\n" + "".join("%.12g,%%.12g,%%.12g\n" % v for v in x)
-
-
-def write_frame(directory, index: int, template: str, pairs) -> None:
-    with open(f"{directory}/{frame_name(index)}", "w") as fh:
-        fh.write(template % tuple(pairs))
+def write_frames(directory, first: int, x, frames) -> None:
+    """Frames ``first``, ``first + 1``, ... from flat (re, im) lists, as ``write_csv`` bytes."""
+    template = "x,re,im\n" + "".join("%.12g,%%.12g,%%.12g\n" % v for v in x)
+    for index, pairs in enumerate(frames, start=first):
+        with open(f"{directory}/{frame_name(index)}", "w") as fh:
+            fh.write(template % tuple(pairs))
 
 
 if __name__ == "__main__":
     directory, first, n = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-    template = frame_template(memoryview(sys.stdin.buffer.read(8 * n)).cast("d").tolist())
-    while chunk := sys.stdin.buffer.read(16 * n):
-        write_frame(directory, first, template, memoryview(chunk).cast("d").tolist())
-        first += 1
+    read = sys.stdin.buffer.read
+    x = memoryview(read(8 * n)).cast("d").tolist()
+    chunks = iter(lambda: read(16 * n), b"")
+    write_frames(directory, first, x, (memoryview(chunk).cast("d").tolist() for chunk in chunks))

@@ -144,6 +144,7 @@ def check_log_convexity(
     gamma = TimeCurve(rows["w8"], t0=float(times[0]), t1=float(times[-1]))
     a, b, T = (rows[name][:, None] for name in ("a", "b", "T"))
     f = np.exp(a * x**2 + b * x * xi - T * xi**2) * traj.frames
+    derivatives = time_derivative_chunks(f, times)  # refuses unequal spacing before any measuring
     mass, scale, tail = grid.mass(f)
     require_tail(tail, times, tail_tol)
     H = scale**2 * mass
@@ -152,7 +153,7 @@ def check_log_convexity(
     # in that rounding order, in one reused block; only its row sums are kept
     static = potential(x, float(times[0])) if potential.time_independent else None
     conj_gaps, defect_sq, pairing = np.empty((3, times.size))
-    for chunk, defect in time_derivative_chunks(f, times):
+    for chunk, defect in derivatives:
         columns = {name: col[chunk, None] for name, col in rows.items()}
         sf, af = conjugated_parts(f[chunk], grid, columns, xi)
         defect -= sf
@@ -171,7 +172,7 @@ def check_log_convexity(
     h_eps = H + epsilon
     source = gamma.with_values(gamma.values * defect_sq / h_eps)
     M = solve_convexity_correction(gamma, source)
-    Nval = float(cumulative_integral(pairing / h_eps, float(times[1] - times[0]))[-1])
+    Nval = float(cumulative_integral(pairing / h_eps, gamma.h)[-1])
 
     theta = interpolation_exponent(gamma)
     rhs = h_eps[0] ** theta * h_eps[-1] ** (1.0 - theta) * np.exp(M.values + 2.0 * Nval)

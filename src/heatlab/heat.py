@@ -16,7 +16,7 @@ Conjugating the heat operator by the moving Gaussian weight of a
 
     S = Lap + (a' + 4a^2) x^2 + (b' + 4ab) x xi + (b^2 - T') xi^2
 
-and a skew-symmetric part A = -2(2ax + b xi) d_x - 2na (n = 1 here); both are
+and a skew-symmetric part A = -2(2ax + b xi) d_x - 2a on the line; both are
 realized spectrally.  Their commutator identity collapses onto the multiplier
 (e^{8A} a)'' (x + xi)^2, which :func:`commutator_identity` checks against the
 assembled operator sum.
@@ -42,11 +42,9 @@ from .grid import Field, PotentialSpec, SpaceGrid
 from .timecurve import STACK_CHUNK, time_derivative_chunks, uniform_grid
 from .weights import WeightFamily
 
-DIMENSION = 1  # all coefficient formulas carry n symbolically; the lab runs n = 1
-
 
 def complex_gaussian(x, t: float, R: float) -> np.ndarray:
-    """Closed-form heat solution (t - iR)^{-n/2} e^{-x^2 / 4(t - iR)} for n = 1.
+    """Closed-form heat solution (t - iR)^{-1/2} e^{-x^2 / 4(t - iR)} on the line.
 
     Its modulus is (t^2 + R^2)^{-1/4} e^{-t x^2 / 4(t^2 + R^2)}, so the decay
     rate degrades from 1/(4R) at t = 0 toward t/4(t^2+R^2) for t > 0.
@@ -54,7 +52,7 @@ def complex_gaussian(x, t: float, R: float) -> np.ndarray:
     if t == 0.0 and R == 0.0:
         raise ValueError("(t, R) = (0, 0) is the singular point")
     z = t - 1j * R
-    return np.asarray(z, dtype=complex) ** (-DIMENSION / 2.0) * np.exp(
+    return np.asarray(z, dtype=complex) ** -0.5 * np.exp(
         -np.asarray(x, dtype=float) ** 2 / (4.0 * z)
     )
 
@@ -111,9 +109,8 @@ class Trajectory:
         (directory / "frames.csv").write_text("index,t,file\n" + "".join(rows))
 
     def _write_frames(self, directory: Path, count: int) -> None:
-        template = framecsv.frame_template(self.grid.x.tolist())
-        for i in range(count):
-            framecsv.write_frame(directory, i, template, self.frames[i].view(np.float64).tolist())
+        pairs = (frame.view(np.float64).tolist() for frame in self.frames[:count])
+        framecsv.write_frames(directory, 0, self.grid.x.tolist(), pairs)
 
 
 def evolve(
@@ -230,7 +227,7 @@ def conjugated_parts(
     )
     spectrum = np.fft.fft(u)
     du = np.fft.ifft(1j * grid.wavenumbers * spectrum)
-    skew = -2.0 * (2.0 * c["a"] * x + c["b"] * xi) * du - 2.0 * DIMENSION * c["a"] * u
+    skew = -2.0 * (2.0 * c["a"] * x + c["b"] * xi) * du - 2.0 * c["a"] * u
     return _laplacian(grid, spectrum) + mult * u, skew
 
 
@@ -240,7 +237,7 @@ def apply_symmetric(f: Field, family: WeightFamily, t: float, xi: float) -> Fiel
 
 
 def apply_skew(f: Field, family: WeightFamily, t: float, xi: float) -> Field:
-    """The skew-symmetric conjugated operator A = -2(2ax + b xi) d_x - 2na."""
+    """The skew-symmetric conjugated operator A = -2(2ax + b xi) d_x - 2a."""
     return Field(f.grid, conjugated_parts(f.values, f.grid, family.derivatives_at(t), xi)[1], f.time)
 
 

@@ -15,8 +15,6 @@ MARGIN = 54
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     span = hi - lo
     step = 10 ** math.floor(math.log10(span / 4))
     for mult in (1, 2, 5, 10):

@@ -121,13 +121,18 @@ def stack_rows(values: np.ndarray, deriv: int, lo: int, hi: int, out, scratch) -
 
 
 def time_derivative_chunks(stack: np.ndarray, times: np.ndarray):
-    """Yield ``(chunk, d)`` for each slice ``chunk`` of STACK_CHUNK frames of ``stack``, ``d``
-    holding those rows of its first time derivative at the spacing of the frame ``times``, which
-    must be equispaced within 1e-10 (a NaN time is not), in one block the next chunk overwrites."""
+    """Refuse fewer frames than a stencil window, or ``times`` not equispaced within 1e-10 (a NaN
+    time is not), then iterate ``(chunk, d)`` for each slice ``chunk`` of STACK_CHUNK frames, ``d``
+    those rows of the first time derivative, in one block the next chunk overwrites."""
+    if len(stack) < (width := _rows(1)[1].shape[1]):
+        raise GridError(f"need at least {width} samples, got {len(stack)}")
     dts = np.diff(times)
     if not np.max(np.abs(dts - dts[0])) <= 1e-10:
         raise ValueError("frames must be equispaced")
-    dt = float(dts[0])
+    return _derivative_chunks(stack, float(dts[0]))
+
+
+def _derivative_chunks(stack: np.ndarray, dt: float):
     block, scratch = np.empty((2, STACK_CHUNK, *stack.shape[1:]), dtype=stack.dtype)
     for lo in range(0, len(stack), STACK_CHUNK):
         hi = min(lo + STACK_CHUNK, len(stack))

@@ -420,14 +420,12 @@ def run_refinement(
     ``DEFAULT_RECERT_TOL``; by default none are kept.  Steps run on bare
     arrays; no iterate is formed after the last step.
     """
-    if delta <= 2.0:
-        raise ValueError("need delta > 2 for the refinement chain")
+    a_lim = limit_rate(delta, m)[0].values  # refuses delta <= 2, a NaN too
     if max_steps < 1:
         raise ValueError("need max_steps >= 1")
     seed = first_family_rate(delta, m)
     t, h = seed.nodes, seed.h
     a, A = seed.values, antiderivative(seed).values
-    a_lim = limit_rate(delta, m)[0].values
     ceiling = 1.0 / (delta**2 - 4.0)
 
     sup_cross: list[float] = []

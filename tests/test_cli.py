@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import count_grid_calls
+import heatlab
 from heatlab import cli, functionals as fn, weights as wt
 from heatlab.cli import Check, ScenarioConfig, load_config_file, main
 from heatlab.errors import CertificationError, ConfigError
@@ -296,6 +297,81 @@ def test_runners_are_the_scenarios_in_definition_order_then_all():
     assert list(cli.RUNNERS) == [
         "construct-weights", "iterate", "evolve", "verify-convexity", "verify-bound", "sharpness", "all",
     ]
+
+
+def test_help_lists_the_commands_in_runners_order(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    assert "{" + ",".join(cli.RUNNERS) + "}" in capsys.readouterr().out
+
+
+def test_every_command_prints_the_one_help_text(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    text = capsys.readouterr().out
+    for command in cli.RUNNERS:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert capsys.readouterr().out == text
+
+
+# one value per flag, each differing from its ScenarioConfig default
+EVERY_FLAG = {
+    "config": ("--config", "x.cfg", "x.cfg"),
+    "delta": ("--delta", "4.5", 4.5), "R": ("--R", "2", 2.0), "K": ("--K", "7", 7),
+    "tol": ("--tol", "1e-3", 1e-3), "grid_M": ("--grid-M", "256", 256),
+    "box_L": ("--box-L", "8", 8.0), "grid_N": ("--grid-N", "512", 512),
+    "steps": ("--steps", "300", 300), "potential": ("--potential", "gauss-imag", "gauss-imag"),
+    "amplitude": ("--amplitude", "0.25", 0.25), "gamma_factor": ("--gamma-factor", "1.1", 1.1),
+    "out": ("--out", "elsewhere", "elsewhere"), "plot": ("--plot", None, True),
+}
+
+
+@pytest.mark.parametrize("command", list(cli.RUNNERS))
+def test_each_command_accepts_every_flag(command):
+    assert list(EVERY_FLAG) == ["config", *cli.FLAGS]
+    argv = [command]
+    for flag, raw, _ in EVERY_FLAG.values():
+        argv += [flag] if raw is None else [flag, raw]
+    parsed = vars(cli.build_parser().parse_args(argv))
+    assert parsed == {"command": command, **{key: value for key, (*_, value) in EVERY_FLAG.items()}}
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--delta", "3"]], ids=["none", "unknown", "flags-only"])
+def test_a_missing_or_unknown_command_exits_2_and_writes_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as stop:
+        main([*argv, "--out", str(out)])
+    assert stop.value.code == 2
+    assert not out.exists()
+    assert "heatlab: error:" in capsys.readouterr().err
+
+
+def test_version_prints(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--version"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out == f"heatlab {heatlab.__version__}\n"
+
+
+def unreadable_config(tmp_path, kind):
+    if kind == "directory":
+        return tmp_path
+    if kind == "non-utf8":
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"potential = gauss-imag # caf\xe9\n")
+        return path
+    return tmp_path / "missing" / "x.cfg"
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+def test_an_unreadable_config_exits_2_and_writes_nothing(tmp_path, capsys, kind):
+    path = unreadable_config(tmp_path, kind)
+    out = tmp_path / "o"
+    assert run(["construct-weights", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(f"config error: cannot read {path}: ")
 
 
 def test_flags_override_config_file(tmp_path):

@@ -470,6 +470,15 @@ def test_log_convexity_refuses_unequally_spaced_family_nodes(gauss12, family3):
         check_log_convexity(traj, family3, xi=1.0)
 
 
+
+def test_log_convexity_refuses_unequal_spacing_before_measuring_any_frame(gauss12, family3, monkeypatch):
+    times = uniform_grid(512)[np.delete(np.arange(130), 64)]
+    traj = evolve(gauss12, zero_potential(), 0.0, times[-1], steps=129, frame_times=times)
+    masses = count_grid_calls(monkeypatch)
+    with pytest.raises(ValueError, match="^frames must be equispaced$"):
+        check_log_convexity(traj, family3, xi=1.0)
+    assert masses == []
+
 def test_log_convexity_refuses_33_frames_before_weighting_any(gauss12, family3, monkeypatch):
     # the clock gamma is a TimeCurve, so fewer than 64 intervals stop the engine
     # before a frame is weighted or differenced

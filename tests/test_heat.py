@@ -25,7 +25,7 @@ from heatlab import (
     pde_residual,
     zero_potential,
 )
-from heatlab.errors import TailViolation
+from heatlab.errors import GridError, TailViolation
 from heatlab.grid import DEFAULT_TAIL_TOL, require_tail
 from heatlab.heat import conjugated_parts
 from heatlab.timecurve import uniform_grid, write_csv
@@ -379,6 +379,14 @@ def test_pde_residual_small_for_solver_output(grid12, gauss12):
     traj = evolve(gauss12, gaussian_potential(0.5), 0.0, 1.0, steps=1024, n_frames=257)
     assert pde_residual(traj) < 1e-4
 
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 4])
+def test_pde_residual_refuses_fewer_frames_than_a_stencil_naming_the_count(gauss12, n_frames):
+    traj = evolve(gauss12, zero_potential(), 0.0, 0.5, steps=64, n_frames=65)
+    short = replace(traj, times=traj.times[:n_frames], frames=traj.frames[:n_frames])
+    with pytest.raises(GridError, match=f"^need at least 5 samples, got {n_frames}$"):
+        pde_residual(short)
 
 def test_nan_frame_is_never_hidden(grid12, gauss12):
     traj = evolve(gauss12, zero_potential(), 0.0, 0.5, steps=64, n_frames=65)

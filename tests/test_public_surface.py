@@ -2,8 +2,8 @@
 
 The benchmark harness in ``perfbench/`` wraps heatlab from outside, so a
 removed name would otherwise surface only as a failed traced benchmark run;
-these tests load ``perfbench/tracer.py`` and read ``perfbench/workloads.py``
-without changing either file.  The README's library example runs as written.
+these tests load ``perfbench/tracer.py``, read ``perfbench/workloads.py`` and
+run ``perfbench/selftest.py`` without changing any of them.  The README's library example runs as written.
 Every public name has a reader in the package or the harness, so a name that
 only tests call fails here.
 """
@@ -13,6 +13,8 @@ import importlib.util
 import inspect
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,15 @@ def test_every_per_layer_metric_is_a_key_the_tracer_produces():
     listed = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
     assert sorted(set(listed) - keys) == []
 
+
+
+def test_the_benchmark_selftest_fails_every_corrupted_case():
+    # one pass of each workload, then each corrupted output must fail its check
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "selftest.py")], capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "failed_ops 8/12: matches the 8 corrupted cases" in done.stdout.splitlines()
 
 def test_the_tracer_sees_every_step_of_the_chain():
     # the chain calls its step kernels by their public names, so the spans

@@ -370,6 +370,20 @@ def test_time_derivative_chunks_refuses_unequal_frame_spacing(where, shift):
         next(time_derivative_chunks(np.ones((40, 3), dtype=complex), times))
 
 
+
+@pytest.mark.parametrize("n_frames", [1, 4])
+def test_time_derivative_chunks_refuses_too_few_frames_when_called(n_frames):
+    # refused at the call, before any chunk is asked for
+    with pytest.raises(GridError, match=f"^need at least 5 samples, got {n_frames}$"):
+        time_derivative_chunks(np.ones((n_frames, 3), dtype=complex), np.arange(n_frames) / 8.0)
+
+
+def test_time_derivative_chunks_refuses_unequal_spacing_when_called():
+    times = np.linspace(0.0, 1.0, 40)
+    times[20] += 1e-6
+    with pytest.raises(ValueError, match="^frames must be equispaced$"):
+        time_derivative_chunks(np.ones((40, 3), dtype=complex), times)
+
 def test_time_derivative_chunks_takes_the_first_step_as_the_spacing():
     # steps within 1e-10 of the first are one spacing: times[1] - times[0]
     times = np.arange(40) / 39.0

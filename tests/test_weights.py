@@ -430,11 +430,18 @@ def test_run_refinement_near_critical_stress():
 
 
 def test_run_refinement_argument_guards():
-    with pytest.raises(ValueError, match="^need delta > 2 for the refinement chain$"):
+    with pytest.raises(ValueError, match="^need delta > 2$"):
         run_refinement(2.0, 5)
     with pytest.raises(ValueError, match="^need max_steps >= 1$"):
         run_refinement(3.0, 0)
 
+
+
+def test_run_refinement_refuses_a_nan_delta_before_building_the_seed(monkeypatch):
+    seeds = count_calls(monkeypatch, "first_family_rate")
+    with pytest.raises(ValueError, match="^need delta > 2$"):
+        run_refinement(math.nan, 5)
+    assert seeds == []
 
 def test_limit_family_values():
     fam3 = limit_family(3.0)
