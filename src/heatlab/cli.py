@@ -2,19 +2,19 @@
 
 Each command reads an optional flat ``key = value`` config file, applies flag
 overrides and runs one scenario into its output directory.  A scenario body
-computes and touches no file: it returns its checks, its manifest info and
-its files, and the :func:`scenario` wrapper writes them all, then a
+computes and touches no file: it returns its checks, its manifest info and its
+files, and the :func:`scenario` wrapper writes them all, then a
 ``manifest.txt`` echoing the effective config and versions, and a one-line
-``verdict.txt``.  A scenario's verdict is a list of named checks, each
-passing when its value is at most its bound (NaN fails); ``verdict.txt`` gives
+``verdict.txt``.  A scenario's verdict is a list of named checks, each passing
+when its value is at most its bound (NaN fails); ``verdict.txt`` gives
 PASS/FAIL and the largest check value as the maximal violation, or names the
-exception class that stopped the scenario, which then writes only its
-manifest and verdict.  Floating-point overflow and invalid operations raise,
-and stop their scenario with such a FAIL.  Exit code 0 means every verdict
-passed, 1 means a verification or the arithmetic failed, 2 means the config
-could not be read or parsed, holds a non-finite number or does not fit the
-command (``grid_M`` not a multiple of 256 for convexity runs); nothing is
-written then.  ``steps`` is a target in every scenario, which
+exception class that stopped the scenario, which then writes only its manifest
+and verdict.  Overflow and invalid operations raise, in NumPy and in Python
+float arithmetic alike, and stop their scenario with such a FAIL.  Exit code 0
+means every verdict passed, 1 means a verification or the arithmetic failed, 2
+means the config could not be read or parsed, holds a non-finite number or does
+not fit the command (``grid_M`` not a multiple of 256 for convexity runs);
+nothing is written then.  ``steps`` is a target in every scenario, which
 :func:`~heatlab.heat.evolve` rounds up to whole steps per frame interval.  A
 scenario directory holding an earlier run's ``manifest.txt`` is replaced whole.
 Reruns with identical config produce byte-identical CSV output.
@@ -27,6 +27,7 @@ import functools
 import math
 import shutil
 import sys
+import typing
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 
@@ -79,9 +80,9 @@ class ScenarioConfig:
 
     def validate(self, command: str = "all") -> None:
         """Refuse a config the ``command`` scenario cannot run; ``all`` covers every one."""
-        for f in dataclass_fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite")
+        for name, kind in _FIELD_TYPES.items():
+            if kind is float and not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.delta <= 2.0:
             raise ConfigError("delta must exceed 2")
         for name in POSITIVE_FIELDS:
@@ -102,12 +103,12 @@ class ScenarioConfig:
             raise ConfigError("grid_M must be a multiple of 256 for convexity runs")
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclass_fields(ScenarioConfig)}
+_FIELD_TYPES = typing.get_type_hints(ScenarioConfig)  # field name -> int, float, str or bool
 
 
 def _coerce(key: str, raw: str):
     kind = _FIELD_TYPES[key]
-    if kind == "bool":
+    if kind is bool:
         low = raw.strip().lower()
         if low in ("1", "true", "yes", "on"):
             return True
@@ -115,13 +116,9 @@ def _coerce(key: str, raw: str):
             return False
         raise ConfigError(f"cannot parse boolean value {raw!r} for {key}")
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
+        return kind(raw.strip())
     except ValueError as exc:
         raise ConfigError(f"cannot parse {raw!r} for {key}: {exc}") from exc
-    return raw.strip()
 
 
 def load_config_file(path) -> dict:
@@ -146,16 +143,11 @@ def load_config_file(path) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> ScenarioConfig:
+    given = vars(args)  # a flag that was not given is absent
     cfg = ScenarioConfig()
-    if args.config:
+    if "config" in given:
         cfg = replace(cfg, **load_config_file(args.config))
-    # an unset flag is None, an unset --plot False; 0 is a value (0 == False)
-    overrides = {
-        key: value
-        for key, value in vars(args).items()
-        if key in _FIELD_TYPES and value is not None and value is not False
-    }
-    cfg = replace(cfg, **overrides)
+    cfg = replace(cfg, **{key: value for key, value in given.items() if key in _FIELD_TYPES})
     cfg.validate(args.command)
     return cfg
 
@@ -174,12 +166,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_manifest(directory: Path, command: str, cfg: ScenarioConfig, extra: dict | None = None) -> None:
+def write_manifest(directory: Path, command: str, cfg: ScenarioConfig, info: dict) -> None:
     lines = [f"command = {command}", f"heatlab_version = {__version__}"]
     lines.append(f"numpy_version = {np.__version__}")
     for f in dataclass_fields(cfg):
         lines.append(f"{f.name} = {_fmt(getattr(cfg, f.name))}")
-    for key, value in (extra or {}).items():
+    for key, value in info.items():
         lines.append(f"{key} = {_fmt(value)}")
     (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
 
@@ -222,8 +214,8 @@ def scenario(name: str):
     ``manifest.txt`` (the config echo, then the info keys) and
     ``verdict.txt``: PASS when every check passes, with the largest check
     value as ``max_violation``.  A certification, residual, tail or
-    floating-point failure of the body becomes an ``error`` manifest line and
-    a FAIL naming its class, and no other file is written.
+    arithmetic failure of the body becomes one NaN check, an ``error``
+    manifest line and a FAIL naming its class, and no other file is written.
     """
 
     def decorate(body):
@@ -235,10 +227,9 @@ def scenario(name: str):
             out.mkdir(parents=True, exist_ok=True)
             try:
                 checks, info, files, *note = body(cfg)
-            except (CertificationError, ResidualError, TailViolation, FloatingPointError) as exc:
-                write_manifest(out, name, cfg, {"error": str(exc)})
-                write_verdict(out, False, float("nan"), type(exc).__name__)
-                return False
+            except (CertificationError, ResidualError, TailViolation, ArithmeticError) as exc:
+                checks, info, files = [Check("error", math.nan, 0.0)], {"error": str(exc)}, {}
+                note = [type(exc).__name__]
             for file_name, entry in files.items():
                 if isinstance(entry, Trajectory):
                     entry.save(out / file_name)
@@ -313,7 +304,7 @@ def run_iterate(cfg: ScenarioConfig):
     rises = [("sup_b_rise", trace.sup_cross), ("gap_rise", trace.gap_to_limit)]
     checks = [Check(name, float(np.max(np.diff(v), initial=0.0)), 0.0) for name, v in rises]
     checks.append(Check("rate_margin", -info["rate_margin"], wt.DEFAULT_RECERT_TOL))
-    return [Check("final_sup_b", trace.final_sup_cross, math.inf), *checks], info, files
+    return [indicator("finite_sup_b", math.isfinite(trace.final_sup_cross)), *checks], info, files
 
 
 def _evolve_gaussian(cfg: ScenarioConfig, n_frames: int, scale: int = 1) -> Trajectory:
@@ -450,7 +441,6 @@ def run_all(cfg: ScenarioConfig) -> bool:
             replace(cfg, gamma_factor=factor, out=str(out / f"sharpness-{factor:g}"))
         )
     passed = all(results.values())
-    out.mkdir(parents=True, exist_ok=True)
     lines = [f"{name} = {'PASS' if ok else 'FAIL'}" for name, ok in sorted(results.items())]
     for stale in ("summary.txt", "verdict.txt"):  # a new file writes faster than a truncated one
         (out / stale).unlink(missing_ok=True)
@@ -465,6 +455,7 @@ RUNNERS["all"] = run_all
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heatlab",
+        argument_default=argparse.SUPPRESS,
         description="Verification lab for Gaussian-weight convexity bounds on heat evolutions.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -476,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
         "plot": {"action": "store_true"},
     }
     for key in ("config", *FLAGS):
-        kind = {"type": int if _FIELD_TYPES.get(key) == "int" else float}
-        parser.add_argument("--" + key.replace("_", "-"), **special.get(key, kind))
+        options = special.get(key) or {"type": _FIELD_TYPES[key]}
+        parser.add_argument("--" + key.replace("_", "-"), **options)
     return parser
 
 
@@ -490,7 +481,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FloatingPointError as exc:
+    except ArithmeticError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 1
     print(f"{args.command}: {'PASS' if passed else 'FAIL'} (outputs in {cfg.out})")

@@ -261,7 +261,6 @@ def appell_transform(
         new_potential = PotentialSpec(
             fn=v_fn,
             sup_norm=max(alpha / beta, beta / alpha) * potential.sup_norm,
-            label=f"appell({potential.label})",
         )
 
     return Trajectory(grid=grid, times=times, frames=frames, potential=new_potential)

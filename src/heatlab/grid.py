@@ -133,7 +133,6 @@ class PotentialSpec:
 
     fn: Callable[[np.ndarray, float], np.ndarray] = dataclass_field(repr=False, default=None)
     sup_norm: float = 0.0
-    label: str = "none"
     time_independent: bool = False
 
     def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
@@ -153,7 +152,7 @@ class PotentialSpec:
 
 
 def zero_potential() -> PotentialSpec:
-    return PotentialSpec(fn=None, sup_norm=0.0, label="none", time_independent=True)
+    return PotentialSpec(fn=None, sup_norm=0.0, time_independent=True)
 
 
 def gaussian_potential(amplitude: float, imaginary: bool = False) -> PotentialSpec:
@@ -163,6 +162,5 @@ def gaussian_potential(amplitude: float, imaginary: bool = False) -> PotentialSp
     def fn(x, t):
         return factor * amplitude * np.exp(-(x**2))
 
-    label = "gauss-imag" if imaginary else "gauss-real"
-    return PotentialSpec(fn=fn, sup_norm=abs(amplitude), label=label, time_independent=True)
+    return PotentialSpec(fn=fn, sup_norm=abs(amplitude), time_independent=True)
 

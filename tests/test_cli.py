@@ -706,7 +706,7 @@ def test_each_named_check_can_fail_alone(tmp_path, monkeypatch, scenario_name, c
 
 # named checks that other tests of this module corrupt, with the test that does it
 COVERED_ELSEWHERE = {
-    ("iterate", "final_sup_b"): "test_nan_residual_propagates_into_verdict",
+    ("iterate", "finite_sup_b"): "test_nan_residual_propagates_into_verdict",
     ("iterate", "sup_b_rise"): "test_a_rising_refinement_trace_fails_iterate",
     ("iterate", "gap_rise"): "test_a_rising_refinement_trace_fails_iterate",
     ("iterate", "rate_margin"): "test_a_negative_rate_margin_fails_iterate",
@@ -728,3 +728,141 @@ def test_every_named_check_has_a_liveness_corruption():
     assert all(callable(globals().get(test)) for test in COVERED_ELSEWHERE.values())
     assert named - LIVENESS.keys() - COVERED_ELSEWHERE.keys() == set()
     assert LIVENESS.keys() | COVERED_ELSEWHERE.keys() <= named  # no entry names a lost check
+
+
+def parsed_config(argv):
+    return cli.build_config(cli.build_parser().parse_args(argv))
+
+
+def test_a_flag_not_given_keeps_the_config_file_value(tmp_path):
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text("plot = true\namplitude = 0.7\nK = 4\n")
+    kept = parsed_config(["sharpness", "--config", str(cfg)])
+    assert (kept.plot, kept.amplitude, kept.K) == (True, 0.7, 4)
+    # 0 is a given value, not an absent flag
+    zeroed = parsed_config(["sharpness", "--config", str(cfg), "--amplitude", "0"])
+    assert (zeroed.plot, zeroed.amplitude, zeroed.K) == (True, 0.0, 4)
+    assert vars(cli.build_parser().parse_args(["sharpness"])) == {"command": "sharpness"}
+
+
+def test_an_empty_config_path_exits_2_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["sharpness", "--config", "", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("config error: cannot read")
+
+
+@pytest.mark.parametrize(
+    "key, raw", [("K", "7"), ("delta", "4.5"), ("potential", "gauss-imag"), ("plot", "true")]
+)
+def test_a_file_and_a_flag_parse_a_field_alike(tmp_path, key, raw):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{key} = {raw}\n")
+    flag = ["--plot"] if key == "plot" else ["--" + key.replace("_", "-"), raw]
+    from_file = parsed_config(["iterate", "--config", str(cfg)])
+    from_flag = parsed_config(["iterate", *flag])
+    assert from_file == from_flag != ScenarioConfig()
+    assert type(getattr(from_file, key)) is type(getattr(ScenarioConfig(), key))
+
+
+def test_a_fractional_count_exits_2_from_a_file_and_from_a_flag(tmp_path):
+    cfg = tmp_path / "half.cfg"
+    cfg.write_text("K = 1.5\n")
+    out = tmp_path / "o"
+    assert run(["iterate", "--config", str(cfg), "--out", str(out)]) == 2
+    with pytest.raises(SystemExit) as stop:
+        run(["iterate", "--K", "1.5", "--out", str(out)])
+    assert stop.value.code == 2
+    assert not out.exists()
+
+
+def test_a_failed_scenario_writes_the_config_echo_then_its_error(tmp_path, monkeypatch):
+    def failing(self, *args, **kwargs):
+        raise CertificationError("b changes sign")
+
+    monkeypatch.setattr(wt.WeightFamily, "validate", failing)
+    out = tmp_path / "cw"
+    assert run(["construct-weights", "--out", str(out)]) == 1
+    scenario = out / "construct-weights"
+    assert sorted(p.name for p in scenario.iterdir()) == ["manifest.txt", "verdict.txt"]
+    assert (scenario / "verdict.txt").read_bytes() == b"FAIL max_violation=nan CertificationError\n"
+    echo = [
+        "command = construct-weights", f"heatlab_version = {heatlab.__version__}",
+        f"numpy_version = {np.__version__}", "delta = 3", "R = 1", "K = 50", "tol = 1e-05",
+        "residual_tol = 1e-06", "slack_tol = 0.0001", "tail_tol = 1e-08", "grid_M = 512",
+        "box_L = 12", "grid_N = 1024", "steps = 1024", "potential = none", "amplitude = 0.5",
+        "xi = 1", "gamma_factor = 1", "epsilon = 1e-06", f"out = {out}", "plot = false",
+        "error = b changes sign",
+    ]
+    assert (scenario / "manifest.txt").read_text() == "\n".join(echo) + "\n"
+
+
+def test_a_python_float_overflow_outside_a_scenario_is_reported(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(cli.RUNNERS, "sharpness", lambda cfg: 1e300**2 > 0.0)
+    assert run(["sharpness", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "numerical error: (34, 'Numerical result out of range')\n"
+
+
+def test_all_at_an_overflowing_delta_still_writes_its_summary(tmp_path):
+    out = tmp_path / "o"
+    assert run(["all", *SMALL, "--delta", "1e300", "--out", str(out)]) == 1
+    summary = dict(line.split(" = ") for line in (out / "summary.txt").read_text().splitlines())
+    assert summary["iterate"] == "FAIL" and len(summary) == 9
+    verdict = (out / "iterate" / "verdict.txt").read_text()
+    assert verdict == "FAIL max_violation=nan OverflowError\n"
+    assert (out / "verdict.txt").read_text() == "FAIL max_violation=1 suite\n"
+
+
+# the float settings each command reads, besides a potential's amplitude, and the cheap
+# sizes it runs at; verify-convexity needs grid_M a multiple of 256
+READS = {
+    "construct-weights": (("delta", "residual_tol"), ["--grid-M", "256"]),
+    "iterate": (("delta", "tol"), ["--K", "2"]),
+    "evolve": (("box_L", "tail_tol"), ["--grid-N", "256", "--steps", "8"]),
+    "verify-convexity": (
+        ("delta", "residual_tol", "slack_tol", "tail_tol", "box_L", "xi", "epsilon"),
+        ["--grid-M", "256", "--grid-N", "256", "--steps", "256"],
+    ),
+    "verify-bound": (("R", "box_L", "tail_tol"), ["--grid-N", "256", "--steps", "8"]),
+    "sharpness": (("R", "gamma_factor"), []),
+}
+# the extremes validate admits: delta must exceed 2, xi may take either sign, the rest are positive
+EXTREMES = {"delta": ("2.000001", "1e300"), "xi": ("-1e300", "1e300")}
+AMPLITUDES = [
+    {"potential": potential, "amplitude": amplitude}
+    for potential in ("none", "gauss-imag")
+    for amplitude in ("0", "1e300")
+]
+BOUNDARY = [
+    (command, setting)
+    for command, (names, _) in READS.items()
+    for setting in [
+        *({name: value} for name in names for value in EXTREMES.get(name, ("1e-300", "1e300"))),
+        *(AMPLITUDES if command in ("evolve", "verify-convexity", "verify-bound") else []),
+    ]
+]
+
+
+@pytest.mark.parametrize(
+    "command, setting",
+    BOUNDARY,
+    ids=[f"{c}-" + "-".join(f"{k}={v}" for k, v in s.items()) for c, s in BOUNDARY],
+)
+def test_no_admitted_config_ends_in_a_traceback(tmp_path, command, setting):
+    # a flag sets what it can; residual_tol, slack_tol, tail_tol, xi and epsilon only a file can
+    flags, lines = [], []
+    for key, value in setting.items():
+        if key in cli.FLAGS:
+            flags += ["--" + key.replace("_", "-"), value]
+        else:
+            lines.append(f"{key} = {value}\n")
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text("".join(lines))
+    out = tmp_path / "o"
+    assert run([command, "--config", str(cfg), *READS[command][1], *flags, "--out", str(out)]) in (0, 1)
+    written = {p.name for p in (out / command).iterdir()}
+    verdict = (out / command / "verdict.txt").read_text()
+    assert re.fullmatch(r"(PASS|FAIL) max_violation=\S+( \w+)?\n", verdict)
+    assert {"manifest.txt", "verdict.txt"} <= written
+    if "max_violation=nan " in verdict:  # a named error writes no other file
+        assert written == {"manifest.txt", "verdict.txt"}

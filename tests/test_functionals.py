@@ -632,7 +632,6 @@ def test_weighted_norms_and_tail_guard_share_one_mass_pass(monkeypatch, gauss12,
 def test_appell_image_of_a_trajectory_carries_its_rescaled_potential(gauss12):
     traj, alpha, beta = evolved_under_gauss_imag(gauss12), 1.0, 1.5
     image = appell_transform(traj, alpha, beta, SpaceGrid(half_width=8.0, n=256), traj.times)
-    assert image.potential.label == "appell(gauss-imag)"
     assert image.potential.sup_norm == max(alpha / beta, beta / alpha) * 0.5
 
 

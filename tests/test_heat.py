@@ -36,7 +36,7 @@ def constant_potential(value: complex) -> PotentialSpec:
     """V(x, t) = value, declared time-independent."""
     return PotentialSpec(
         fn=lambda x, t: np.full_like(x, value, dtype=complex),
-        sup_norm=abs(value), label="constant", time_independent=True,
+        sup_norm=abs(value), time_independent=True,
     )
 
 
@@ -163,7 +163,7 @@ def quarter_point_strang(u0, potential, t0, t1, steps, n_frames):
 @pytest.mark.parametrize(
     "potential",
     [gaussian_potential(1.0), gaussian_potential(0.5, imaginary=True), constant_potential(0.7)],
-    ids=lambda p: p.label,
+    ids=["gauss-real", "gauss-imag", "constant"],
 )
 def test_static_strang_matches_quarter_point_scheme(grid12, gauss12, potential):
     assert potential.time_independent
@@ -198,7 +198,7 @@ def test_pde_residual_memory_stays_below_one_frame_stack(gauss12):
 def test_time_dependent_potential_stays_second_order(grid12, gauss12):
     # (1 + t) e^{-x^2} on [0, 1] has sup norm 2 and runs the quarter-point path
     potential = PotentialSpec(
-        fn=lambda x, t: (1.0 + t) * np.exp(-(x**2)), sup_norm=2.0, label="ramp"
+        fn=lambda x, t: (1.0 + t) * np.exp(-(x**2)), sup_norm=2.0
     )
     assert not potential.time_independent
     ref = evolve(gauss12, potential, 0.0, 1.0, steps=8192, n_frames=2).frames[-1]
@@ -230,7 +230,7 @@ def test_grid_and_field_guards(grid12):
 
 
 def test_potential_sup_norm_is_enforced(grid12, gauss12):
-    lying = PotentialSpec(fn=lambda x, t: 2.0 * np.exp(-(x**2)), sup_norm=1.0, label="liar")
+    lying = PotentialSpec(fn=lambda x, t: 2.0 * np.exp(-(x**2)), sup_norm=1.0)
     # a NaN peak compares False with any bound, so it must not pass as "not above" it
     holed = PotentialSpec(fn=lambda x, t: np.where(np.abs(x) < 1.0, np.nan, 0.1), sup_norm=0.5)
     for potential in (lying, holed):
