@@ -353,16 +353,17 @@ def run_verify_convexity(cfg: ScenarioConfig):
     report = fn.check_log_convexity(
         traj, family, xi=cfg.xi, epsilon=cfg.epsilon, tail_tol=cfg.tail_tol
     )
+    cert = family.certificate(cfg.residual_tol)
     checks = [
         Check("slack", -report.min_slack / report.h_scale, cfg.slack_tol),
-        indicator("curvature", report.curvature_verdict == "positive"),
+        indicator("curvature", cert.verdict == "positive"),
     ]
     info = {
         "min_slack": report.min_slack,
         "h_scale": report.h_scale,
         "Nval": report.Nval,
         "conjugation_residual": report.conjugation_residual,
-        "curvature_verdict": report.curvature_verdict,
+        "curvature_verdict": cert.verdict,
     }
     files = {
         "convexity.csv": (

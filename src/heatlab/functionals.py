@@ -13,7 +13,7 @@ boundary values, and the scalar N integrating |Re(d_t f - Sf - Af, f)|/(H+eps).
 and reports its slack curve; everything else here is bookkeeping around that
 inequality: norm evaluation with a tail guard, the Appell reshaping of
 Gaussian weights, the interior-bound ratio for the closed-form weight
-t x^2 / 4(t^2 + R^2), and box-growth probes of its sharpness.
+t x^2 / 4(t^2 + R^2), and its sharpness from the closed-form norms.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from .weights import WeightFamily
 
 CONJUGATION_TOL = 5e-3  # relative residual allowed in d_t f - S f - A f = V f
 CORRECTION_TOL = 1e-6  # relative residual and sign slack of the correction term M
-POINTS_PER_UNIT = 48.0  # sharpness probe grid density: at least this many points per unit length
-CAUCHY_TOL = 1e-6  # relative box-to-box increment below which a probe is convergent
 
 
 def _weighted_rows(grid: SpaceGrid, exponent, values, time: float, tol: float):
@@ -111,7 +109,6 @@ class ConvexityReport:
     Nval: float
     slack: np.ndarray
     conjugation_residual: float
-    curvature_verdict: str
 
     @property
     def h_scale(self) -> float:
@@ -184,7 +181,6 @@ def check_log_convexity(
         Nval=Nval,
         slack=rhs - h_eps,
         conjugation_residual=conj_rel,
-        curvature_verdict=family.certificate().verdict,
     )
 
 
@@ -325,6 +321,22 @@ class SharpnessReport:
     growth_exponent: float
 
 
+def _box_integral(c: float, L: float) -> float:
+    """The exact integral of e^{c x^2} over [-L, L], in Python floats:
+    sqrt(pi/|c|) erf(sqrt(|c|) L) for c < 0, else the series
+    2 sum_k c^k L^{2k+1} / (k! (2k+1)), whose terms are all positive."""
+    if c < 0.0:
+        return math.sqrt(math.pi / -c) * math.erf(math.sqrt(-c) * L)
+    x2, term, total, k = c * L * L, 2.0 * L, 0.0, 0
+    while k <= x2 or term > 1e-17 * total:  # past the largest term, until the rest is rounding
+        total += term / (2 * k + 1)
+        if total == math.inf:
+            raise OverflowError(f"the box integral of e^({c:.6g} x^2) on L = {L:g} exceeds float64")
+        k += 1
+        term *= x2 / k
+    return total
+
+
 def sharpness_probe(
     R: float,
     t: float,
@@ -332,13 +344,13 @@ def sharpness_probe(
     box_widths=(8.0, 16.0, 32.0, 64.0),
 ) -> SharpnessReport:
     """Norms ||e^{g x^2} u_R(., t)|| with g = gamma_factor * t/4(t^2+R^2) on
-    growing boxes.
+    growing boxes [-L, L], from their closed form.
 
-    Below the critical factor the sequence is Cauchy; at the critical factor
-    the integrand modulus is constant in x and the norm grows like sqrt(2L);
-    above it the growth is Gaussian.  The verdict is "convergent" exactly when
-    the relative increments stay below ``CAUCHY_TOL``; the growth exponent is
-    the log-log slope over the boxes.
+    |u_R|^2 = (t^2+R^2)^{-1/2} e^{-t x^2/2(t^2+R^2)}, so the weighted integrand
+    is amp * exp(net x^2) with net = (gamma_factor - 1) t / 2(t^2+R^2).  The
+    whole-line norm is finite exactly when net < 0, which is the verdict
+    "convergent"; at net = 0 the norm grows like sqrt(2L), above it like a
+    Gaussian.  The growth exponent is the log-log slope over the boxes.
     """
     for name, value in (("R", R), ("t", t)):
         if not 0.0 < value < math.inf:
@@ -348,18 +360,9 @@ def sharpness_probe(
     boxes = np.asarray(box_widths, dtype=float)
     if boxes.size < 2:
         raise ValueError("need at least two box widths")
-    # |u_R|^2 = (t^2+R^2)^{-1/2} e^{-t x^2/2(t^2+R^2)}, so the weighted
-    # integrand is amp * exp(net x^2); combining the exponents first keeps the
-    # supercritical probes finite in float arithmetic.
     amp = (t**2 + R**2) ** -0.5
     net = (gamma_factor - 1.0) * t / (2.0 * (t**2 + R**2))
-    norms = np.empty(boxes.size)
-    for i, l in enumerate(boxes):
-        n = 1 << max(8, int(math.ceil(math.log2(POINTS_PER_UNIT * 2.0 * l))))
-        grid = SpaceGrid(half_width=l, n=n)
-        norms[i] = math.sqrt(grid.dx * amp * float(np.sum(np.exp(net * grid.x**2))))
-    increments = np.abs(np.diff(norms)) / norms[1:]
-    # Cauchy within tol = the tail increment has stabilized
-    verdict = "convergent" if increments[-1] <= CAUCHY_TOL else "divergent"
+    norms = np.array([math.sqrt(amp * _box_integral(net, l)) for l in boxes.tolist()])
+    verdict = "convergent" if net < 0.0 else "divergent"
     slope = float(np.polyfit(np.log(boxes), np.log(norms), 1)[0])
     return SharpnessReport(box_widths=boxes, norms=norms, verdict=verdict, growth_exponent=slope)

@@ -36,7 +36,6 @@ def write_line_plot(
     series,
     title: str = "",
     xlabel: str = "",
-    ylabel: str = "",
     logy: bool = False,
 ) -> None:
     """Write polyline plots of ``series`` = [(label, y-array), ...] against x."""
@@ -102,10 +101,6 @@ def write_line_plot(
     parts.append(
         f'<text x="{WIDTH / 2:.1f}" y="{HEIGHT - 8}" text-anchor="middle" '
         f'font-size="11">{xlabel}</text>'
-    )
-    parts.append(
-        f'<text x="14" y="{HEIGHT / 2:.1f}" text-anchor="middle" font-size="11" '
-        f'transform="rotate(-90 14 {HEIGHT / 2:.1f})">{ylabel}</text>'
     )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")

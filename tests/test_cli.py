@@ -73,6 +73,34 @@ def test_sharpness_command_verdicts(tmp_path):
     assert "verdict = divergent" in manifest
 
 
+def test_sharpness_just_below_the_critical_factor_passes(tmp_path):
+    out = tmp_path / "sh"
+    assert run(["sharpness", "--gamma-factor", "0.99", "--out", str(out)]) == 0
+    assert (out / "sharpness" / "verdict.txt").read_text() == "PASS max_violation=0 convergent\n"
+
+
+def test_sharpness_whose_largest_box_overflows_is_a_named_fail(tmp_path):
+    out = tmp_path / "sh"
+    assert run(["sharpness", "--gamma-factor", "1.86", "--out", str(out)]) == 0
+    assert run(["sharpness", "--gamma-factor", "1.9", "--out", str(out)]) == 1
+    scenario = out / "sharpness"
+    assert sorted(p.name for p in scenario.iterdir()) == ["manifest.txt", "verdict.txt"]
+    assert (scenario / "verdict.txt").read_text() == "FAIL max_violation=nan OverflowError\n"
+
+
+def test_both_curvature_checks_read_the_config_residual_tol(tmp_path):
+    # a looser tolerance raises the bar _certify sets for a positive minimum
+    config = tmp_path / "loose.cfg"
+    config.write_text("residual_tol = 1e300\n")
+    cheap = ["--grid-M", "256", "--grid-N", "256", "--steps", "256"]
+    lines = []
+    for command in ("construct-weights", "verify-convexity"):
+        assert run([command, "--config", str(config), *cheap, "--out", str(tmp_path / "o")]) == 1
+        manifest = (tmp_path / "o" / command / "manifest.txt").read_text().splitlines()
+        lines += [line for line in manifest if line.startswith("curvature_verdict = ")]
+    assert lines == ["curvature_verdict = nonnegative"] * 2
+
+
 def test_verify_bound_command(tmp_path):
     out = tmp_path / "vb"
     assert run(["verify-bound", "--R", "2.5", "--steps", "400", "--out", str(out)]) == 0
@@ -670,7 +698,7 @@ LIVENESS = {
         [], corrupt(fn, "check_log_convexity", lambda r, *_: replace(r, slack=r.slack - 1e-3 * r.h_scale))
     ),
     ("verify-convexity", "curvature"): (
-        [], corrupt(fn, "check_log_convexity", lambda r, *_: replace(r, curvature_verdict="nonnegative"))
+        [], corrupt(wt.WeightFamily, "certificate", lambda c, *_: replace(c, verdict="nonnegative"))
     ),
     ("verify-bound", "finite"): (
         [], corrupt(fn, "verify_interior_bound", refined_only(lambda r: replace(r, finite=False)))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from conftest import count_grid_calls, traced_peak
 from heatlab import (
@@ -399,7 +400,7 @@ def test_log_convexity_free_heat(grid12, gauss12, family3):
     assert np.max(report.M) < 1e-8
     assert report.min_slack >= -1e-4 * report.h_scale
     assert report.conjugation_residual < 1e-3
-    assert report.curvature_verdict == "positive"
+    assert family3.certificate().verdict == "positive"
     assert abs(report.theta[0] - 1.0) < 1e-14 and abs(report.theta[-1]) < 1e-14
 
 
@@ -886,7 +887,7 @@ def test_sharpness_verdicts_and_growth():
 
 
 def test_sharpness_probe_needs_two_boxes():
-    # the verdict reads the increment between the last two boxes
+    # the growth exponent is a slope, which needs two boxes
     with pytest.raises(ValueError, match="^need at least two box widths$"):
         sharpness_probe(1.0, 0.5, 0.5, box_widths=(8.0,))
 
@@ -921,3 +922,35 @@ def test_membership_threshold_just_below_and_above_critical():
     assert below.verdict == "convergent"
     assert above.verdict == "divergent"
     assert above.norms[-1] / above.norms[0] > 1e3
+
+
+@pytest.mark.parametrize("factor", [0.99, 0.9999])
+def test_a_factor_just_below_critical_is_convergent_on_the_default_boxes(factor):
+    # the weighted integrand has not decayed by L = 64, yet its whole-line norm is finite
+    assert sharpness_probe(1.0, 0.5, factor).verdict == "convergent"
+
+
+@settings(max_examples=200, deadline=None)
+@given(factor=st.floats(min_value=1e-300, max_value=1.5))
+def test_the_verdict_is_convergent_exactly_below_the_critical_factor(factor):
+    verdict = sharpness_probe(1.0, 0.5, factor, box_widths=(8.0, 16.0)).verdict
+    assert verdict == ("convergent" if factor < 1.0 else "divergent")
+
+
+@pytest.mark.parametrize("R", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("factor", [0.01, 0.5, 0.99, 1.0, 1.01, 1.1])
+def test_sharpness_norms_match_the_erf_closed_form(R, factor):
+    # on [-L, L] the integral of e^{c x^2} is sqrt(pi/|c|) erf(sqrt|c| L), with erfi above c = 0
+    t = 0.5
+    report = sharpness_probe(R, t, factor)
+    c = (factor - 1.0) * t / (2.0 * (t**2 + R**2))
+    root = math.sqrt(abs(c))
+    for L, norm in zip(report.box_widths, report.norms):
+        if c < 0.0:
+            integral = math.sqrt(math.pi) / root * special.erf(root * L)
+        elif c > 0.0:
+            integral = math.sqrt(math.pi) / root * special.erfi(root * L)
+        else:
+            integral = 2.0 * L
+        exact = math.sqrt((t**2 + R**2) ** -0.5 * integral)
+        assert abs(norm - exact) <= 1e-13 * exact
