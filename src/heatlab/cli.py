@@ -23,6 +23,7 @@ Reruns with identical config produce byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import shutil
@@ -205,22 +206,24 @@ def indicator(name: str, ok: bool) -> Check:
 
 
 def scenario(name: str):
-    """Turn ``body(cfg) -> (checks, manifest_info, files[, note])`` into the
-    runner ``RUNNERS[name](cfg) -> bool`` that writes every file into ``cfg.out/name``.
+    """Turn ``body(cfg) -> (checks, manifest_info, files[, note])`` into the runner
+    ``RUNNERS[name](cfg, pending=None) -> bool`` that writes every file into ``cfg.out/name``.
 
     ``files`` maps a file name to a ``(header, *columns)`` CSV table, a dict
     of :func:`write_line_plot` arguments (written only under ``--plot``) or a
-    :class:`Trajectory`, which saves its frame directory.  Then come
-    ``manifest.txt`` (the config echo, then the info keys) and
-    ``verdict.txt``: PASS when every check passes, with the largest check
-    value as ``max_violation``.  A certification, residual, tail or
-    arithmetic failure of the body becomes one NaN check, an ``error``
+    :class:`Trajectory`, whose frame directory helper processes write.  Once
+    they are done come ``manifest.txt`` (the config echo, then the info keys)
+    and ``verdict.txt``: PASS when every check passes, with the largest check
+    value as ``max_violation``.  Given an ``ExitStack`` as ``pending``, the
+    runner returns while the frames are written and leaves the wait, the
+    manifest and the verdict to the stack's exit.  A certification, residual,
+    tail or arithmetic failure of the body becomes one NaN check, an ``error``
     manifest line and a FAIL naming its class, and no other file is written.
     """
 
     def decorate(body):
         @functools.wraps(body)
-        def run(cfg: ScenarioConfig) -> bool:
+        def run(cfg: ScenarioConfig, pending: contextlib.ExitStack | None = None) -> bool:
             out = Path(cfg.out) / name
             if (out / "manifest.txt").is_file():  # an earlier run's files must not outlive it
                 shutil.rmtree(out)
@@ -231,15 +234,26 @@ def scenario(name: str):
                 checks, info, files = [Check("error", math.nan, 0.0)], {"error": str(exc)}, {}
                 note = [type(exc).__name__]
             for file_name, entry in files.items():
-                if isinstance(entry, Trajectory):
-                    entry.save(out / file_name)
-                elif not isinstance(entry, dict):
+                if isinstance(entry, tuple):
                     write_csv(out / file_name, *entry)
-                elif cfg.plot:
+                elif isinstance(entry, dict) and cfg.plot:
                     write_line_plot(out / file_name, **entry)
+            # started last, so that no other write can fail while helpers run unreaped
+            writes = [
+                traj.save(out / key) for key, traj in files.items() if isinstance(traj, Trajectory)
+            ]
             passed = all(check.passed for check in checks)
-            write_manifest(out, name, cfg, info)
-            write_verdict(out, passed, max_violation(*(check.value for check in checks)), *note)
+
+            def finish():
+                for write in writes:
+                    write.wait()
+                write_manifest(out, name, cfg, info)
+                write_verdict(out, passed, max_violation(*(check.value for check in checks)), *note)
+
+            if pending is None:
+                finish()
+            else:
+                pending.callback(finish)
             return passed
 
         RUNNERS[name] = run
@@ -423,24 +437,29 @@ def run_sharpness(cfg: ScenarioConfig):
 
 
 def run_all(cfg: ScenarioConfig) -> bool:
-    """Full suite; scenario outputs land in subdirectories of ``out``."""
+    """Full suite; scenario outputs land in subdirectories of ``out``.
+
+    ``evolve`` runs first and its frames are written while the other
+    scenarios compute; every pending scenario is finished before the summary,
+    also when a later one raises."""
     out = Path(cfg.out)
-    results = {
-        "construct-weights": run_construct_weights(cfg),
-        "iterate": run_iterate(cfg),
-        "evolve": run_evolve(replace(cfg, potential="none")),
-        "verify-convexity-free": run_verify_convexity(
-            replace(cfg, potential="none", out=str(out / "convexity-free"))
-        ),
-        "verify-convexity-imag": run_verify_convexity(
-            replace(cfg, potential="gauss-imag", amplitude=0.5, out=str(out / "convexity-imag"))
-        ),
-        "verify-bound": run_verify_bound(replace(cfg, R=2.5)),
-    }
-    for factor in (0.5, 1.0, 1.1):
-        results[f"sharpness-{factor:g}"] = run_sharpness(
-            replace(cfg, gamma_factor=factor, out=str(out / f"sharpness-{factor:g}"))
-        )
+    with contextlib.ExitStack() as pending:
+        results = {
+            "evolve": run_evolve(replace(cfg, potential="none"), pending),
+            "construct-weights": run_construct_weights(cfg),
+            "iterate": run_iterate(cfg),
+            "verify-convexity-free": run_verify_convexity(
+                replace(cfg, potential="none", out=str(out / "convexity-free"))
+            ),
+            "verify-convexity-imag": run_verify_convexity(
+                replace(cfg, potential="gauss-imag", amplitude=0.5, out=str(out / "convexity-imag"))
+            ),
+            "verify-bound": run_verify_bound(replace(cfg, R=2.5)),
+        }
+        for factor in (0.5, 1.0, 1.1):
+            results[f"sharpness-{factor:g}"] = run_sharpness(
+                replace(cfg, gamma_factor=factor, out=str(out / f"sharpness-{factor:g}"))
+            )
     passed = all(results.values())
     lines = [f"{name} = {'PASS' if ok else 'FAIL'}" for name, ok in sorted(results.items())]
     for stale in ("summary.txt", "verdict.txt"):  # a new file writes faster than a truncated one

@@ -323,17 +323,22 @@ class SharpnessReport:
 
 def _box_integral(c: float, L: float) -> float:
     """The exact integral of e^{c x^2} over [-L, L], in Python floats:
-    sqrt(pi/|c|) erf(sqrt(|c|) L) for c < 0, else the series
-    2 sum_k c^k L^{2k+1} / (k! (2k+1)), whose terms are all positive."""
+    sqrt(pi/|c|) erf(s) with s = sqrt(|c|) L for c < 0, written (2L/s)(sqrt(pi)/2) erf(s)
+    where pi/|c| overflows, else the series 2 sum_k c^k L^{2k+1} / (k! (2k+1)),
+    whose terms are all positive."""
     if c < 0.0:
-        return math.sqrt(math.pi / -c) * math.erf(math.sqrt(-c) * L)
-    x2, term, total, k = c * L * L, 2.0 * L, 0.0, 0
-    while k <= x2 or term > 1e-17 * total:  # past the largest term, until the rest is rounding
-        total += term / (2 * k + 1)
-        if total == math.inf:
-            raise OverflowError(f"the box integral of e^({c:.6g} x^2) on L = {L:g} exceeds float64")
-        k += 1
-        term *= x2 / k
+        s = math.sqrt(-c) * L
+        scale = math.sqrt(math.pi / -c) if math.pi / -c < math.inf else L * math.sqrt(math.pi) / s
+        total = scale * math.erf(s)
+    else:
+        x2, term, total, k = c * L * L, 2.0 * L, 0.0, 0
+        # past the largest term, until the rest is rounding
+        while (k <= x2 or term > 1e-17 * total) and total < math.inf:
+            total += term / (2 * k + 1)
+            k += 1
+            term *= x2 / k
+    if not total < math.inf:
+        raise OverflowError(f"the box integral of e^({c:.6g} x^2) on L = {L:g} exceeds float64")
     return total
 
 
@@ -361,7 +366,7 @@ def sharpness_probe(
     if boxes.size < 2:
         raise ValueError("need at least two box widths")
     amp = (t**2 + R**2) ** -0.5
-    net = (gamma_factor - 1.0) * t / (2.0 * (t**2 + R**2))
+    net = ((gamma_factor - 1.0) * t / 2.0) / (t**2 + R**2)  # halved first: 2(t^2 + R^2) may overflow
     norms = np.array([math.sqrt(amp * _box_integral(net, l)) for l in boxes.tolist()])
     verdict = "convergent" if net < 0.0 else "divergent"
     slope = float(np.polyfit(np.log(boxes), np.log(norms), 1)[0])

@@ -76,41 +76,62 @@ class Trajectory:
     def n_frames(self) -> int:
         return self.times.size
 
-    def save(self, directory) -> None:
-        """Write a ``Field.to_csv`` file per frame, then the ``frames.csv`` index.
+    def save(self, directory) -> FrameWrite:
+        """Start writing a ``Field.to_csv`` file per frame; ``wait()`` on the result
+        finishes them and writes the ``frames.csv`` index.
 
-        On two or more CPUs a helper process runs :mod:`heatlab.framecsv` on the second half
-        of the frames, not a thread (``%`` holds the GIL) nor a fork (numpy's BLAS threads).
+        One helper process per CPU, at most one per frame, runs :mod:`heatlab.framecsv` on a
+        contiguous share of the frames, so this process computes on while they write: processes,
+        not threads (``%`` holds the GIL) nor forks (numpy's BLAS threads).
         """
         import subprocess  # imported here: at module level it slowed perfbench appell passes 4%
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        half = (self.n_frames + 1) // 2
         affinity = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
-        if half == self.n_frames or len(affinity(0)) < 2:
-            self._write_frames(directory, self.n_frames)
-        else:
-            # an unnamed file, not a pipe: a pipe would block this process while the helper starts
-            with tempfile.TemporaryFile() as data:
-                data.writelines([self.grid.x, self.frames[half:]])
-                data.seek(0)
-                args = [framecsv.__file__, str(directory), str(half), str(self.grid.n)]
-                with subprocess.Popen(
-                    [sys.executable, "-I", "-S", *args], stdin=data, stderr=subprocess.PIPE
-                ) as helper:
-                    try:
-                        self._write_frames(directory, half)
-                    finally:
-                        err = helper.communicate()[1].decode(errors="replace").strip()
+        count = min(len(affinity(0)), self.n_frames) or 1
+        bounds = [share * self.n_frames // count for share in range(count + 1)]
+        pending = FrameWrite(directory, self.times, [])
+        try:
+            for first, stop in zip(bounds, bounds[1:]):
+                # an unnamed file, not a pipe: a pipe would block this process while a helper starts
+                with tempfile.TemporaryFile() as data:
+                    data.writelines([self.grid.x, self.frames[first:stop]])
+                    data.seek(0)
+                    args = [framecsv.__file__, str(directory), str(first), str(self.grid.n)]
+                    pending.helpers.append(subprocess.Popen(
+                        [sys.executable, "-I", "-S", *args], stdin=data, stderr=subprocess.PIPE
+                    ))
+        except BaseException:
+            pending._reap()
+            raise
+        return pending
+
+
+@dataclass
+class FrameWrite:
+    """The frame files helper processes are writing into ``directory``."""
+
+    directory: Path
+    times: np.ndarray
+    helpers: list  # subprocess.Popen, one per share of the frames
+
+    def _reap(self) -> list[str]:
+        """Wait for every helper; one message per helper that failed."""
+        failures = []
+        for helper in self.helpers:
+            err = helper.communicate()[1].decode(errors="replace").strip()
             if helper.returncode:
                 tail = err.rpartition("\n")[2]
-                raise OSError(f"frame helper exited with code {helper.returncode}: {tail}")
-        rows = (f"{i},{t:.12g},{framecsv.frame_name(i)}\n" for i, t in enumerate(self.times))
-        (directory / "frames.csv").write_text("index,t,file\n" + "".join(rows))
+                failures.append(f"frame helper exited with code {helper.returncode}: {tail}")
+        return failures
 
-    def _write_frames(self, directory: Path, count: int) -> None:
-        pairs = (frame.view(np.float64).tolist() for frame in self.frames[:count])
-        framecsv.write_frames(directory, 0, self.grid.x.tolist(), pairs)
+    def wait(self) -> None:
+        """Reap every helper, raise ``OSError`` naming each failure, else write ``frames.csv``."""
+        failures = self._reap()
+        if failures:
+            raise OSError("; ".join(failures))
+        rows = (f"{i},{t:.12g},{framecsv.frame_name(i)}\n" for i, t in enumerate(self.times))
+        (self.directory / "frames.csv").write_text("index,t,file\n" + "".join(rows))
 
 
 def evolve(

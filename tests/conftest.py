@@ -1,3 +1,4 @@
+import subprocess
 import tracemalloc
 from pathlib import Path
 
@@ -21,6 +22,19 @@ def grid12():
 @pytest.fixture(scope="session")
 def gauss12(grid12):
     return gaussian_field(grid12)
+
+
+@pytest.fixture
+def popen_spy(monkeypatch):
+    """Every process ``subprocess.Popen`` starts while the test runs."""
+    started, real = [], subprocess.Popen
+
+    def spy(*args, **kwargs):
+        started.append(real(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", spy)
+    return started
 
 
 def traced_peak(fn) -> int:

@@ -1,3 +1,4 @@
+import gc
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_grid_calls
+from conftest import count_grid_calls, read_csv
 import heatlab
 from heatlab import cli, functionals as fn, weights as wt
 from heatlab.cli import Check, ScenarioConfig, load_config_file, main
@@ -77,6 +78,17 @@ def test_sharpness_just_below_the_critical_factor_passes(tmp_path):
     out = tmp_path / "sh"
     assert run(["sharpness", "--gamma-factor", "0.99", "--out", str(out)]) == 0
     assert (out / "sharpness" / "verdict.txt").read_text() == "PASS max_violation=0 convergent\n"
+
+
+def test_sharpness_where_twice_t2_plus_r2_overflows_still_converges(tmp_path):
+    # at R = 1.2e154, 2(t^2 + R^2) overflows where t^2 + R^2 does not, and pi/|net| overflows
+    out = tmp_path / "sh"
+    assert run(["sharpness", "--R", "1.2e154", "--gamma-factor", "0.5", "--out", str(out)]) == 0
+    assert (out / "sharpness" / "verdict.txt").read_text() == "PASS max_violation=0 convergent\n"
+    widths, norms = read_csv(out / "sharpness" / "norms.csv", "L,norm")
+    # the integrand is flat to round-off on every box: the norm is sqrt(2L / sqrt(t^2 + R^2))
+    assert np.all(np.isfinite(norms)) and np.all(norms > 0.0)
+    assert np.max(np.abs(norms / np.sqrt(2.0 * widths / 1.2e154) - 1.0)) < 1e-9
 
 
 def test_sharpness_whose_largest_box_overflows_is_a_named_fail(tmp_path):
@@ -219,6 +231,24 @@ def test_a_rerun_replaces_only_the_directory_an_earlier_run_wrote(tmp_path):
     (stranger / "notes.txt").write_text("mine\n")
     assert run(["sharpness", "--gamma-factor", "0.5", "--out", str(tmp_path / "p")]) == 0
     assert (stranger / "notes.txt").read_text() == "mine\n"
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+def test_a_failed_frame_write_stops_all_after_the_other_scenarios(tmp_path, popen_spy):
+    # evolve runs first, and its frames are written while the other eight scenarios run
+    out = tmp_path / "o"
+    blocked = out / "evolve" / "frames" / "frame_0200.csv"
+    blocked.mkdir(parents=True)
+    with pytest.raises(OSError, match="frame helper exited with code 1") as raised:
+        run(["all", *SMALL, "--out", str(out)])
+    assert str(blocked) in str(raised.value)
+    others = {path.rpartition("/")[0] for path in suite_files(False) if "/verdict.txt" in path}
+    assert {p.parent.relative_to(out).as_posix() for p in out.rglob("verdict.txt")} == others - {"evolve"}
+    assert sorted(p.name for p in (out / "evolve").iterdir()) == ["frames"]
+    assert not (out / "evolve" / "frames" / "frames.csv").exists()
+    assert not (out / "summary.txt").exists()
+    assert popen_spy and all(helper.returncode is not None for helper in popen_spy)
+    gc.collect()
 
 
 def test_a_suite_rerun_writes_only_new_files(tmp_path, monkeypatch):

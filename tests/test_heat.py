@@ -1,6 +1,5 @@
 import gc
 import os
-import subprocess
 from dataclasses import replace
 
 import numpy as np
@@ -539,7 +538,7 @@ def read_saved(directory):
 
 def test_trajectory_save_load_round_trip(tmp_path, grid12, gauss12):
     traj = evolve(gauss12, zero_potential(), 0.0, 0.5, steps=64, n_frames=5)
-    traj.save(tmp_path / "run")
+    traj.save(tmp_path / "run").wait()
     assert (tmp_path / "run" / "frames.csv").read_text().splitlines()[0] == "index,t,file"
     _, times, frames = read_saved(tmp_path / "run")
     assert np.max(np.abs(frames - traj.frames)) < 1e-11
@@ -547,7 +546,7 @@ def test_trajectory_save_load_round_trip(tmp_path, grid12, gauss12):
 
 
 def assert_frames_are_write_csv_bytes(traj, directory, scratch):
-    traj.save(directory)
+    traj.save(directory).wait()
     for i in range(traj.n_frames):
         scratch.unlink(missing_ok=True)  # a new file writes faster than a truncated one
         write_csv(scratch, "x,re,im", traj.grid.x, traj.frames[i].real, traj.frames[i].imag)
@@ -557,22 +556,13 @@ def assert_frames_are_write_csv_bytes(traj, directory, scratch):
 SPECIAL = [-0.0 + 5e-324j, complex(np.inf, -np.inf), complex(np.nan, 1e12)]
 
 
-@pytest.fixture
-def popen_spy(monkeypatch):
-    """Every process ``subprocess.Popen`` starts while the test runs."""
-    started, real = [], subprocess.Popen
-
-    def spy(*args, **kwargs):
-        started.append(real(*args, **kwargs))
-        return started[-1]
-
-    monkeypatch.setattr(subprocess, "Popen", spy)
-    return started
+def n_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    n_cpus(monkeypatch, 2)
 
 
 def test_saved_frames_are_write_csv_bytes(tmp_path, grid12, two_cpus, popen_spy):
@@ -581,26 +571,26 @@ def test_saved_frames_are_write_csv_bytes(tmp_path, grid12, two_cpus, popen_spy)
     pot = gaussian_potential(0.5, imaginary=True)
     for n_frames in (2, 5, 251):
         traj = evolve(u0, pot, 0.0, 0.5, steps=500, n_frames=n_frames)
-        traj.save(tmp_path / f"run_{n_frames}")
+        traj.save(tmp_path / f"run_{n_frames}").wait()
         grid, _, frames = read_saved(tmp_path / f"run_{n_frames}")
         tail_flags = grid.mass(frames)[2] <= DEFAULT_TAIL_TOL
         assert not tail_flags[0]
         assert np.array_equal(tail_flags, traj.grid.mass(traj.frames)[2] <= DEFAULT_TAIL_TOL)
-        # this process writes frames [0, half) and the helper frames [half, n_frames)
-        half = (n_frames + 1) // 2
+        # one helper writes frames [0, half) and the other frames [half, n_frames)
+        half = n_frames // 2
         special = replace(traj, frames=traj.frames.copy())
         special.frames[[half - 1, half], :3] = SPECIAL
         directory = tmp_path / f"special_{n_frames}"
         assert_frames_are_write_csv_bytes(special, directory, tmp_path / "ref.csv")
-    assert [helper.returncode for helper in popen_spy] == [0] * 6
+    assert [helper.returncode for helper in popen_spy] == [0] * 12
 
 
-def test_a_one_frame_trajectory_is_saved_in_process(tmp_path, grid12, gauss12, two_cpus, popen_spy):
+def test_a_one_frame_trajectory_is_saved_by_one_helper(tmp_path, grid12, gauss12, two_cpus, popen_spy):
     values = gauss12.values.copy()
     values[:3] = SPECIAL
     traj = Trajectory(grid12, [0.0], values[None], zero_potential())
     assert_frames_are_write_csv_bytes(traj, tmp_path / "run", tmp_path / "ref.csv")
-    assert popen_spy == []
+    assert [helper.returncode for helper in popen_spy] == [0]
 
 
 def test_a_trajectory_refuses_frames_that_do_not_match_its_times(grid12, gauss12):
@@ -614,25 +604,81 @@ def test_a_trajectory_refuses_frames_that_do_not_match_its_times(grid12, gauss12
         Trajectory(grid12, [0.0], gauss12.values, zero_potential())
 
 
-def test_one_cpu_saves_every_frame_in_process(tmp_path, gauss12, popen_spy, monkeypatch):
+def test_one_cpu_saves_every_frame_in_one_helper(tmp_path, gauss12, popen_spy, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     traj = evolve(gauss12, zero_potential(), 0.0, 0.5, steps=64, n_frames=5)
     assert_frames_are_write_csv_bytes(traj, tmp_path / "run", tmp_path / "ref.csv")
-    assert popen_spy == []
+    assert [helper.returncode for helper in popen_spy] == [0]
 
 
 @pytest.mark.filterwarnings("error::ResourceWarning")
 def test_frame_helper_failures_raise_and_leave_no_process(tmp_path, gauss12, two_cpus, popen_spy):
     traj = evolve(gauss12, zero_potential(), 0.0, 0.5, steps=64, n_frames=5)
-    traj.save(tmp_path / "ok")
-    assert [helper.returncode for helper in popen_spy] == [0]
-    # of 5 frames this process writes frames 0 to 2 and the helper frames 3 and 4
+    traj.save(tmp_path / "ok").wait()
+    assert [helper.returncode for helper in popen_spy] == [0, 0]
+    # of 5 frames one helper writes frames 0 and 1 and the other frames 2 to 4
     for index, failure in ((3, "frame helper exited with code 1"), (0, "Is a directory")):
         blocked = tmp_path / f"blocked_{index}" / f"frame_{index:04d}.csv"
         blocked.mkdir(parents=True)
         with pytest.raises(OSError, match=failure) as raised:
-            traj.save(blocked.parent)
+            traj.save(blocked.parent).wait()
         assert str(blocked) in str(raised.value)
         assert not (blocked.parent / "frames.csv").exists()
-    assert [helper.returncode for helper in popen_spy] == [0, 1, 0]
+    assert [helper.returncode for helper in popen_spy] == [0, 0, 0, 1, 1, 0]
+    gc.collect()
+
+
+@pytest.mark.parametrize(
+    "cpus, n_frames, firsts",
+    [(1, 5, [0]), (2, 5, [0, 2]), (3, 5, [0, 1, 3]), (3, 2, [0, 1])],
+    ids=["1-cpu", "2-cpus", "3-cpus", "3-cpus-2-frames"],
+)
+def test_one_helper_per_cpu_and_at_most_one_per_frame(
+    tmp_path, gauss12, popen_spy, monkeypatch, cpus, n_frames, firsts
+):
+    n_cpus(monkeypatch, cpus)
+    traj = evolve(gauss12, zero_potential(), 0.0, 0.5, steps=64, n_frames=n_frames)
+    traj.save(tmp_path / "run").wait()
+    # each helper's argv ends with its first frame and the points per frame
+    assert [int(helper.args[-2]) for helper in popen_spy] == firsts
+    assert [helper.returncode for helper in popen_spy] == [0] * len(firsts)
+    assert len(read_saved(tmp_path / "run")[2]) == n_frames
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_special_values_keep_their_bytes_at_every_share_boundary(
+    tmp_path, gauss12, popen_spy, monkeypatch, cpus
+):
+    n_cpus(monkeypatch, cpus)
+    traj = evolve(gauss12, zero_potential(), 0.0, 0.5, steps=64, n_frames=7)
+    special = replace(traj, frames=traj.frames.copy())
+    firsts = [share * 7 // cpus for share in range(cpus)]
+    for first in firsts:  # the last frame of the share before and the first of this one
+        special.frames[[first - 1, first], :3] = SPECIAL
+    assert_frames_are_write_csv_bytes(special, tmp_path / "run", tmp_path / "ref.csv")
+    assert [int(helper.args[-2]) for helper in popen_spy] == firsts
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.parametrize(
+    "blocked_frames, codes",
+    [((0,), [1, 0, 0]), ((3,), [0, 1, 0]), ((6,), [0, 0, 1]), ((1, 4), [1, 0, 1])],
+    ids=["first-share", "middle-share", "last-share", "two-shares"],
+)
+def test_a_blocked_frame_in_any_share_fails_the_wait(
+    tmp_path, gauss12, popen_spy, monkeypatch, blocked_frames, codes
+):
+    # 7 frames on 3 CPUs: the helpers write frames 0 and 1, 2 and 3, and 4 to 6
+    n_cpus(monkeypatch, 3)
+    traj = evolve(gauss12, zero_potential(), 0.0, 0.5, steps=64, n_frames=7)
+    directory = tmp_path / "run"
+    for index in blocked_frames:
+        (directory / f"frame_{index:04d}.csv").mkdir(parents=True)
+    pending = traj.save(directory)
+    with pytest.raises(OSError, match="frame helper exited with code 1") as raised:
+        pending.wait()
+    for index in blocked_frames:
+        assert str(directory / f"frame_{index:04d}.csv") in str(raised.value)
+    assert not (directory / "frames.csv").exists()
+    assert [helper.returncode for helper in popen_spy] == codes
     gc.collect()
