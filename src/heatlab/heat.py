@@ -1,15 +1,17 @@
 """Spectral evolution of d_t u = Lap u + V u and the conjugated operators.
 
 With V = 0 the frequency multiplier exp(-(t - t0) xi^2) is the exact
-propagator: each stored frame is one inverse FFT of the datum's spectrum times
-that multiplier, exact up to spatial truncation, which is what makes
-closed-form Gaussian comparisons meaningful at 1e-6.  With V != 0 the
-propagator is Strang splitting on the periodic grid: a half step of pointwise
-multiplication by exp(dt/2 V), an exact diffusion step through exp(-dt xi^2),
-and a second potential half step.  A potential declared time-independent is
-evaluated once and its adjacent half steps merge into full steps (the
-first-same-as-last form); any other potential is sampled at the quarter points
-of every step.
+propagator.  It is real and even, so it maps real data to real solutions: the
+datum's real and imaginary parts each get one real forward transform, and each
+stored frame's two parts are the real inverse transforms of those spectra times
+the multiplier.  A real datum thus has exactly real frames, exact up to spatial
+truncation, which is what makes closed-form Gaussian comparisons meaningful at
+1e-6.  With V != 0 the propagator is Strang splitting on the periodic grid: a
+half step of pointwise multiplication by exp(dt/2 V), an exact diffusion step
+through exp(-dt xi^2), and a second potential half step.  A potential declared
+time-independent is evaluated once and its adjacent half steps merge into full
+steps (the first-same-as-last form); any other potential is sampled at the
+quarter points of every step.
 
 Conjugating the heat operator by the moving Gaussian weight of a
 :class:`~heatlab.weights.WeightFamily` splits it into a symmetric part
@@ -147,14 +149,15 @@ def evolve(
 
     ``steps`` is a target: with V != 0 each interval between stored frames is
     covered by the fewest whole Strang steps of at most (t1 - t0)/steps.  With
-    V = 0 every frame is the exact multiplier exp(-(t_j - t0) xi^2) applied to
-    the datum's spectrum, and ``steps`` only validates.  A ``time_independent``
-    potential is evaluated once and run in the first-same-as-last Strang form;
-    any other is sampled at the quarter points of every step.  Frames come
-    either as an equispaced count ``n_frames`` (default: every step, capped at
-    257) or as an explicit ``frame_times`` array starting at t0 and ending at
-    t1.  A caller that needs the tail guard reads the ``tail`` of
-    :meth:`SpaceGrid.mass` of the frames.
+    V = 0 every frame's real and imaginary parts are the real inverse transforms
+    of the exact multiplier exp(-(t_j - t0) xi^2) times the spectra of the
+    datum's parts, so a real datum has exactly real frames, and ``steps`` only
+    validates.  A ``time_independent`` potential is evaluated once and run in
+    the first-same-as-last Strang form; any other is sampled at the quarter
+    points of every step.  Frames come either as an equispaced count
+    ``n_frames`` (default: every step, capped at 257) or as an explicit
+    ``frame_times`` array starting at t0 and ending at t1.  A caller that needs
+    the tail guard reads the ``tail`` of :meth:`SpaceGrid.mass` of the frames.
     """
     if not t1 > t0:
         raise ValueError("need t1 > t0")
@@ -179,10 +182,13 @@ def evolve(
     frames = np.empty((frame_times.size, grid.n), dtype=complex)
     frames[0] = u = u0.values
     if potential.is_zero:
-        spectrum = np.fft.fft(u)
+        re_spectrum, im_spectrum = np.fft.rfft(u.real), np.fft.rfft(u.imag)
+        rxi2 = xi2[: grid.n // 2 + 1]  # rfft's +Nyquist bin is -Nyquist here: the same xi^2
         for lo in range(1, frame_times.size, STACK_CHUNK):
             elapsed = frame_times[lo : lo + STACK_CHUNK, None] - frame_times[0]
-            frames[lo : lo + STACK_CHUNK] = np.fft.ifft(np.exp(-elapsed * xi2) * spectrum, axis=-1)
+            mult, chunk = np.exp(-elapsed * rxi2), frames[lo : lo + STACK_CHUNK]
+            chunk.real = np.fft.irfft(mult * re_spectrum, grid.n, axis=-1)
+            chunk.imag = np.fft.irfft(mult * im_spectrum, grid.n, axis=-1)
     else:
         x = grid.x
         static = potential(x, float(frame_times[0])) if potential.time_independent else None

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import count_grid_calls, read_csv
+from test_output_ledger import digest, read_ledger
 import heatlab
 from heatlab import cli, functionals as fn, weights as wt
 from heatlab.cli import Check, ScenarioConfig, load_config_file, main
@@ -44,6 +45,18 @@ def test_evolve_command_free_heat(tmp_path):
     manifest = (frames / "frames.csv").read_text().splitlines()
     assert manifest[0] == "index,t,file"
     assert (frames / manifest[1].split(",")[2]).exists()
+
+
+def test_free_evolve_writes_exactly_real_frames_and_the_same_index(tmp_path):
+    out = tmp_path / "ev"
+    assert run(["evolve", "--potential", "none", "--out", str(out)]) == 0
+    frames = out / "evolve" / "frames"
+    files = sorted(frames.glob("frame_*.csv"))
+    assert len(files) == 251
+    for path in files:
+        rows = path.read_text().splitlines()[1:]
+        assert {row.rpartition(",")[2] for row in rows} == {"0"}, path.name
+    assert digest(frames / "frames.csv") == read_ledger()[1]["delta-3/evolve/frames/frames.csv"]
 
 
 def test_evolve_command_fails_a_tail_above_the_config_tail_tol(tmp_path):

@@ -56,8 +56,10 @@ def test_free_heat_matches_gaussian_kernel(grid12, rate):
         assert grid12.norm(frame - exact) < 1e-6
 
 
-def test_free_heat_takes_one_fft_and_one_inverse_per_frame(grid12, gauss12, monkeypatch):
-    calls = {"fft": 0, "ifft": 0}
+def test_free_heat_takes_two_real_transforms_for_the_datum_and_two_per_frame(
+    grid12, gauss12, monkeypatch
+):
+    calls = {"fft": 0, "ifft": 0, "rfft": 0, "irfft": 0}
     for name in calls:
         original = getattr(np.fft, name)
 
@@ -67,8 +69,42 @@ def test_free_heat_takes_one_fft_and_one_inverse_per_frame(grid12, gauss12, monk
 
         monkeypatch.setattr(np.fft, name, counted)
     traj = evolve(gauss12, zero_potential(), 0.0, 1.0, steps=2048, n_frames=17)
-    # the datum is frame 0; each later frame is one multiplier on its spectrum
-    assert calls == {"fft": 1, "ifft": traj.n_frames - 1}
+    # the datum is frame 0; each part of each later frame is one multiplier on that part's spectrum
+    assert calls == {"fft": 0, "ifft": 0, "rfft": 2, "irfft": 2 * (traj.n_frames - 1)}
+
+
+UNEQUAL_TIMES = np.array([0.0, 1e-3, 0.01, 0.0105, 0.2, 0.5, 0.51, 1.0])
+
+
+@pytest.mark.parametrize("frames", [{"n_frames": 251}, {"frame_times": UNEQUAL_TIMES}])
+def test_free_frames_of_a_real_datum_are_exactly_real(gauss12, frames):
+    traj = evolve(gauss12, zero_potential(), 0.0, 1.0, steps=250, **frames)
+    assert traj.frames.imag.tobytes() == bytes(traj.frames.imag.nbytes)  # +0.0 everywhere
+
+
+def chirped_datum(grid):
+    """e^{-x^2} e^{ix}: both parts nonzero, so a route that drops either one shows."""
+    return Field(grid, np.exp(-grid.x**2 + 1j * grid.x))
+
+
+@pytest.mark.parametrize("frames", [{"n_frames": 65}, {"frame_times": UNEQUAL_TIMES}])
+def test_free_frames_of_a_complex_datum_match_the_complex_transform_route(grid12, frames):
+    # bound fixed before measuring: a few hundred ulps of the unit peak
+    u0 = chirped_datum(grid12)
+    traj = evolve(u0, zero_potential(), 0.0, 1.0, steps=64, **frames)
+    elapsed = traj.times[:, None] - traj.times[0]
+    direct = np.fft.ifft(np.exp(-elapsed * grid12.wavenumbers**2) * np.fft.fft(u0.values), axis=-1)
+    assert np.max(np.abs(traj.frames - direct)) < 1e-13
+
+
+def test_free_evolution_commutes_with_conjugation_and_splits_into_parts_bitwise(grid12):
+    u0 = chirped_datum(grid12)
+    free = lambda values: evolve(Field(grid12, values), zero_potential(), 0.0, 1.0, 64).frames
+    frames = free(u0.values)
+    # bitwise up to the sign of zero: where the far tails cancel to +0.0, conj makes -0.0
+    assert (free(np.conj(u0.values)) + 0.0).tobytes() == (np.conj(frames) + 0.0).tobytes()
+    assert free(u0.values.real + 0j).tobytes() == (frames.real + 0j).tobytes()
+    assert free(u0.values.imag + 0j).tobytes() == (frames.imag + 0j).tobytes()
 
 
 def chunk_and_columns(family, grid, gauss, n_frames=16):
