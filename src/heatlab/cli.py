@@ -10,7 +10,8 @@ when its value is at most its bound (NaN fails); ``verdict.txt`` gives
 PASS/FAIL and the largest check value as the maximal violation, or names the
 exception class that stopped the scenario, which then writes only its manifest
 and verdict.  Overflow and invalid operations raise, in NumPy and in Python
-float arithmetic alike, and stop their scenario with such a FAIL.  Exit code 0
+float arithmetic alike, and stop their scenario with such a FAIL, as does a
+grid too large to allocate (``MemoryError``).  Exit code 0
 means every verdict passed, 1 means a verification or the arithmetic failed, 2
 means the config could not be read or parsed, holds a non-finite number or does
 not fit the command (``grid_M`` not a multiple of 256 for convexity runs);
@@ -217,8 +218,9 @@ def scenario(name: str):
     value as ``max_violation``.  Given an ``ExitStack`` as ``pending``, the
     runner returns while the frames are written and leaves the wait, the
     manifest and the verdict to the stack's exit.  A certification, residual,
-    tail or arithmetic failure of the body becomes one NaN check, an ``error``
-    manifest line and a FAIL naming its class, and no other file is written.
+    tail, arithmetic or memory failure of the body (an admitted grid too large
+    to allocate) becomes one NaN check, an ``error`` manifest line and a FAIL
+    naming its class, and no other file is written.
     """
 
     def decorate(body):
@@ -230,7 +232,7 @@ def scenario(name: str):
             out.mkdir(parents=True, exist_ok=True)
             try:
                 checks, info, files, *note = body(cfg)
-            except (CertificationError, ResidualError, TailViolation, ArithmeticError) as exc:
+            except (CertificationError, ResidualError, TailViolation, ArithmeticError, MemoryError) as exc:
                 checks, info, files = [Check("error", math.nan, 0.0)], {"error": str(exc)}, {}
                 note = [type(exc).__name__]
             for file_name, entry in files.items():

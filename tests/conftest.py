@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heatlab import SpaceGrid, family_from_rate, first_family_rate, gaussian_field
+from heatlab.grid import SpaceGrid, gaussian_field
+from heatlab.weights import family_from_rate, first_family_rate
 
 
 @pytest.fixture(scope="session")

@@ -22,29 +22,25 @@ import time
 import numpy as np
 import pytest
 
-from heatlab import (
-    Field,
-    SpaceGrid,
+from heatlab.cli import main as cli_main
+from heatlab.functionals import (
     appell_mid_exponent,
     appell_time_map,
     appell_transform,
     check_log_convexity,
-    coefficient_residuals,
-    commutator_identity,
-    complex_gaussian,
-    evolve,
-    family_from_rate,
-    first_family_rate,
-    gaussian_field,
-    gaussian_potential,
-    run_refinement,
     sharpness_probe,
-    solve_cross_bvp,
     verify_interior_bound,
     weighted_norm,
-    zero_potential,
 )
-from heatlab.cli import main as cli_main
+from heatlab.grid import Field, SpaceGrid, gaussian_field, gaussian_potential, zero_potential
+from heatlab.heat import commutator_identity, complex_gaussian, evolve
+from heatlab.weights import (
+    coefficient_residuals,
+    family_from_rate,
+    first_family_rate,
+    run_refinement,
+    solve_cross_bvp,
+)
 
 
 def announce(label: str, ok: bool, detail: str) -> None:

@@ -884,6 +884,23 @@ def test_all_at_an_overflowing_delta_still_writes_its_summary(tmp_path):
     assert (out / "verdict.txt").read_text() == "FAIL max_violation=1 suite\n"
 
 
+# 2^50 points: 8 PiB of float64, which numpy refuses before it allocates anything
+HUGE = str(2**50)
+
+
+def test_all_at_an_unallocatable_grid_still_writes_its_summary(tmp_path):
+    out = tmp_path / "o"
+    assert run(["all", *SMALL, "--grid-N", HUGE, "--out", str(out)]) == 1
+    summary = dict(line.split(" = ") for line in (out / "summary.txt").read_text().splitlines())
+    failed = {name for name, verdict in summary.items() if verdict == "FAIL"}
+    assert failed == {"evolve", "verify-bound", "verify-convexity-free", "verify-convexity-imag"}
+    assert len(summary) == 9
+    for scenario in ("evolve", "verify-bound"):
+        verdict = (out / scenario / "verdict.txt").read_text()
+        assert verdict == "FAIL max_violation=nan MemoryError\n"
+    assert (out / "verdict.txt").read_text() == "FAIL max_violation=1 suite\n"
+
+
 # the float settings each command reads, besides a potential's amplitude, and the cheap
 # sizes it runs at; verify-convexity needs grid_M a multiple of 256
 READS = {
@@ -899,6 +916,11 @@ READS = {
 }
 # the extremes validate admits: delta must exceed 2, xi may take either sign, the rest are positive
 EXTREMES = {"delta": ("2.000001", "1e300"), "xi": ("-1e300", "1e300")}
+# the grid sizes each command reads, each set alone to HUGE
+GRIDS = {
+    "construct-weights": ("grid_M",), "iterate": ("grid_M",), "evolve": ("grid_N",),
+    "verify-convexity": ("grid_M", "grid_N"), "verify-bound": ("grid_N",),
+}
 AMPLITUDES = [
     {"potential": potential, "amplitude": amplitude}
     for potential in ("none", "gauss-imag")
@@ -909,6 +931,7 @@ BOUNDARY = [
     for command, (names, _) in READS.items()
     for setting in [
         *({name: value} for name in names for value in EXTREMES.get(name, ("1e-300", "1e300"))),
+        *({name: HUGE} for name in GRIDS.get(command, ())),
         *(AMPLITUDES if command in ("evolve", "verify-convexity", "verify-bound") else []),
     ]
 ]

@@ -9,35 +9,32 @@ from hypothesis import strategies as st
 from scipy import special
 
 from conftest import count_grid_calls, traced_peak
-from heatlab import (
-    Field,
-    PotentialSpec,
-    SpaceGrid,
-    TimeCurve,
-    Trajectory,
-    WeightFamily,
+from heatlab import functionals
+from heatlab import weights as wt
+from heatlab.errors import CertificationError, GridError, ResidualError, TailViolation
+from heatlab.functionals import (
     appell_mid_exponent,
     appell_time_map,
     appell_transform,
     check_log_convexity,
-    complex_gaussian,
-    evolve,
-    gaussian_field,
-    gaussian_potential,
     interpolation_exponent,
-    pde_residual,
     sharpness_probe,
     solve_convexity_correction,
     verify_interior_bound,
     weighted_norm,
+)
+from heatlab.grid import (
+    Field,
+    PotentialSpec,
+    SpaceGrid,
+    gaussian_field,
+    gaussian_potential,
     zero_potential,
 )
-from heatlab import functionals
-from heatlab import weights as wt
-from heatlab.errors import CertificationError, GridError, ResidualError, TailViolation
+from heatlab.heat import Trajectory, complex_gaussian, evolve, pde_residual
 from heatlab.kernels import resample_periodic
-from heatlab.timecurve import STACK_CHUNK, uniform_grid
-from heatlab.weights import antiderivative
+from heatlab.timecurve import STACK_CHUNK, TimeCurve, uniform_grid
+from heatlab.weights import WeightFamily, antiderivative
 
 
 def free_heat_gaussian(y, s):
@@ -789,7 +786,7 @@ def test_interior_bound_on_critical_closed_form(grid12):
     r = 0.5
     times = np.linspace(0.0, 1.0, 101)
     frames = np.array([complex_gaussian(grid12.x, t, r) for t in times])
-    from heatlab import Trajectory
+    from heatlab.heat import Trajectory
 
     traj = Trajectory(grid=grid12, times=times, frames=frames, potential=zero_potential())
     report = verify_interior_bound(traj, r, tail_tol=math.inf)

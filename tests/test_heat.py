@@ -6,29 +6,29 @@ import numpy as np
 import pytest
 
 from conftest import read_csv, traced_peak
-from heatlab import (
+from heatlab.errors import GridError, TailViolation
+from heatlab.grid import (
+    DEFAULT_TAIL_TOL,
     Field,
     PotentialSpec,
     SpaceGrid,
-    TimeCurve,
+    gaussian_field,
+    gaussian_potential,
+    require_tail,
+    zero_potential,
+)
+from heatlab.heat import (
     Trajectory,
-    WeightFamily,
     apply_skew,
     apply_symmetric,
     commutator_identity,
     complex_gaussian,
+    conjugated_parts,
     evolve,
-    gaussian_field,
-    gaussian_potential,
-    limit_family,
     pde_residual,
-    zero_potential,
 )
-from heatlab.errors import GridError, TailViolation
-from heatlab.grid import DEFAULT_TAIL_TOL, require_tail
-from heatlab.heat import conjugated_parts
-from heatlab.timecurve import uniform_grid, write_csv
-from heatlab.weights import antiderivative
+from heatlab.timecurve import TimeCurve, uniform_grid, write_csv
+from heatlab.weights import WeightFamily, antiderivative, limit_family
 
 
 def constant_potential(value: complex) -> PotentialSpec:

@@ -83,11 +83,11 @@ def test_the_tracer_counts_the_steps_evolve_takes(monkeypatch, steps, n_frames):
 
     monkeypatch.setattr(np.fft, "fft", counted)
     args = (
-        heatlab.gaussian_field(heatlab.SpaceGrid(half_width=12.0, n=256)),
-        heatlab.gaussian_potential(0.5, imaginary=True),
+        heatlab.grid.gaussian_field(heatlab.grid.SpaceGrid(half_width=12.0, n=256)),
+        heatlab.grid.gaussian_potential(0.5, imaginary=True),
         0.0, 1.0, steps,
     )
-    heatlab.evolve(*args, n_frames=n_frames)
+    heatlab.heat.evolve(*args, n_frames=n_frames)
     assert load_tracer().evolve_substeps(*args, n_frames=n_frames) == len(ffts)
 
 
@@ -199,19 +199,25 @@ LAYERS = ("timecurve", "weights", "grid", "heat", "functionals", "kernels")
 
 
 def public_surface():
-    """Every non-module name in ``heatlab.__all__`` and every public function or
-    class defined at module level in one of ``LAYERS``."""
-    names = {name for name in heatlab.__all__ if not inspect.ismodule(getattr(heatlab, name))}
-    for layer in LAYERS:
-        module = getattr(heatlab, layer)
-        names |= {
-            name
-            for name, obj in vars(module).items()
-            if not name.startswith("_")
-            and (inspect.isfunction(obj) or inspect.isclass(obj))
-            and obj.__module__ == module.__name__
-        }
-    return names
+    """Every public function or class defined at module level in one of ``LAYERS``."""
+    return {
+        name
+        for module in (getattr(heatlab, layer) for layer in LAYERS)
+        for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    }
+
+
+def test_the_package_binds_no_name_but_its_version_and_its_modules():
+    # one import path per name: each is imported from the module that defines it
+    bound = {
+        name for name, obj in vars(heatlab).items()
+        if not name.startswith("_") and not inspect.ismodule(obj)
+    }
+    assert bound == set()
+    assert heatlab.__version__
 
 
 def test_every_public_name_has_a_reader_outside_the_tests():

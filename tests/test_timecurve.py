@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from heatlab import TimeCurve, evolve, first_family_rate, zero_potential
 from heatlab.errors import GridError
+from heatlab.grid import zero_potential
+from heatlab.heat import evolve
 from heatlab.timecurve import (
     STACK_CHUNK,
+    TimeCurve,
     cumulative_integral,
     fd_derivative,
     interval_quadrature_weights,
@@ -18,6 +20,7 @@ from heatlab.timecurve import (
     uniform_grid,
     write_csv,
 )
+from heatlab.weights import first_family_rate
 
 
 def sampled(fn, m, t0=0.0, t1=1.0):

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from heatlab import (
-    TimeCurve,
+from heatlab import weights as wt
+from heatlab.errors import CertificationError, ResidualError
+from heatlab.timecurve import TimeCurve, fd_derivative, lagrange_sample, uniform_grid
+from heatlab.weights import (
     WeightFamily,
     antiderivative,
     coefficient_residuals,
@@ -27,9 +29,6 @@ from heatlab import (
     solve_cross_bvp,
     solve_freq,
 )
-from heatlab import weights as wt
-from heatlab.errors import CertificationError, ResidualError
-from heatlab.timecurve import fd_derivative, lagrange_sample, uniform_grid
 from heatlab.weights import limit_rate
 
 
