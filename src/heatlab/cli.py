@@ -13,9 +13,9 @@ and verdict.  Overflow and invalid operations raise, in NumPy and in Python
 float arithmetic alike, and stop their scenario with such a FAIL, as does a
 grid too large to allocate (``MemoryError``).  Exit code 0
 means every verdict passed, 1 means a verification or the arithmetic failed, 2
-means the config could not be read or parsed, holds a non-finite number or does
-not fit the command (``grid_M`` not a multiple of 256 for convexity runs);
-nothing is written then.  ``steps`` is a target in every scenario, which
+means the config could not be read or parsed, sets a key twice, holds a
+non-finite number, places ``out`` in or under a file or does not fit the command
+(``grid_M`` not a multiple of 256 for convexity runs); nothing is written then.  ``steps`` is a target in every scenario, which
 :func:`~heatlab.heat.evolve` rounds up to whole steps per frame interval.  A
 scenario directory holding an earlier run's ``manifest.txt`` is replaced whole.
 Reruns with identical config produce byte-identical CSV output.
@@ -124,12 +124,12 @@ def _coerce(key: str, raw: str):
 
 
 def load_config_file(path) -> dict:
-    """Parse a flat ``key = value`` UTF-8 file; an unreadable file and unknown keys are rejected."""
+    """Parse a flat ``key = value`` UTF-8 file; refuse an unreadable file, unknown or repeated keys."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    out = {}
+    out, set_on = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -140,6 +140,9 @@ def load_config_file(path) -> dict:
         key = key.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: {key!r} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         out[key] = _coerce(key, value.strip())
     return out
 
@@ -151,6 +154,9 @@ def build_config(args: argparse.Namespace) -> ScenarioConfig:
         cfg = replace(cfg, **load_config_file(args.config))
     cfg = replace(cfg, **{key: value for key, value in given.items() if key in _FIELD_TYPES})
     cfg.validate(args.command)
+    found = next(p for p in (Path(cfg.out), *Path(cfg.out).parents) if p.exists() or p.is_symlink())
+    if not found.is_dir():  # out is made under its nearest existing component, a dangling link too
+        raise ConfigError(f"out {cfg.out!r}: {str(found)!r} exists and is not a directory")
     return cfg
 
 
@@ -264,26 +270,28 @@ def scenario(name: str):
     return decorate
 
 
-def _family(cfg: ScenarioConfig) -> wt.WeightFamily:
-    """The first family at the config's delta and grid_M, certified at its residual_tol."""
-    return wt.family_from_rate(cfg.delta, wt.first_family_rate(cfg.delta, cfg.grid_M), cfg.residual_tol)
+def _family(cfg: ScenarioConfig) -> tuple[wt.WeightFamily, wt.CurvatureCertificate, Check]:
+    """The first family at the config's delta and grid_M, certified at its residual_tol,
+    its curvature certificate at that tolerance and the ``curvature`` check on it."""
+    family = wt.family_from_rate(cfg.delta, wt.first_family_rate(cfg.delta, cfg.grid_M), cfg.residual_tol)
+    cert = family.certificate(cfg.residual_tol)
+    return family, cert, indicator("curvature", cert.verdict == "positive")
 
 
 @scenario("construct-weights")
 def run_construct_weights(cfg: ScenarioConfig):
-    family = _family(cfg)
+    family, cert, curvature = _family(cfg)
     family.validate(strict_signs=True)
     b_bvp = wt.solve_cross_bvp(family.a, family.A)
     gap = float(np.max(np.abs(b_bvp.values - family.b.values)))
     r1, r2 = wt.coefficient_residuals(family)
     sup_r1, sup_r2 = (float(np.max(np.abs(r.values))) for r in (r1, r2))
-    cert = family.certificate(cfg.residual_tol)
-    bound = cfg.residual_tol * max(1.0, abs(cert.min_identity))
+    bound = wt.floor_bound(cfg.residual_tol, cert.min_identity)
     checks = [
         Check("bvp_gap", gap, bound),
         Check("sup_r1", sup_r1, bound),
         Check("sup_r2", sup_r2, bound),
-        indicator("curvature", cert.verdict == "positive"),
+        curvature,
     ]
     info = {"bvp_gap": gap, "sup_r1": sup_r1, "sup_r2": sup_r2, "curvature_verdict": cert.verdict}
     curves = {"a": family.a, "A": family.A, "b": family.b, "T": family.T}
@@ -318,7 +326,7 @@ def run_iterate(cfg: ScenarioConfig):
     # run_refinement certifies the chain; each trace's largest step-to-step rise must be 0,
     # and the last iterate's a' + 4a^2 may dip below 0 by the chain's own tolerance at most
     rises = [("sup_b_rise", trace.sup_cross), ("gap_rise", trace.gap_to_limit)]
-    checks = [Check(name, float(np.max(np.diff(v), initial=0.0)), 0.0) for name, v in rises]
+    checks = [Check(name, max_violation(*np.diff(v)), 0.0) for name, v in rises]
     checks.append(Check("rate_margin", -info["rate_margin"], wt.DEFAULT_RECERT_TOL))
     return [indicator("finite_sup_b", math.isfinite(trace.final_sup_cross)), *checks], info, files
 
@@ -365,15 +373,11 @@ def run_evolve(cfg: ScenarioConfig):
 @scenario("verify-convexity")
 def run_verify_convexity(cfg: ScenarioConfig):
     traj = _evolve_gaussian(cfg, CONVEXITY_FRAMES)
-    family = _family(cfg)
+    family, cert, curvature = _family(cfg)
     report = fn.check_log_convexity(
         traj, family, xi=cfg.xi, epsilon=cfg.epsilon, tail_tol=cfg.tail_tol
     )
-    cert = family.certificate(cfg.residual_tol)
-    checks = [
-        Check("slack", -report.min_slack / report.h_scale, cfg.slack_tol),
-        indicator("curvature", cert.verdict == "positive"),
-    ]
+    checks = [Check("slack", -report.min_slack / report.h_scale, cfg.slack_tol), curvature]
     info = {
         "min_slack": report.min_slack,
         "h_scale": report.h_scale,

@@ -31,7 +31,7 @@ from .timecurve import (
     STACK_CHUNK, TimeCurve, cumulative_integral, fd_derivative, lagrange_sample,
     time_derivative_chunks, uniform_grid,
 )
-from .weights import WeightFamily
+from .weights import WeightFamily, floor_bound
 
 CONJUGATION_TOL = 5e-3  # relative residual allowed in d_t f - S f - A f = V f
 CORRECTION_TOL = 1e-6  # relative residual and sign slack of the correction term M
@@ -73,7 +73,7 @@ def solve_convexity_correction(gamma: TimeCurve, source: TimeCurve) -> TimeCurve
     Double quadrature: gamma M' = C - int source, with C fixed by the final
     boundary value.  A nonnegative source makes M concave in the gamma clock,
     hence nonnegative; that sign is checked along with the equation residual,
-    both at ``CORRECTION_TOL``.
+    both held to ``floor_bound(CORRECTION_TOL, ...)``.
     """
     if not np.min(gamma.values) > 0.0:
         raise ValueError("gamma must be positive")
@@ -88,12 +88,11 @@ def solve_convexity_correction(gamma: TimeCurve, source: TimeCurve) -> TimeCurve
     # boundary values are pinned exactly; the equation is certified on the
     # interior, away from the compounded one-sided stencil rows
     resid = (fd_derivative(gamma.values * fd_derivative(mvals, h, 1), h, 1) + source.values)[3:-3]
-    scale = max(1.0, float(np.max(np.abs(source.values))))
-    if not float(np.max(np.abs(resid))) <= CORRECTION_TOL * scale:
+    if not float(np.max(np.abs(resid))) <= floor_bound(CORRECTION_TOL, source.values):
         raise ResidualError(
             f"correction-term residual {np.max(np.abs(resid)):.3e} exceeds tolerance"
         )
-    if not float(np.min(mvals)) >= -CORRECTION_TOL * max(1.0, float(np.max(np.abs(mvals)))):
+    if not float(np.min(mvals)) >= -floor_bound(CORRECTION_TOL, mvals):
         raise ResidualError("correction term went negative")
     return gamma.with_values(mvals)
 

@@ -52,11 +52,11 @@ def _rate_drift(a: np.ndarray, A: np.ndarray, h: float) -> tuple[float, bool]:
     return drift, drift <= max(tol, 100 * tol * np.abs(a).max())
 
 
-def _no_interior_dip(values: np.ndarray, tol: float) -> bool:
-    """Whether the interior minimum of ``values`` is at least -tol times
-    max(1, max|values|); a NaN node fails."""
-    scale = max(1.0, float(np.max(np.abs(values))))
-    return bool(np.min(values[1:-1]) >= -tol * scale)
+def floor_bound(tol: float, *scales) -> float:
+    """``tol`` times max(1, the largest |value| among ``scales``): the one bound of
+    every residual, sign and curvature check.  A NaN scale counts as 1, so a NaN
+    value still fails its check, which is written "not (value within bound)"."""
+    return tol * max(1.0, *[float(np.abs(s).max()) for s in scales])
 
 
 def antiderivative(curve: TimeCurve) -> TimeCurve:
@@ -92,10 +92,6 @@ class CurvatureCertificate:
     verdict: str  # "positive" | "nonnegative" | "failed"
     bound: float  # tol times the curvature scale, which the gap and the minimum are held to
 
-    @property
-    def ok(self) -> bool:
-        return self.verdict != "failed"
-
 
 def _certify(ident: np.ndarray, direct: np.ndarray, tol: float) -> CurvatureCertificate:
     """Verdict on the interior nodes of the two routes to (e^{8A} a)''.
@@ -104,7 +100,7 @@ def _certify(ident: np.ndarray, direct: np.ndarray, tol: float) -> CurvatureCert
     the grid is too coarse and the verdict is "failed"; a NaN fails too.
     """
     ident, direct = ident[1:-1], direct[1:-1]
-    bound = tol * max(1.0, float(np.abs(ident).max()))
+    bound = floor_bound(tol, ident)
     gap = float(np.abs(ident - direct).max())
     min_ident = float(ident.min())
     verdict = "failed"
@@ -206,17 +202,16 @@ class WeightFamily:
 
     def certify_equations(self, tol: float = DEFAULT_RESIDUAL_TOL) -> None:
         """Check b and T against their defining equations: each residual of
-        :func:`coefficient_residuals` must stay within ``grid_tol(tol, m)``
-        times the size of its two terms (ResidualError); a strictly negative
-        interior dip of T signals inconsistent inputs (CertificationError).
+        :func:`coefficient_residuals` stays within ``floor_bound(grid_tol(tol, m),
+        *terms)`` (ResidualError), and T dips below ``-floor_bound(tol, T)`` at no
+        interior node (CertificationError: inconsistent inputs).
         """
         for name, (resid, terms) in _collapse_residuals(self).items():
-            scale = max(1.0, *(float(np.max(np.abs(term))) for term in terms))
-            if not float(np.max(np.abs(resid))) <= grid_tol(tol, self.a.m) * scale:
+            if not float(np.max(np.abs(resid))) <= floor_bound(grid_tol(tol, self.a.m), *terms):
                 raise ResidualError(
                     f"{name}-coefficient residual {np.max(np.abs(resid)):.3e} exceeds tolerance"
                 )
-        if not _no_interior_dip(self.T.values, tol):
+        if not np.min(self.T.values[1:-1]) >= -floor_bound(tol, self.T.values):
             raise CertificationError(
                 f"sign failure: interior minimum {np.min(self.T.values[1:-1]):.3e} < 0 "
                 "signals inconsistent inputs"
@@ -245,7 +240,7 @@ class WeightFamily:
             if not np.max(np.abs(curve.values[[0, -1]])) <= 1e-10:
                 problems.append(f"{name} does not vanish at the endpoints")
         cert = self.certificate()
-        if not cert.ok:
+        if cert.verdict == "failed":
             problems.append(f"curvature certificate failed (min {cert.min_identity:.3e})")
         if strict_signs:
             if not np.max(b.values[1:-1]) < 0.0:
@@ -253,9 +248,9 @@ class WeightFamily:
             if not np.min(T.values[1:-1]) > 0.0:
                 problems.append("T is not strictly positive on the interior")
         else:
-            if not _no_interior_dip(-b.values, DEFAULT_RESIDUAL_TOL):
+            if not np.max(b.values[1:-1]) <= floor_bound(DEFAULT_RESIDUAL_TOL, b.values):
                 problems.append("b has a positive interior excursion")
-            if not _no_interior_dip(T.values, DEFAULT_RESIDUAL_TOL):
+            if not np.min(T.values[1:-1]) >= -floor_bound(DEFAULT_RESIDUAL_TOL, T.values):
                 problems.append("T has a negative interior excursion")
         if problems:
             raise CertificationError("; ".join(problems))

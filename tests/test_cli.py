@@ -334,8 +334,13 @@ def test_out_of_range_flag_is_exit_2(tmp_path):
         ([], "amplitude = -1\n", "amplitude must be nonnegative"),
         ([], "potential = foo\n", "potential must be one of"),
         ([], "delta 3\n", "expected 'key = value', got 'delta 3'"),
+        ([], "delta = 3\n# again\ndelta = 4\n", "refused.cfg:3: 'delta' is already set on line 1"),
+        ([], "delta = 3\ndelta = 3\n", "refused.cfg:2: 'delta' is already set on line 1"),
     ],
-    ids=["grid-M-32", "negative-amplitude", "unknown-potential", "line-without-equals"],
+    ids=[
+        "grid-M-32", "negative-amplitude", "unknown-potential", "line-without-equals",
+        "key-set-twice", "key-set-twice-alike",
+    ],
 )
 def test_a_refused_config_exits_2_and_writes_nothing(tmp_path, capsys, flag, config, message):
     cfg = tmp_path / "refused.cfg"
@@ -344,6 +349,18 @@ def test_a_refused_config_exits_2_and_writes_nothing(tmp_path, capsys, flag, con
     assert run(["sharpness", "--config", str(cfg), *flag, "--out", str(out)]) == 2
     assert not out.exists()
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sharpness", "all"])
+@pytest.mark.parametrize("below", ["", "sub"], ids=["FILE", "FILE-sub"])
+def test_an_out_in_or_under_a_file_exits_2_and_writes_nothing(tmp_path, capsys, command, below):
+    blocker = tmp_path / "afile"
+    blocker.write_text("kept\n")
+    out = blocker / below
+    assert run([command, "--out", str(out)]) == 2
+    message = f"config error: out {str(out)!r}: {str(blocker)!r} exists and is not a directory\n"
+    assert capsys.readouterr().err == message
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept\n"
 
 
 def test_config_file_reads_plot_off_as_false(tmp_path):

@@ -165,6 +165,37 @@ def test_family_certificate_reads_the_bare_rate_certificate(family3, which, tol)
     assert fam.certificate(tol) == curvature_certificate(fam.a, fam.A, tol)
 
 
+def test_floor_bound_is_tol_times_the_largest_scale_floored_at_one():
+    assert wt.floor_bound(1e-6, np.array([0.5, -0.25])) == 1e-6
+    assert wt.floor_bound(1e-6, np.array([2.0]), np.array([-5.0, 1.0]), np.array([3.0])) == 1e-6 * 5.0
+    assert wt.floor_bound(2.0, -3.0) == wt.floor_bound(2.0, np.float64(3.0)) == 6.0
+    # a NaN scale counts as 1, in whichever place it comes
+    assert wt.floor_bound(1e-6, np.array([np.nan, 0.5])) == 1e-6
+    assert wt.floor_bound(1e-6, np.array([np.nan]), np.array([4.0])) == 1e-6 * 4.0
+    assert wt.floor_bound(1e-6, np.array([4.0]), np.array([np.nan])) == 1e-6 * 4.0
+    # and a NaN value still fails a check written "not (value within bound)"
+    assert not np.nan <= wt.floor_bound(1e-6, np.nan)
+
+
+@pytest.mark.parametrize("excess, verdict", [(0.5, "positive"), (1.5, "failed")])
+def test_certify_holds_the_route_gap_to_its_bound(excess, verdict):
+    tol, ident = 1e-3, np.full(9, 2.0)  # the interior scale 2 sets the bound 2 tol
+    direct = ident.copy()
+    direct[4] += excess * 2 * tol
+    cert = wt._certify(ident, direct, tol)
+    assert (cert.verdict, cert.bound) == (verdict, 2 * tol)
+    assert cert.max_route_gap == pytest.approx(excess * 2 * tol)
+
+
+@pytest.mark.parametrize("dip, verdict", [(0.5, "nonnegative"), (1.5, "failed")])
+def test_certify_holds_the_interior_minimum_to_minus_its_bound(dip, verdict):
+    tol, ident = 1e-3, np.full(9, 2.0)
+    ident[[0, -1]] = -1.0  # the endpoints are not interior nodes
+    ident[4] = -dip * 2 * tol
+    cert = wt._certify(ident, ident, tol)
+    assert (cert.verdict, cert.bound, cert.min_identity) == (verdict, 2 * tol, ident[4])
+
+
 def count_calls(monkeypatch, name: str) -> list:
     calls = []
     original = getattr(wt, name)
@@ -548,6 +579,23 @@ def test_weight_family_is_constructed_only_in_complete():
     for path in sorted(Path(wt.__file__).parent.glob("*.py")):
         Calls(path.stem).visit(ast.parse(path.read_text()))
     assert sites == ["weights._complete"]
+
+
+def test_the_unit_floor_is_written_only_in_floor_bound_and_grid_tol():
+    # every residual, sign and curvature check takes tol x max(1, |scale|) from floor_bound
+    def is_unit_floor(node):
+        return (
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "max" and node.args
+            and type(getattr(node.args[0], "value", None)) is float and node.args[0].value == 1.0
+        )
+
+    owners = {}
+    for path in sorted(Path(wt.__file__).parent.glob("*.py")):
+        for scope in ast.walk(ast.parse(path.read_text())):  # outer scopes first: the innermost wins
+            if isinstance(scope, (ast.Module, ast.FunctionDef)):
+                for node in filter(is_unit_floor, ast.walk(scope)):
+                    owners[node] = f"{path.stem}.{getattr(scope, 'name', '<module>')}"
+    assert sorted(owners.values()) == ["weights.floor_bound", "weights.grid_tol"]
 
 
 def test_every_stored_chain_family_is_certified(monkeypatch):
