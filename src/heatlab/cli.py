@@ -14,7 +14,7 @@ float arithmetic alike, and stop their scenario with such a FAIL, as does a
 grid too large to allocate (``MemoryError``).  Exit code 0
 means every verdict passed, 1 means a verification or the arithmetic failed, 2
 means the config could not be read or parsed, sets a key twice, holds a
-non-finite number, places ``out`` in or under a file or does not fit the command
+non-finite number, puts ``out`` or a scenario directory at, in or under a file, or does not fit the command
 (``grid_M`` not a multiple of 256 for convexity runs); nothing is written then.  ``steps`` is a target in every scenario, which
 :func:`~heatlab.heat.evolve` rounds up to whole steps per frame interval.  A
 scenario directory holding an earlier run's ``manifest.txt`` is replaced whole.
@@ -154,9 +154,11 @@ def build_config(args: argparse.Namespace) -> ScenarioConfig:
         cfg = replace(cfg, **load_config_file(args.config))
     cfg = replace(cfg, **{key: value for key, value in given.items() if key in _FIELD_TYPES})
     cfg.validate(args.command)
-    found = next(p for p in (Path(cfg.out), *Path(cfg.out).parents) if p.exists() or p.is_symlink())
-    if not found.is_dir():  # out is made under its nearest existing component, a dangling link too
-        raise ConfigError(f"out {cfg.out!r}: {str(found)!r} exists and is not a directory")
+    suite = _suite(cfg).values() if args.command == "all" else [(args.command, cfg)]
+    for directory in (Path(sub.out) / command for command, sub in suite):
+        found = next(p for p in (directory, *directory.parents) if p.exists() or p.is_symlink())
+        if not found.is_dir():  # a scenario directory is made under it, a dangling link too
+            raise ConfigError(f"out {cfg.out!r}: {str(found)!r} exists and is not a directory")
     return cfg
 
 
@@ -442,6 +444,24 @@ def run_sharpness(cfg: ScenarioConfig):
     return [indicator("expected_verdict", report.verdict == expected)], info, files, report.verdict
 
 
+def _suite(cfg: ScenarioConfig) -> dict:
+    """The scenarios of ``all`` in run order: summary name -> (command, config)."""
+    out, free = Path(cfg.out), replace(cfg, potential="none")
+    imag = replace(cfg, potential="gauss-imag", amplitude=0.5, out=str(out / "convexity-imag"))
+    return {
+        "evolve": ("evolve", free),
+        "construct-weights": ("construct-weights", cfg),
+        "iterate": ("iterate", cfg),
+        "verify-convexity-free": ("verify-convexity", replace(free, out=str(out / "convexity-free"))),
+        "verify-convexity-imag": ("verify-convexity", imag),
+        "verify-bound": ("verify-bound", replace(cfg, R=2.5)),
+        **{
+            f"sharpness-{g:g}": ("sharpness", replace(cfg, gamma_factor=g, out=str(out / f"sharpness-{g:g}")))
+            for g in (0.5, 1.0, 1.1)
+        },
+    }
+
+
 def run_all(cfg: ScenarioConfig) -> bool:
     """Full suite; scenario outputs land in subdirectories of ``out``.
 
@@ -451,21 +471,9 @@ def run_all(cfg: ScenarioConfig) -> bool:
     out = Path(cfg.out)
     with contextlib.ExitStack() as pending:
         results = {
-            "evolve": run_evolve(replace(cfg, potential="none"), pending),
-            "construct-weights": run_construct_weights(cfg),
-            "iterate": run_iterate(cfg),
-            "verify-convexity-free": run_verify_convexity(
-                replace(cfg, potential="none", out=str(out / "convexity-free"))
-            ),
-            "verify-convexity-imag": run_verify_convexity(
-                replace(cfg, potential="gauss-imag", amplitude=0.5, out=str(out / "convexity-imag"))
-            ),
-            "verify-bound": run_verify_bound(replace(cfg, R=2.5)),
+            name: RUNNERS[command](sub, pending if command == "evolve" else None)
+            for name, (command, sub) in _suite(cfg).items()
         }
-        for factor in (0.5, 1.0, 1.1):
-            results[f"sharpness-{factor:g}"] = run_sharpness(
-                replace(cfg, gamma_factor=factor, out=str(out / f"sharpness-{factor:g}"))
-            )
     passed = all(results.values())
     lines = [f"{name} = {'PASS' if ok else 'FAIL'}" for name, ok in sorted(results.items())]
     for stale in ("summary.txt", "verdict.txt"):  # a new file writes faster than a truncated one

@@ -37,25 +37,40 @@ CONJUGATION_TOL = 5e-3  # relative residual allowed in d_t f - S f - A f = V f
 CORRECTION_TOL = 1e-6  # relative residual and sign slack of the correction term M
 
 
-def _weighted_rows(grid: SpaceGrid, exponent, values, time: float, tol: float):
-    """Norms ||e^{exponent} u|| of the rows of ``values`` and the tail fractions
-    of e^{exponent} |u|, both from one ``SpaceGrid.mass`` pass.  A weight that
-    defeats the decay of ``u`` makes the truncated quadrature meaningless, so a
-    last row with more than ``tol`` of its mass in the outer band raises
-    TailViolation at ``time``; ``tol = inf`` measures truncated norms regardless."""
-    mass, scale, fractions = grid.mass(np.exp(exponent) * np.abs(values))
-    cause = "the weighted norm is not finite at this truncation"
-    require_tail(np.ravel(fractions)[-1], time, tol, cause)
-    return scale * np.sqrt(mass), fractions
+def _weighted_rows(grid: SpaceGrid, rate: np.ndarray, values: np.ndarray, time: float, tol: float):
+    """Norms ||e^{rate x^2} u|| of the rows of ``values``, one ``rate`` each, and the tail
+    fractions of e^{rate x^2} |u|, both from one ``SpaceGrid.mass`` call per STACK_CHUNK rows,
+    weighted only then.  A weight that defeats the decay of ``u`` makes the truncated
+    quadrature meaningless, so a last row with more than ``tol`` of its mass in the outer band
+    raises TailViolation at ``time``; ``tol = inf`` measures truncated norms regardless."""
+    norms, fractions = np.empty((2, len(values)))
+    for lo in range(0, len(values), STACK_CHUNK):
+        rows = slice(lo, lo + STACK_CHUNK)
+        mass, scale, fractions[rows] = grid.mass(np.exp(rate[rows, None] * grid.x**2) * np.abs(values[rows]))
+        norms[rows] = scale * np.sqrt(mass)
+    require_tail(fractions[-1], time, tol, "the weighted norm is not finite at this truncation")
+    return norms, fractions
 
 
 def weighted_norm(field: Field, a: float) -> float:
     """|| e^{a x^2} u || by the periodic trapezoid rule; an integrand holding
     more than ``DEFAULT_TAIL_TOL`` of its mass in the outer band is rejected
     rather than silently truncated."""
-    exponent = a * field.grid.x**2
-    norm, _ = _weighted_rows(field.grid, exponent, field.values, field.time, DEFAULT_TAIL_TOL)
-    return float(norm)
+    norms, _ = _weighted_rows(field.grid, np.array([a]), field.values[None], field.time, DEFAULT_TAIL_TOL)
+    return float(norms[0])
+
+
+class _RowSource:
+    """A stack of ``size`` rows whose slice ``s`` is ``rows(s)``, made when it is read."""
+
+    def __init__(self, size: int, rows):
+        self.size, self.rows = size, rows
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, s: slice) -> np.ndarray:
+        return self.rows(s)
 
 
 def interpolation_exponent(gamma: TimeCurve) -> np.ndarray:
@@ -139,25 +154,25 @@ def check_log_convexity(
     rows = family.derivatives_at(times)
     gamma = TimeCurve(rows["w8"], t0=float(times[0]), t1=float(times[-1]))
     a, b, T = (rows[name][:, None] for name in ("a", "b", "T"))
-    f = np.exp(a * x**2 + b * x * xi - T * xi**2) * traj.frames
-    derivatives = time_derivative_chunks(f, times)  # refuses unequal spacing before any measuring
-    mass, scale, tail = grid.mass(f)
-    require_tail(tail, times, tail_tol)
-    H = scale**2 * mass
+    f = _RowSource(times.size, lambda s: np.exp(a[s] * x**2 + b[s] * x * xi - T[s] * xi**2) * traj.frames[s])
+    derivatives = time_derivative_chunks(f, times)  # refuses unequal spacing before any weighting
 
-    # each chunk's d_t f, turned into the defect (d_t f - S f) - A f in place,
-    # in that rounding order, in one reused block; only its row sums are kept
+    # each chunk's f rows give H and the tail guard from one mass call, and its d_t f is turned
+    # into the defect (d_t f - S f) - A f in place, in that rounding order; only row sums are kept
     static = potential(x, float(times[0])) if potential.time_independent else None
-    conj_gaps, defect_sq, pairing = np.empty((3, times.size))
-    for chunk, defect in derivatives:
+    H, conj_gaps, defect_sq, pairing = np.empty((4, times.size))
+    for chunk, fc, defect in derivatives:
+        mass, scale, tail = grid.mass(fc)
+        require_tail(tail, times[chunk], tail_tol)
+        H[chunk] = scale**2 * mass
         columns = {name: col[chunk, None] for name, col in rows.items()}
-        sf, af = conjugated_parts(f[chunk], grid, columns, xi)
+        sf, af = conjugated_parts(fc, grid, columns, xi)
         defect -= sf
         defect -= af
         v = static if static is not None else [potential(x, float(t)) for t in times[chunk]]
-        conj_gaps[chunk] = grid.norm(defect - np.multiply(v, f[chunk]))
+        conj_gaps[chunk] = grid.norm(defect - np.multiply(v, fc))
         defect_sq[chunk] = grid.dx * np.sum(np.abs(defect) ** 2, axis=1)
-        pairing[chunk] = grid.dx * np.abs(np.real(np.sum(defect * np.conj(f[chunk]), axis=1)))
+        pairing[chunk] = grid.dx * np.abs(np.real(np.sum(defect * np.conj(fc), axis=1)))
     vnorm_scale = math.sqrt(np.max(H)) * (1.0 + potential.sup_norm)
     conj_rel = float(np.max(conj_gaps)) / max(vnorm_scale, 1e-300)
     if not conj_rel <= CONJUGATION_TOL:
@@ -293,8 +308,7 @@ def verify_interior_bound(
     if not traj.times[0] == 0.0:
         raise ValueError("need the first frame at t = 0")
     grid, t = traj.grid, traj.times
-    exponent = (t / (4.0 * (t**2 + R**2)))[:, None] * grid.x**2
-    norms, fraction = _weighted_rows(grid, exponent, traj.frames, t[-1], tail_tol)
+    norms, fraction = _weighted_rows(grid, t / (4.0 * (t**2 + R**2)), traj.frames, t[-1], tail_tol)
     rhs = float(norms[0] + norms[-1])  # the weight at t = 0 is e^0 = 1: norms[0] = ||u(0)||
     if rhs == 0.0:
         raise ValueError("||u(0)|| + the final weighted norm is 0, so the bound is undefined")

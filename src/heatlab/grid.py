@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import TailViolation
-from .timecurve import _read_only, write_csv
+from .timecurve import STACK_CHUNK, _read_only, write_csv
 
 DEFAULT_HALF_WIDTH = 12.0
 DEFAULT_POINTS = 1024
@@ -57,7 +57,11 @@ class SpaceGrid:
         reciprocal, else 1, so the norm ``scale * sqrt(mass)`` can neither
         overflow nor underflow to 0.  ``tail`` is the fraction of that mass
         beyond ``TAIL_START`` of the half-width: 0 for a zero row, and NaN,
-        which passes no tol, for a row holding a NaN or inf."""
+        which passes no tol, for a row holding a NaN or inf.  A stack is squared
+        STACK_CHUNK rows at a time, each block by its own call."""
+        if np.ndim(values) > 1 and len(values) > STACK_CHUNK:
+            blocks = [self.mass(values[lo : lo + STACK_CHUNK]) for lo in range(0, len(values), STACK_CHUNK)]
+            return tuple(np.concatenate(part) for part in zip(*blocks))
         modulus = np.abs(values)
         peak = modulus.max(axis=-1, keepdims=True)  # NaN when the row holds one
         extreme = (peak > HUGE_MODULUS) | (peak < 1.0 / HUGE_MODULUS)

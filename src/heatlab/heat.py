@@ -224,8 +224,7 @@ def pde_residual(traj: Trajectory) -> float:
     grid, x, potential = traj.grid, traj.grid.x, traj.potential
     static = potential(x, float(traj.times[0])) if potential.time_independent else None
     rel = np.empty(traj.n_frames)
-    for chunk, dudt in time_derivative_chunks(traj.frames, traj.times):
-        u = traj.frames[chunk]
+    for chunk, u, dudt in time_derivative_chunks(traj.frames, traj.times):
         lap = _laplacian(grid, np.fft.fft(u))
         v = static if static is not None else [potential(x, float(t)) for t in traj.times[chunk]]
         vu = np.multiply(v, u)

@@ -120,24 +120,29 @@ def stack_rows(values: np.ndarray, deriv: int, lo: int, hi: int, out, scratch) -
     return out
 
 
-def time_derivative_chunks(stack: np.ndarray, times: np.ndarray):
+def time_derivative_chunks(stack, times: np.ndarray):
     """Refuse fewer frames than a stencil window, or ``times`` not equispaced within 1e-10 (a NaN
-    time is not), then iterate ``(chunk, d)`` for each slice ``chunk`` of STACK_CHUNK frames, ``d``
-    those rows of the first time derivative, in one block the next chunk overwrites."""
+    time is not), then iterate ``(chunk, rows, d)`` for each slice ``chunk`` of STACK_CHUNK frames:
+    ``rows`` those frames and ``d`` their first time derivative, in one block the next chunk
+    overwrites.  ``stack`` is an array or any row source read only by slices ``stack[w0:w1]``,
+    one window a chunk: its rows, the two rows on each side, or the end window at either end."""
     if len(stack) < (width := _rows(1)[1].shape[1]):
         raise GridError(f"need at least {width} samples, got {len(stack)}")
     dts = np.diff(times)
     if not np.max(np.abs(dts - dts[0])) <= 1e-10:
         raise ValueError("frames must be equispaced")
-    return _derivative_chunks(stack, float(dts[0]))
+    return _derivative_chunks(stack, len(stack), float(dts[0]), width)
 
 
-def _derivative_chunks(stack: np.ndarray, dt: float):
-    block, scratch = np.empty((2, STACK_CHUNK, *stack.shape[1:]), dtype=stack.dtype)
-    for lo in range(0, len(stack), STACK_CHUNK):
-        hi = min(lo + STACK_CHUNK, len(stack))
-        d = block[: hi - lo]
-        yield slice(lo, hi), np.divide(stack_rows(stack, 1, lo, hi, d, scratch), dt, out=d)
+def _derivative_chunks(stack, n: int, dt: float, width: int):
+    for lo in range(0, n, STACK_CHUNK):
+        hi = min(lo + STACK_CHUNK, n)
+        w0, w1 = max(0, min(lo - 2, n - width)), min(n, max(hi + 2, width))
+        window = stack[w0:w1]
+        if lo == 0:
+            block, scratch = np.empty((2, STACK_CHUNK, *window.shape[1:]), dtype=window.dtype)
+        d = stack_rows(window, 1, lo - w0, hi - w0, block[: hi - lo], scratch)
+        yield slice(lo, hi), window[lo - w0 : hi - w0], np.divide(d, dt, out=d)
 
 
 def _apply_rows(values: np.ndarray, deriv: int, lead: int = 0) -> np.ndarray:

@@ -49,14 +49,18 @@ def traced_peak(fn) -> int:
 
 
 def count_grid_calls(monkeypatch) -> list:
-    """Record the argument shape of every ``SpaceGrid.mass`` call, the one route
-    to a norm or a tail fraction."""
+    """Record the argument of every ``SpaceGrid.mass`` call that squares rows itself,
+    the one route to a norm or a tail fraction; a call handing its rows on in
+    blocks to nested calls squares none."""
     calls = []
     original = SpaceGrid.mass
 
     def counting(self, values):
-        calls.append(np.shape(values))
-        return original(self, values)
+        nested = len(calls)
+        result = original(self, values)
+        if len(calls) == nested:
+            calls.append(values)
+        return result
 
     monkeypatch.setattr(SpaceGrid, "mass", counting)
     return calls

@@ -6,12 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_grid_calls, read_csv
+from conftest import count_grid_calls, read_csv, traced_peak
 from test_output_ledger import digest, read_ledger
 import heatlab
 from heatlab import cli, functionals as fn, weights as wt
 from heatlab.cli import Check, ScenarioConfig, load_config_file, main
 from heatlab.errors import CertificationError, ConfigError
+from heatlab.heat import evolve
+from heatlab.timecurve import STACK_CHUNK
 
 
 def run(args):
@@ -284,10 +286,25 @@ def test_a_suite_rerun_writes_only_new_files(tmp_path, monkeypatch):
 
 
 def test_evolve_squares_its_frames_once(tmp_path, monkeypatch):
-    # the norms and the tail guard both come from one SpaceGrid.mass pass over the frames
+    # the norms and the tail guard both come from one SpaceGrid.mass pass over the frames,
+    # which squares each frame exactly once, in calls of at most STACK_CHUNK rows
+    evolved = []
+    monkeypatch.setattr(cli, "evolve", lambda *args, **kw: evolved.append(evolve(*args, **kw)) or evolved[0])
     calls = count_grid_calls(monkeypatch)
     assert run(["evolve", "--out", str(tmp_path / "o")]) == 0
-    assert calls.count((251, 1024)) == 1
+    frames = evolved[0].frames
+    blocks = [values for values in calls if np.may_share_memory(values, frames)]
+    assert max(map(len, blocks)) <= STACK_CHUNK
+    assert np.concatenate(blocks).tobytes() == frames.tobytes()
+
+
+def test_a_traced_all_peaks_below_two_frame_stacks(tmp_path):
+    # the convexity engine weights its frames a window at a time and every
+    # weighted norm pass squares STACK_CHUNK rows at a time, so no scenario
+    # holds much beyond its own trajectory; a whole weighted stack, its
+    # exponent and its modulus would take the peak to about 2.8 stacks
+    stack = cli.CONVEXITY_FRAMES * 1024 * 16  # one 257 x 1024 complex stack
+    assert traced_peak(lambda: run(["all", "--out", str(tmp_path / "o")])) < 2.0 * stack
 
 
 def test_plot_flag_writes_svg(tmp_path):
@@ -361,6 +378,28 @@ def test_an_out_in_or_under_a_file_exits_2_and_writes_nothing(tmp_path, capsys, 
     message = f"config error: out {str(out)!r}: {str(blocker)!r} exists and is not a directory\n"
     assert capsys.readouterr().err == message
     assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept\n"
+
+
+# the nine scenario directories of all, those holding a manifest, and one of their parents
+SUITE_DIRECTORIES = [
+    *sorted(p.removesuffix("/manifest.txt") for p in suite_files(False) if p.endswith("/manifest.txt")),
+    "convexity-imag",
+]
+
+
+@pytest.mark.parametrize(
+    "command, blocker", [("sharpness", "sharpness"), *(("all", d) for d in SUITE_DIRECTORIES)]
+)
+def test_a_scenario_directory_that_is_a_file_exits_2_and_writes_nothing(tmp_path, capsys, command, blocker):
+    # refused before any scenario runs, so no scenario writes a file
+    out = tmp_path / "o"
+    (out / blocker).parent.mkdir(parents=True, exist_ok=True)
+    (out / blocker).write_text("kept\n")
+    before = sorted(tmp_path.rglob("*"))
+    assert run([command, "--out", str(out)]) == 2
+    message = f"config error: out {str(out)!r}: {str(out / blocker)!r} exists and is not a directory\n"
+    assert capsys.readouterr().err == message
+    assert sorted(tmp_path.rglob("*")) == before and (out / blocker).read_text() == "kept\n"
 
 
 def test_config_file_reads_plot_off_as_false(tmp_path):

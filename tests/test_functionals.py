@@ -360,6 +360,18 @@ def test_log_convexity_never_holds_a_whole_stack_defect(gauss12, family3):
     assert peak < 2.0 * traj.frames.nbytes
 
 
+@pytest.mark.parametrize(
+    "potential", [zero_potential(), gaussian_potential(0.5, imaginary=True)], ids=["free", "gauss-imag"]
+)
+def test_log_convexity_weights_its_frames_a_window_at_a_time(gauss12, family3, potential):
+    # f, its exponent and its modulus exist only for one chunk's window of frames,
+    # so the engine needs less than one more trajectory; a whole-stack f alone is one
+    traj = evolve(gauss12, potential, 0.0, 1.0, steps=1024, n_frames=257)
+    family3.derivatives_at(traj.times)
+    peak = traced_peak(lambda: check_log_convexity(traj, family3, xi=1.0))
+    assert peak < 1.0 * traj.frames.nbytes
+
+
 def test_zero_potential_is_evaluated_once_per_check(gauss12, family3, monkeypatch):
     traj = evolve(gauss12, zero_potential(), 0.0, 1.0, steps=256, n_frames=257)
     general = replace(traj, potential=replace(zero_potential(), time_independent=False))
@@ -611,20 +623,21 @@ def test_evolve_and_appell_transform_compute_no_tail_fraction(monkeypatch, gauss
 
 
 @pytest.mark.parametrize(
-    "verify",
+    "verify, stacks",
     [
-        lambda tr, fam: check_log_convexity(tr, fam, xi=1.0),
-        lambda tr, fam: verify_interior_bound(tr, 1.0),
+        (lambda tr, fam: check_log_convexity(tr, fam, xi=1.0), 2),
+        (lambda tr, fam: verify_interior_bound(tr, 1.0), 1),
     ],
     ids=["convexity", "interior_bound"],
 )
-def test_weighted_norms_and_tail_guard_share_one_mass_pass(monkeypatch, gauss12, family3, verify):
-    # the weighted stack is squared once, for its norms and its tail fractions alike;
-    # the other mass calls see one row or one STACK_CHUNK of defects
+def test_weighted_norms_and_tail_guard_share_one_mass_pass(monkeypatch, gauss12, family3, verify, stacks):
+    # each weighted frame is squared exactly once, for its norm and its tail fraction alike,
+    # in calls of at most STACK_CHUNK rows; the engine squares each frame's defect once more
     traj = evolve(gauss12, zero_potential(), 0.0, 1.0, steps=256, n_frames=65)
     calls = count_grid_calls(monkeypatch)
     verify(traj, family3)
-    assert calls.count(traj.frames.shape) == 1
+    rows = [len(values) for values in calls]
+    assert max(rows) <= STACK_CHUNK and sum(rows) == stacks * traj.n_frames
 
 
 def test_appell_image_of_a_trajectory_carries_its_rescaled_potential(gauss12):
@@ -816,6 +829,13 @@ def test_interior_bound_marks_one_failing_interior_frame(grid12, gauss12):
         field = Field(grid12, traj.frames[i], float(traj.times[i]))
         frame_norm = weighted_norm(field, float(rates[i]))
         assert np.array_equal(report.weighted_norms[i], frame_norm)
+
+
+def test_interior_bound_weights_its_frames_a_chunk_at_a_time(gauss12):
+    # e^{rate x^2} |u| is formed STACK_CHUNK rows at a time; a stack-sized
+    # weight or modulus would each take half the trajectory's bytes
+    traj = evolve(gauss12, zero_potential(), 0.0, 1.0, steps=500, n_frames=101)
+    assert traced_peak(lambda: verify_interior_bound(traj, 1.0)) < 0.5 * traj.frames.nbytes
 
 
 def test_interior_bound_refuses_a_trajectory_that_starts_after_zero(gauss12):

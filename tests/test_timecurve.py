@@ -360,7 +360,40 @@ def stack_derivative(values, h, deriv=1):
 
 def chunked_time_derivative(values, times):
     """The first time derivative gathered from time_derivative_chunks' reused block."""
-    return np.concatenate([d.copy() for _, d in time_derivative_chunks(values, times)])
+    return np.concatenate([d.copy() for _, _, d in time_derivative_chunks(values, times)])
+
+
+class SlicedRows:
+    """A row source serving only slices ``[w0:w1]`` of ``values``, as copies, recording each."""
+
+    def __init__(self, values):
+        self.values, self.served = values, []
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, rows):
+        assert isinstance(rows, slice) and rows.step is None
+        self.served.append(rows.indices(len(self.values))[:2])
+        return self.values[rows].copy()
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 17, 18, 19, 20, 21, 33, 257])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_time_derivative_windows_give_the_whole_stack_bytes(dtype, n):
+    # each chunk reads one window: its rows, two on each side, or an end window of 5 rows;
+    # together they give one whole-stack stack_rows call's bytes and the chunk's own rows
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((n, 9)).astype(dtype)
+    if dtype is complex:
+        values += 1j * rng.standard_normal((n, 9))
+    h = 1.0 / (n - 1)
+    source = SlicedRows(values)
+    chunks = [(c, rows.copy(), d.copy()) for c, rows, d in time_derivative_chunks(source, np.arange(n) * h)]
+    assert np.concatenate([d for *_, d in chunks]).tobytes() == stack_derivative(values, h).tobytes()
+    assert all(rows.tobytes() == values[c].tobytes() for c, rows, _ in chunks)
+    assert len(source.served) == len(chunks) == -(-n // STACK_CHUNK)
+    assert max(stop - start for start, stop in source.served) <= min(STACK_CHUNK + 4, n)
 
 
 @pytest.mark.parametrize("where", [1, 20, 39])
