@@ -155,10 +155,16 @@ def build_config(args: argparse.Namespace) -> ScenarioConfig:
     cfg = replace(cfg, **{key: value for key, value in given.items() if key in _FIELD_TYPES})
     cfg.validate(args.command)
     suite = _suite(cfg).values() if args.command == "all" else [(args.command, cfg)]
-    for directory in (Path(sub.out) / command for command, sub in suite):
+    directories = [Path(sub.out) / command for command, sub in suite]
+    for directory in directories:
         found = next(p for p in (directory, *directory.parents) if p.exists() or p.is_symlink())
         if not found.is_dir():  # a scenario directory is made under it, a dangling link too
             raise ConfigError(f"out {cfg.out!r}: {str(found)!r} exists and is not a directory")
+    # names written only after the scenarios compute: all's summary and verdict, each manifest and verdict
+    fixed = [Path(cfg.out) / "summary.txt", Path(cfg.out) / "verdict.txt"] if args.command == "all" else []
+    for path in [*fixed, *(d / name for d in directories for name in ("manifest.txt", "verdict.txt"))]:
+        if (path.exists() or path.is_symlink()) and not path.is_file():
+            raise ConfigError(f"out {cfg.out!r}: {str(path)!r} exists and is not a regular file")
     return cfg
 
 

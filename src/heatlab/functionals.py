@@ -28,7 +28,7 @@ from .grid import DEFAULT_TAIL_TOL, Field, PotentialSpec, SpaceGrid, require_tai
 from .heat import Trajectory, conjugated_parts
 from .kernels import resample_periodic
 from .timecurve import (
-    STACK_CHUNK, TimeCurve, cumulative_integral, fd_derivative, lagrange_sample,
+    TimeCurve, cumulative_integral, fd_derivative, lagrange_sample, row_chunks,
     time_derivative_chunks, uniform_grid,
 )
 from .weights import WeightFamily, floor_bound
@@ -39,13 +39,12 @@ CORRECTION_TOL = 1e-6  # relative residual and sign slack of the correction term
 
 def _weighted_rows(grid: SpaceGrid, rate: np.ndarray, values: np.ndarray, time: float, tol: float):
     """Norms ||e^{rate x^2} u|| of the rows of ``values``, one ``rate`` each, and the tail
-    fractions of e^{rate x^2} |u|, both from one ``SpaceGrid.mass`` call per STACK_CHUNK rows,
-    weighted only then.  A weight that defeats the decay of ``u`` makes the truncated
+    fractions of e^{rate x^2} |u|, both from one ``SpaceGrid.mass`` call per ``row_chunks``
+    block, weighted only then.  A weight that defeats the decay of ``u`` makes the truncated
     quadrature meaningless, so a last row with more than ``tol`` of its mass in the outer band
     raises TailViolation at ``time``; ``tol = inf`` measures truncated norms regardless."""
     norms, fractions = np.empty((2, len(values)))
-    for lo in range(0, len(values), STACK_CHUNK):
-        rows = slice(lo, lo + STACK_CHUNK)
+    for rows in row_chunks(len(values)):
         mass, scale, fractions[rows] = grid.mass(np.exp(rate[rows, None] * grid.x**2) * np.abs(values[rows]))
         norms[rows] = scale * np.sqrt(mass)
     require_tail(fractions[-1], time, tol, "the weighted norm is not finite at this truncation")
@@ -58,19 +57,6 @@ def weighted_norm(field: Field, a: float) -> float:
     rather than silently truncated."""
     norms, _ = _weighted_rows(field.grid, np.array([a]), field.values[None], field.time, DEFAULT_TAIL_TOL)
     return float(norms[0])
-
-
-class _RowSource:
-    """A stack of ``size`` rows whose slice ``s`` is ``rows(s)``, made when it is read."""
-
-    def __init__(self, size: int, rows):
-        self.size, self.rows = size, rows
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, s: slice) -> np.ndarray:
-        return self.rows(s)
 
 
 def interpolation_exponent(gamma: TimeCurve) -> np.ndarray:
@@ -154,7 +140,7 @@ def check_log_convexity(
     rows = family.derivatives_at(times)
     gamma = TimeCurve(rows["w8"], t0=float(times[0]), t1=float(times[-1]))
     a, b, T = (rows[name][:, None] for name in ("a", "b", "T"))
-    f = _RowSource(times.size, lambda s: np.exp(a[s] * x**2 + b[s] * x * xi - T[s] * xi**2) * traj.frames[s])
+    f = lambda s: np.exp(a[s] * x**2 + b[s] * x * xi - T[s] * xi**2) * traj.frames[s]
     derivatives = time_derivative_chunks(f, times)  # refuses unequal spacing before any weighting
 
     # each chunk's f rows give H and the tail guard from one mass call, and its d_t f is turned
@@ -253,8 +239,7 @@ def appell_transform(
 
     root = math.sqrt(alpha * beta)
     mapped = appell_time_map(alpha, beta, times)
-    for lo in range(0, times.size, STACK_CHUNK):  # one resampling call per chunk of output times
-        chunk = slice(lo, lo + STACK_CHUNK)
+    for chunk in row_chunks(times.size):  # one resampling call per chunk of output times
         denom = alpha * (1.0 - times[chunk, None]) + beta * times[chunk, None]
         mult = (root / denom) ** 0.5 * np.exp((alpha - beta) * x**2 / (4.0 * denom))
         frames[chunk] = mult * eval_source(root * x / denom, mapped[chunk])

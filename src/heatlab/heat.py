@@ -41,7 +41,7 @@ import numpy as np
 
 from . import framecsv
 from .grid import Field, PotentialSpec, SpaceGrid
-from .timecurve import STACK_CHUNK, time_derivative_chunks, uniform_grid
+from .timecurve import row_chunks, time_derivative_chunks, uniform_grid
 from .weights import WeightFamily
 
 
@@ -184,9 +184,8 @@ def evolve(
     if potential.is_zero:
         re_spectrum, im_spectrum = np.fft.rfft(u.real), np.fft.rfft(u.imag)
         rxi2 = xi2[: grid.n // 2 + 1]  # rfft's +Nyquist bin is -Nyquist here: the same xi^2
-        for lo in range(1, frame_times.size, STACK_CHUNK):
-            elapsed = frame_times[lo : lo + STACK_CHUNK, None] - frame_times[0]
-            mult, chunk = np.exp(-elapsed * rxi2), frames[lo : lo + STACK_CHUNK]
+        for rows in row_chunks(frame_times.size, start=1):
+            mult, chunk = np.exp(-(frame_times[rows, None] - frame_times[0]) * rxi2), frames[rows]
             chunk.real = np.fft.irfft(mult * re_spectrum, grid.n, axis=-1)
             chunk.imag = np.fft.irfft(mult * im_spectrum, grid.n, axis=-1)
     else:
@@ -224,7 +223,7 @@ def pde_residual(traj: Trajectory) -> float:
     grid, x, potential = traj.grid, traj.grid.x, traj.potential
     static = potential(x, float(traj.times[0])) if potential.time_independent else None
     rel = np.empty(traj.n_frames)
-    for chunk, u, dudt in time_derivative_chunks(traj.frames, traj.times):
+    for chunk, u, dudt in time_derivative_chunks(traj.frames.__getitem__, traj.times):
         lap = _laplacian(grid, np.fft.fft(u))
         v = static if static is not None else [potential(x, float(t)) for t in traj.times[chunk]]
         vu = np.multiply(v, u)

@@ -120,29 +120,34 @@ def stack_rows(values: np.ndarray, deriv: int, lo: int, hi: int, out, scratch) -
     return out
 
 
-def time_derivative_chunks(stack, times: np.ndarray):
+def row_chunks(n: int, start: int = 0) -> list[slice]:
+    """Slices of rows ``[start, n)``, STACK_CHUNK each but the last: every stack pass's chunks."""
+    return [slice(lo, min(lo + STACK_CHUNK, n)) for lo in range(start, n, STACK_CHUNK)]
+
+
+def time_derivative_chunks(rows, times: np.ndarray):
     """Refuse fewer frames than a stencil window, or ``times`` not equispaced within 1e-10 (a NaN
-    time is not), then iterate ``(chunk, rows, d)`` for each slice ``chunk`` of STACK_CHUNK frames:
-    ``rows`` those frames and ``d`` their first time derivative, in one block the next chunk
-    overwrites.  ``stack`` is an array or any row source read only by slices ``stack[w0:w1]``,
-    one window a chunk: its rows, the two rows on each side, or the end window at either end."""
-    if len(stack) < (width := _rows(1)[1].shape[1]):
-        raise GridError(f"need at least {width} samples, got {len(stack)}")
+    time is not), then iterate ``(chunk, frames, d)`` for each slice ``chunk`` of ``row_chunks``:
+    ``frames`` those frames and ``d`` their first time derivative, in one block the next chunk
+    overwrites.  ``rows(s)`` gives the frames of slice ``s``, called once a chunk for its window:
+    the chunk's rows, the two rows on each side, or the end window at either end."""
+    if times.size < (width := _rows(1)[1].shape[1]):
+        raise GridError(f"need at least {width} samples, got {times.size}")
     dts = np.diff(times)
     if not np.max(np.abs(dts - dts[0])) <= 1e-10:
         raise ValueError("frames must be equispaced")
-    return _derivative_chunks(stack, len(stack), float(dts[0]), width)
+    return _derivative_chunks(rows, times.size, float(dts[0]), width)
 
 
-def _derivative_chunks(stack, n: int, dt: float, width: int):
-    for lo in range(0, n, STACK_CHUNK):
-        hi = min(lo + STACK_CHUNK, n)
+def _derivative_chunks(rows, n: int, dt: float, width: int):
+    for chunk in row_chunks(n):
+        lo, hi = chunk.start, chunk.stop
         w0, w1 = max(0, min(lo - 2, n - width)), min(n, max(hi + 2, width))
-        window = stack[w0:w1]
+        window = rows(slice(w0, w1))
         if lo == 0:
             block, scratch = np.empty((2, STACK_CHUNK, *window.shape[1:]), dtype=window.dtype)
         d = stack_rows(window, 1, lo - w0, hi - w0, block[: hi - lo], scratch)
-        yield slice(lo, hi), window[lo - w0 : hi - w0], np.divide(d, dt, out=d)
+        yield chunk, window[lo - w0 : hi - w0], np.divide(d, dt, out=d)
 
 
 def _apply_rows(values: np.ndarray, deriv: int, lead: int = 0) -> np.ndarray:

@@ -402,6 +402,32 @@ def test_a_scenario_directory_that_is_a_file_exits_2_and_writes_nothing(tmp_path
     assert sorted(tmp_path.rglob("*")) == before and (out / blocker).read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("kind", ["directory", "dangling link"])
+@pytest.mark.parametrize(
+    "command, blocker",
+    [
+        ("all", "summary.txt"),
+        ("all", "verdict.txt"),
+        ("all", "sharpness-1/sharpness/verdict.txt"),
+        ("sharpness", "sharpness/verdict.txt"),
+        ("sharpness", "sharpness/manifest.txt"),
+    ],
+)
+def test_a_non_file_at_a_fixed_output_name_exits_2_and_writes_nothing(tmp_path, capsys, command, blocker, kind):
+    # refused before any scenario runs, not by a traceback after they have all computed
+    out = tmp_path / "o"
+    (out / blocker).parent.mkdir(parents=True, exist_ok=True)
+    if kind == "directory":
+        (out / blocker).mkdir()
+    else:
+        (out / blocker).symlink_to(tmp_path / "missing")
+    before = sorted(tmp_path.rglob("*"))
+    assert run([command, *SMALL, "--out", str(out)]) == 2
+    message = f"config error: out {str(out)!r}: {str(out / blocker)!r} exists and is not a regular file\n"
+    assert capsys.readouterr().err == message
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_config_file_reads_plot_off_as_false(tmp_path):
     cfg = tmp_path / "off.cfg"
     cfg.write_text("plot = off\n")
@@ -741,6 +767,23 @@ def test_a_wrong_last_frame_fails_evolve(tmp_path, monkeypatch, factor, check, b
     assert (out / "evolve" / "verdict.txt").read_text().startswith("FAIL max_violation=")
     manifest = (out / "evolve" / "manifest.txt").read_text()
     assert float(re.search(rf"^{check} = (\S+)$", manifest, re.M).group(1)) > bound
+
+
+def test_energy_slack_fails_between_its_bound_and_ten_times_it(monkeypatch):
+    # the last frame's norm 5e-6 above e^{sup|V| t} ||u(0)|| fails energy_slack at 1e-6, not at 1e-5
+    evolve = cli.evolve
+
+    def lifted_last_frame(*args, **kwargs):
+        traj = evolve(*args, **kwargs)
+        norm, times = traj.grid.norm, traj.times
+        target = np.exp(traj.potential.sup_norm * times[-1]) * norm(traj.frames[0]) + 5e-6
+        traj.frames[-1] *= target / norm(traj.frames[-1])
+        return traj
+
+    monkeypatch.setattr(cli, "evolve", lifted_last_frame)
+    checks, info, _ = cli.run_evolve.__wrapped__(ScenarioConfig())
+    slack = next(c for c in checks if c.name == "energy_slack")
+    assert 2e-6 < info["energy_slack"] < 8e-6 and not slack.passed
 
 
 def test_floating_point_error_in_a_scenario_is_a_named_fail(tmp_path, monkeypatch):

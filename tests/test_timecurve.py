@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from heatlab import timecurve
 from heatlab.errors import GridError
 from heatlab.grid import zero_potential
 from heatlab.heat import evolve
@@ -14,6 +18,7 @@ from heatlab.timecurve import (
     fd_derivative,
     interval_quadrature_weights,
     lagrange_sample,
+    row_chunks,
     stack_rows,
     stencil_weights,
     time_derivative_chunks,
@@ -360,19 +365,16 @@ def stack_derivative(values, h, deriv=1):
 
 def chunked_time_derivative(values, times):
     """The first time derivative gathered from time_derivative_chunks' reused block."""
-    return np.concatenate([d.copy() for _, _, d in time_derivative_chunks(values, times)])
+    return np.concatenate([d.copy() for _, _, d in time_derivative_chunks(values.__getitem__, times)])
 
 
 class SlicedRows:
-    """A row source serving only slices ``[w0:w1]`` of ``values``, as copies, recording each."""
+    """A row function serving only slices ``[w0:w1]`` of ``values``, as copies, recording each."""
 
     def __init__(self, values):
         self.values, self.served = values, []
 
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, rows):
+    def __call__(self, rows):
         assert isinstance(rows, slice) and rows.step is None
         self.served.append(rows.indices(len(self.values))[:2])
         return self.values[rows].copy()
@@ -396,6 +398,30 @@ def test_time_derivative_windows_give_the_whole_stack_bytes(dtype, n):
     assert max(stop - start for start, stop in source.served) <= min(STACK_CHUNK + 4, n)
 
 
+def test_row_chunks_cover_the_rows_from_start_in_stack_chunk_steps():
+    assert row_chunks(40) == [slice(0, 16), slice(16, 32), slice(32, 40)]
+    assert row_chunks(33, start=1) == [slice(1, 17), slice(17, 33)]
+    assert row_chunks(1, start=1) == row_chunks(0) == []
+
+
+def test_the_chunk_rule_is_written_only_in_timecurve():
+    # every pass over a stack in STACK_CHUNK rows walks row_chunks; the derivative block is its size
+    def reads_chunk(node):
+        return (
+            isinstance(node, ast.Name) and node.id == "STACK_CHUNK" and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute) and node.attr == "STACK_CHUNK"
+            or isinstance(node, ast.alias) and node.name == "STACK_CHUNK"
+        )
+
+    owners = {}
+    for path in sorted(Path(timecurve.__file__).parent.glob("*.py")):
+        for scope in ast.walk(ast.parse(path.read_text())):  # outer scopes first: the innermost wins
+            if isinstance(scope, (ast.Module, ast.FunctionDef)):
+                for node in filter(reads_chunk, ast.walk(scope)):
+                    owners[node] = f"{path.stem}.{getattr(scope, 'name', '<module>')}"
+    assert sorted(set(owners.values())) == ["timecurve._derivative_chunks", "timecurve.row_chunks"]
+
+
 @pytest.mark.parametrize("where", [1, 20, 39])
 @pytest.mark.parametrize("shift", [2e-10, np.nan])
 def test_time_derivative_chunks_refuses_unequal_frame_spacing(where, shift):
@@ -403,7 +429,7 @@ def test_time_derivative_chunks_refuses_unequal_frame_spacing(where, shift):
     times = np.linspace(0.0, 1.0, 40)
     times[where] += shift
     with pytest.raises(ValueError, match="^frames must be equispaced$"):
-        next(time_derivative_chunks(np.ones((40, 3), dtype=complex), times))
+        next(time_derivative_chunks(np.ones((40, 3), dtype=complex).__getitem__, times))
 
 
 
@@ -411,14 +437,14 @@ def test_time_derivative_chunks_refuses_unequal_frame_spacing(where, shift):
 def test_time_derivative_chunks_refuses_too_few_frames_when_called(n_frames):
     # refused at the call, before any chunk is asked for
     with pytest.raises(GridError, match=f"^need at least 5 samples, got {n_frames}$"):
-        time_derivative_chunks(np.ones((n_frames, 3), dtype=complex), np.arange(n_frames) / 8.0)
+        time_derivative_chunks(np.ones((n_frames, 3), dtype=complex).__getitem__, np.arange(n_frames) / 8.0)
 
 
 def test_time_derivative_chunks_refuses_unequal_spacing_when_called():
     times = np.linspace(0.0, 1.0, 40)
     times[20] += 1e-6
     with pytest.raises(ValueError, match="^frames must be equispaced$"):
-        time_derivative_chunks(np.ones((40, 3), dtype=complex), times)
+        time_derivative_chunks(np.ones((40, 3), dtype=complex).__getitem__, times)
 
 def test_time_derivative_chunks_takes_the_first_step_as_the_spacing():
     # steps within 1e-10 of the first are one spacing: times[1] - times[0]
