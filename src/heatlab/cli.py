@@ -14,10 +14,10 @@ float arithmetic alike, and stop their scenario with such a FAIL, as does a
 grid too large to allocate (``MemoryError``).  Exit code 0
 means every verdict passed, 1 means a verification or the arithmetic failed, 2
 means the config could not be read or parsed, sets a key twice, holds a
-non-finite number, puts ``out`` or a scenario directory at, in or under a file, or does not fit the command
+non-finite number, puts ``out`` or a name a scenario owns at, in or under a file, or a non-file at a file name, or does not fit the command
 (``grid_M`` not a multiple of 256 for convexity runs); nothing is written then.  ``steps`` is a target in every scenario, which
-:func:`~heatlab.heat.evolve` rounds up to whole steps per frame interval.  A
-scenario directory holding an earlier run's ``manifest.txt`` is replaced whole.
+:func:`~heatlab.heat.evolve` rounds up to whole steps per frame interval.  Over an
+earlier run's ``manifest.txt`` a rerun removes only the names ``OWNED`` lists.
 Reruns with identical config produce byte-identical CSV output.
 """
 
@@ -55,6 +55,7 @@ POSITIVE_FIELDS = (
     "R", "tol", "residual_tol", "slack_tol", "tail_tol", "box_L", "gamma_factor", "epsilon"
 )
 RUNNERS = {}  # command name -> runner, filled by @scenario in definition order, then "all"
+OWNED = {}  # command name -> the names its runner writes into its directory, filled by @scenario
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def _coerce(key: str, raw: str):
 def load_config_file(path) -> dict:
     """Parse a flat ``key = value`` UTF-8 file; refuse an unreadable file, unknown or repeated keys."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     out, set_on = {}, {}
@@ -155,16 +156,13 @@ def build_config(args: argparse.Namespace) -> ScenarioConfig:
     cfg = replace(cfg, **{key: value for key, value in given.items() if key in _FIELD_TYPES})
     cfg.validate(args.command)
     suite = _suite(cfg).values() if args.command == "all" else [(args.command, cfg)]
-    directories = [Path(sub.out) / command for command, sub in suite]
-    for directory in directories:
-        found = next(p for p in (directory, *directory.parents) if p.exists() or p.is_symlink())
-        if not found.is_dir():  # a scenario directory is made under it, a dangling link too
-            raise ConfigError(f"out {cfg.out!r}: {str(found)!r} exists and is not a directory")
-    # names written only after the scenarios compute: all's summary and verdict, each manifest and verdict
-    fixed = [Path(cfg.out) / "summary.txt", Path(cfg.out) / "verdict.txt"] if args.command == "all" else []
-    for path in [*fixed, *(d / name for d in directories for name in ("manifest.txt", "verdict.txt"))]:
-        if (path.exists() or path.is_symlink()) and not path.is_file():
-            raise ConfigError(f"out {cfg.out!r}: {str(path)!r} exists and is not a regular file")
+    tops = [Path(cfg.out) / name for name in ("summary.txt", "verdict.txt")] if args.command == "all" else []
+    for path in [*tops, *(Path(sub.out) / command / name for command, sub in suite for name in OWNED[command])]:
+        # the nearest existing component, a dangling link too: an ancestor or frames (no suffix) is a directory
+        found = next(p for p in (path, *path.parents) if p.exists() or p.is_symlink())
+        kind = "directory" if found != path or not path.suffix else "regular file"
+        if not (found.is_dir() if kind == "directory" else found.is_file()):
+            raise ConfigError(f"out {cfg.out!r}: {str(found)!r} exists and is not a {kind}")
     return cfg
 
 
@@ -220,14 +218,14 @@ def indicator(name: str, ok: bool) -> Check:
     return Check(name, 0.0 if ok else 1.0, 0.0)
 
 
-def scenario(name: str):
+def scenario(name: str, *files: str):
     """Turn ``body(cfg) -> (checks, manifest_info, files[, note])`` into the runner
     ``RUNNERS[name](cfg, pending=None) -> bool`` that writes every file into ``cfg.out/name``.
 
-    ``files`` maps a file name to a ``(header, *columns)`` CSV table, a dict
-    of :func:`write_line_plot` arguments (written only under ``--plot``) or a
-    :class:`Trajectory`, whose frame directory helper processes write.  Once
-    they are done come ``manifest.txt`` (the config echo, then the info keys)
+    ``files`` maps a name of ``*files``, which ``OWNED[name]`` lists with the manifest and
+    verdict, to a ``(header, *columns)`` CSV table, a dict of :func:`write_line_plot`
+    arguments (under ``--plot``) or a :class:`Trajectory`, whose directory helper processes
+    write.  Once they are done come ``manifest.txt`` (the config echo, then the info keys)
     and ``verdict.txt``: PASS when every check passes, with the largest check
     value as ``max_violation``.  Given an ``ExitStack`` as ``pending``, the
     runner returns while the frames are written and leaves the wait, the
@@ -241,8 +239,9 @@ def scenario(name: str):
         @functools.wraps(body)
         def run(cfg: ScenarioConfig, pending: contextlib.ExitStack | None = None) -> bool:
             out = Path(cfg.out) / name
-            if (out / "manifest.txt").is_file():  # an earlier run's files must not outlive it
-                shutil.rmtree(out)
+            if (out / "manifest.txt").is_file():  # an earlier run's: its owned names go, and no other file
+                for path in (out / owned for owned in OWNED[name]):  # frames whole; a link is only unlinked
+                    shutil.rmtree(path) if path.is_dir() and not path.is_symlink() else path.unlink(missing_ok=True)
             out.mkdir(parents=True, exist_ok=True)
             try:
                 checks, info, files, *note = body(cfg)
@@ -272,7 +271,7 @@ def scenario(name: str):
                 pending.callback(finish)
             return passed
 
-        RUNNERS[name] = run
+        RUNNERS[name], OWNED[name] = run, (*files, "manifest.txt", "verdict.txt")
         return run
 
     return decorate
@@ -286,7 +285,7 @@ def _family(cfg: ScenarioConfig) -> tuple[wt.WeightFamily, wt.CurvatureCertifica
     return family, cert, indicator("curvature", cert.verdict == "positive")
 
 
-@scenario("construct-weights")
+@scenario("construct-weights", "a.csv", "A.csv", "b.csv", "T.csv", "residuals.csv", "family.svg")
 def run_construct_weights(cfg: ScenarioConfig):
     family, cert, curvature = _family(cfg)
     family.validate(strict_signs=True)
@@ -312,7 +311,7 @@ def run_construct_weights(cfg: ScenarioConfig):
     return checks, info, files
 
 
-@scenario("iterate")
+@scenario("iterate", "trace.csv", "trace.svg")
 def run_iterate(cfg: ScenarioConfig):
     trace = wt.run_refinement(cfg.delta, cfg.K, tol=cfg.tol, m=cfg.grid_M)
     ks = np.arange(1, trace.steps_run + 1)
@@ -349,7 +348,7 @@ def _evolve_gaussian(cfg: ScenarioConfig, n_frames: int, scale: int = 1) -> Traj
     return evolve(gaussian_field(grid), make_potential(cfg), 0.0, 1.0, steps, n_frames=n_frames)
 
 
-@scenario("evolve")
+@scenario("evolve", "frames", "norms.svg")
 def run_evolve(cfg: ScenarioConfig):
     traj = _evolve_gaussian(cfg, 251)
     grid, potential = traj.grid, traj.potential
@@ -378,7 +377,7 @@ def run_evolve(cfg: ScenarioConfig):
     return checks, info, files
 
 
-@scenario("verify-convexity")
+@scenario("verify-convexity", "convexity.csv", "slack.svg")
 def run_verify_convexity(cfg: ScenarioConfig):
     traj = _evolve_gaussian(cfg, CONVEXITY_FRAMES)
     family, cert, curvature = _family(cfg)
@@ -405,7 +404,7 @@ def run_verify_convexity(cfg: ScenarioConfig):
     return checks, info, files
 
 
-@scenario("verify-bound")
+@scenario("verify-bound", "bound.csv", "bound.svg")
 def run_verify_bound(cfg: ScenarioConfig):
     base, fine = (
         fn.verify_interior_bound(_evolve_gaussian(cfg, 101, scale), cfg.R, tail_tol=cfg.tail_tol)
@@ -435,7 +434,7 @@ def run_verify_bound(cfg: ScenarioConfig):
     return checks, info, files
 
 
-@scenario("sharpness")
+@scenario("sharpness", "norms.csv", "growth.svg")
 def run_sharpness(cfg: ScenarioConfig):
     report = fn.sharpness_probe(cfg.R, 0.5, cfg.gamma_factor)
     expected = "convergent" if cfg.gamma_factor < 1.0 else "divergent"

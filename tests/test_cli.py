@@ -212,6 +212,17 @@ def test_suite_writes_exactly_its_artifacts(tmp_path, plot):
     assert sum(name.endswith(".svg") for name in written) == (9 if plot else 0)
 
 
+def test_each_scenario_owns_exactly_the_entries_it_writes(tmp_path):
+    # the names are written twice, on @scenario and as the keys of its body's files
+    out = tmp_path / "o"
+    assert run(["all", *SMALL, "--plot", "--out", str(out)]) == 0
+    suite = cli._suite(ScenarioConfig(out=str(out))).values()
+    assert {command for command, _ in suite} == set(cli.OWNED) == set(cli.RUNNERS) - {"all"}
+    for command, sub in suite:
+        written = sorted(p.name for p in (Path(sub.out) / command).iterdir())
+        assert written == sorted(cli.OWNED[command])
+
+
 def test_failed_scenario_writes_only_manifest_and_verdict(tmp_path, monkeypatch):
     def overflowing(traj):
         raise FloatingPointError("overflow encountered in multiply")
@@ -246,6 +257,24 @@ def test_a_rerun_replaces_only_the_directory_an_earlier_run_wrote(tmp_path):
     (stranger / "notes.txt").write_text("mine\n")
     assert run(["sharpness", "--gamma-factor", "0.5", "--out", str(tmp_path / "p")]) == 0
     assert (stranger / "notes.txt").read_text() == "mine\n"
+    # nor by a rerun over the manifest.txt heatlab wrote beside it, which removes only its own names
+    assert run(["sharpness", "--gamma-factor", "0.5", "--out", str(tmp_path / "p")]) == 0
+    assert (stranger / "notes.txt").read_text() == "mine\n"
+
+
+def test_a_rerun_through_a_linked_scenario_directory_writes_into_its_target(tmp_path):
+    real, linked, fresh = tmp_path / "real", tmp_path / "q", tmp_path / "fresh"
+    assert run(["sharpness", "--plot", "--out", str(real)]) == 0
+    linked.mkdir()
+    (linked / "sharpness").symlink_to(real / "sharpness")
+    assert run(["sharpness", "--gamma-factor", "0.5", "--out", str(linked)]) == 0
+    assert run(["sharpness", "--gamma-factor", "0.5", "--out", str(fresh)]) == 0
+    assert (linked / "sharpness").is_symlink()
+    target, new = real / "sharpness", fresh / "sharpness"
+    assert sorted(p.name for p in target.iterdir()) == sorted(p.name for p in new.iterdir())
+    for name in ("norms.csv", "verdict.txt"):
+        assert (target / name).read_bytes() == (new / name).read_bytes()
+    assert "gamma_factor = 0.5" in (target / "manifest.txt").read_text().splitlines()
 
 
 @pytest.mark.filterwarnings("error::ResourceWarning")
@@ -388,7 +417,11 @@ SUITE_DIRECTORIES = [
 
 
 @pytest.mark.parametrize(
-    "command, blocker", [("sharpness", "sharpness"), *(("all", d) for d in SUITE_DIRECTORIES)]
+    "command, blocker",
+    [
+        ("sharpness", "sharpness"), *(("all", d) for d in SUITE_DIRECTORIES),
+        ("evolve", "evolve/frames"), ("all", "evolve/frames"),
+    ],
 )
 def test_a_scenario_directory_that_is_a_file_exits_2_and_writes_nothing(tmp_path, capsys, command, blocker):
     # refused before any scenario runs, so no scenario writes a file
@@ -411,6 +444,8 @@ def test_a_scenario_directory_that_is_a_file_exits_2_and_writes_nothing(tmp_path
         ("all", "sharpness-1/sharpness/verdict.txt"),
         ("sharpness", "sharpness/verdict.txt"),
         ("sharpness", "sharpness/manifest.txt"),
+        ("sharpness", "sharpness/norms.csv"),
+        ("all", "construct-weights/a.csv"),
     ],
 )
 def test_a_non_file_at_a_fixed_output_name_exits_2_and_writes_nothing(tmp_path, capsys, command, blocker, kind):
@@ -525,6 +560,13 @@ def test_an_unreadable_config_exits_2_and_writes_nothing(tmp_path, capsys, kind)
     assert run(["construct-weights", "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith(f"config error: cannot read {path}: ")
+
+
+def test_a_config_file_that_starts_with_a_byte_order_mark_is_read(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfdelta = 3.5\n")
+    assert load_config_file(path) == {"delta": 3.5}
+    assert parsed_config(["sharpness", "--config", str(path)]).delta == 3.5
 
 
 def test_flags_override_config_file(tmp_path):
@@ -898,6 +940,40 @@ def test_every_named_check_has_a_liveness_corruption():
     assert all(callable(globals().get(test)) for test in COVERED_ELSEWHERE.values())
     assert named - LIVENESS.keys() - COVERED_ELSEWHERE.keys() == set()
     assert LIVENESS.keys() | COVERED_ELSEWHERE.keys() <= named  # no entry names a lost check
+
+
+def with_last_frame_bump(traj, *_):
+    bump = np.exp(-traj.grid.x**2)
+    traj.frames[-1] += 5e-6 * bump / traj.grid.norm(bump)
+    return traj
+
+
+def with_frames_scaled(traj, *_):
+    traj.frames[:] *= 1.0 + 5e-10
+    return traj
+
+
+# a corruption that puts one check's value at about 5 times its bound: (scenario, check) -> (value, patch)
+FIVE_TIMES_THE_BOUND = {
+    ("evolve", "pde_residual"): (5e-4, corrupt(cli, "pde_residual", lambda *_: 5e-4)),
+    ("evolve", "closed_form_gap"): (5e-6, corrupt(cli, "evolve", with_last_frame_bump)),
+    ("verify-bound", "closed_form_gap"): (5e-10, corrupt(cli, "evolve", with_frames_scaled)),
+    ("construct-weights", "bvp_gap"): (
+        5e-6, corrupt(wt, "solve_cross_bvp", lambda b, *_: b.with_values(b.values + 5e-6))
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "scenario_name, check", list(FIVE_TIMES_THE_BOUND), ids=[f"{s}-{c}" for s, c in FIVE_TIMES_THE_BOUND]
+)
+def test_a_check_fails_between_its_bound_and_ten_times_it(monkeypatch, scenario_name, check):
+    # each value passes a bound ten times looser, so this pins the bound, not only the check
+    value, patch = FIVE_TIMES_THE_BOUND[scenario_name, check]
+    patch(monkeypatch)
+    checks = cli.RUNNERS[scenario_name].__wrapped__(ScenarioConfig())[0]
+    found = next(c for c in checks if c.name == check)
+    assert found.value == pytest.approx(value, rel=0.1) and not found.passed
 
 
 def parsed_config(argv):

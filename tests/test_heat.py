@@ -529,6 +529,18 @@ def test_evolve_takes_any_steps_for_any_frame_count():
     assert evolve(u0, potential, 0.0, 1.0, steps=7).n_frames == 8
 
 
+@pytest.mark.parametrize("static", [True, False], ids=["static", "quarter-point"])
+def test_evolve_takes_the_fewest_whole_steps_just_past_a_whole_count(monkeypatch, static):
+    # the spans are 500.0005 and 499.9995 target steps, so ceil gives 501 and 500 steps;
+    # a rule that forgave a thousandth of a step would take 500 and 500
+    u0, potential = small_imaginary_run()
+    steps, fft = [], np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda u, *args, **kw: steps.append(1) or fft(u, *args, **kw))
+    potential = replace(potential, time_independent=static)
+    evolve(u0, potential, 0.0, 1.0, steps=1000, frame_times=[0.0, 0.5000005, 1.0])
+    assert len(steps) == 501 + 500  # one forward transform per Strang step
+
+
 def test_grid_axes_are_read_only_and_built_once(monkeypatch):
     calls = []
     fftfreq = np.fft.fftfreq
